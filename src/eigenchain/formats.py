@@ -73,6 +73,20 @@ def detect_kind(payload: dict) -> str:
     raise ParseError("unrecognized JSON document")
 
 
+def _int_field(item, key: str, what: str, default=None) -> int:
+    """``item[key]`` as a JSON integer; ``bool`` and floats are rejected."""
+    if not isinstance(item, dict):
+        raise ParseError(f"{what}: expected an object, got {item!r}")
+    if key not in item:
+        if default is None:
+            raise ParseError(f"{what}: missing {key!r}")
+        return default
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what}: {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matrix:
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ParseError(f"{what}: entries must be a list of rows")
@@ -92,7 +106,8 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
     sign = -1 if convention == CHAIN else 1
     ranks = {}
     for item in payload.get("degrees", []):
-        deg, rank = int(item["degree"]), int(item["rank"])
+        deg = _int_field(item, "degree", "degrees entry")
+        rank = _int_field(item, "rank", f"degree {deg}")
         if rank < 0:
             raise ValidationError(f"negative rank at degree {deg}")
         if rank:
@@ -100,11 +115,11 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
     step = 1  # internal cochain
     diffs = {}
     for item in payload.get("diffs", []):
-        user_from = int(item["from_degree"])
+        user_from = _int_field(item, "from_degree", "diffs entry")
         n = sign * user_from
         rows = ranks.get(n + step, 0)
         cols = ranks.get(n, 0)
-        m = _parse_matrix(ring, item["entries"], rows, cols, f"differential from degree {user_from}")
+        m = _parse_matrix(ring, item.get("entries"), rows, cols, f"differential from degree {user_from}")
         if not m.is_zero():
             diffs[n] = m
     cx = ChainComplex(ring, COCHAIN, ranks, diffs)
@@ -141,15 +156,15 @@ def graded_map_from_payload(payload: dict, source: ComplexDoc, target: ComplexDo
     if convention != source.convention:
         raise ValidationError("map convention differs from the complexes' convention")
     sign = -1 if convention == CHAIN else 1
-    user_shift = int(payload.get("degree_shift", 0))
+    user_shift = _int_field(payload, "degree_shift", "graded map", default=0)
     shift = sign * user_shift
     blocks = {}
     for item in payload.get("blocks", []):
-        user_deg = int(item["degree"])
+        user_deg = _int_field(item, "degree", "blocks entry")
         n = sign * user_deg
         rows = target.complex.rank(n + shift)
         cols = source.complex.rank(n)
-        m = _parse_matrix(ring, item["entries"], rows, cols, f"block at degree {user_deg}")
+        m = _parse_matrix(ring, item.get("entries"), rows, cols, f"block at degree {user_deg}")
         if not m.is_zero():
             blocks[n] = m
     return GradedMap(source.complex, target.complex, shift, blocks)
@@ -179,11 +194,11 @@ def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
     sign = -1 if convention == CHAIN else 1
     blocks = {}
     for item in payload.get("blocks", []):
-        user_deg = int(item["degree"])
+        user_deg = _int_field(item, "degree", "homotopy blocks entry")
         n = sign * user_deg
         rows = on.complex.rank(n - 1)
         cols = on.complex.rank(n)
-        m = _parse_matrix(ring, item["entries"], rows, cols, f"homotopy block at degree {user_deg}")
+        m = _parse_matrix(ring, item.get("entries"), rows, cols, f"homotopy block at degree {user_deg}")
         if not m.is_zero():
             blocks[n] = m
     return Homotopy(on.complex, blocks)

@@ -1,4 +1,8 @@
-"""Exact dense linear algebra: elimination, Smith normal form, solves.
+"""Exact linear algebra: elimination, Smith normal form, solves.
+
+Matrices are stored dense; eliminations update only the entries where
+the pivot row (or column) is nonzero, so sparse inputs cost little more
+than their nonzeros.
 
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
@@ -88,14 +92,18 @@ def rref(a: Matrix) -> RrefResult:
         trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
         inv = ring.inv(work[r][c])
         if work[r][c] != 1:
-            work[r] = [red(v * inv) for v in work[r]]
-            trans[r] = [red(v * inv) for v in trans[r]]
+            work[r] = [red(v * inv) if v else v for v in work[r]]
+            trans[r] = [red(v * inv) if v else v for v in trans[r]]
+        wnz = [(j, y) for j, y in enumerate(work[r]) if y]
+        tnz = [(j, y) for j, y in enumerate(trans[r]) if y]
         for i in range(m):
             f = work[i][c]
             if i != r and f != 0:
-                wr, tr = work[r], trans[r]
-                work[i] = [red(x - f * y) for x, y in zip(work[i], wr)]
-                trans[i] = [red(x - f * y) for x, y in zip(trans[i], tr)]
+                wi, ti = work[i], trans[i]
+                for j, y in wnz:
+                    wi[j] = red(wi[j] - f * y)
+                for j, y in tnz:
+                    ti[j] = red(ti[j] - f * y)
         pivots.append(c)
         r += 1
     return RrefResult(
@@ -117,10 +125,15 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 
     def row_sub(i, t, q):
         # row_i -= q * row_t ; keep u_inv consistent: col_t += q * col_i
-        w[i] = [x - q * y for x, y in zip(w[i], w[t])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-        for r in range(m):
-            uinv[r][t] += q * uinv[r][i]
+        if not q:
+            return
+        for src, dst in ((w[t], w[i]), (u[t], u[i])):
+            for j, y in enumerate(src):
+                if y:
+                    dst[j] -= q * y
+        for row in uinv:
+            if row[i]:
+                row[t] += q * row[i]
 
     def row_swap(i, t):
         w[i], w[t] = w[t], w[i]
@@ -136,10 +149,12 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 
     def col_sub(j, t, q):
         # col_j -= q * col_t
-        for r in range(m):
-            w[r][j] -= q * w[r][t]
-        for r in range(n):
-            v[r][j] -= q * v[r][t]
+        if not q:
+            return
+        for grid in (w, v):
+            for row in grid:
+                if row[t]:
+                    row[j] -= q * row[t]
 
     def col_swap(j, t):
         for r in range(m):
@@ -206,10 +221,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             if offender is None:
                 break
             # Fold the offending row into row t; re-clearing shrinks the pivot.
-            w[t] = [x + y for x, y in zip(w[t], w[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            for r in range(m):
-                uinv[r][offender] -= uinv[r][t]
+            row_sub(t, offender, -1)
             pos = (t, t)
 
     factors = tuple(w[i][i] for i in range(min(m, n)))

@@ -1,9 +1,11 @@
-"""Dense exact matrices over the supported rings.
+"""Exact matrices over the supported rings, stored dense.
 
 Entries are raw ring values (``Fraction`` or ``int``); the ring travels
-with the matrix.  Zero-row and zero-column matrices are legal and stand
-for maps to or from the zero module, which keeps degree-window edges of
-chain complexes uniform.
+with the matrix.  Storage is dense row-major, but products touch only
+nonzero entries: boundary and witness matrices are mostly zeros.
+Zero-row and zero-column matrices are legal and stand for maps to or
+from the zero module, which keeps degree-window edges of chain complexes
+uniform.
 """
 
 from __future__ import annotations
@@ -77,16 +79,18 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
+        zero = self.ring.normalize(0)
         reduce = self.ring.reduce if self.ring.needs_reduction else None
-        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
+        # Nonzero (col, value) pairs of each row of the right operand.
+        brows = [[(j, y) for j, y in enumerate(row) if y] for row in other.data]
         out = []
         for arow in self.data:
-            if reduce is None:
-                out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
-            else:
-                out.append([reduce(sum(x * y for x, y in zip(arow, bcol))) for bcol in bt])
-        if self.rows == 0:
-            out = []
+            acc = [zero] * other.cols
+            for x, brow in zip(arow, brows):
+                if x:
+                    for j, y in brow:
+                        acc[j] += x * y
+            out.append(acc if reduce is None else [reduce(v) for v in acc])
         return Matrix._raw(self.ring, self.rows, other.cols, out)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":

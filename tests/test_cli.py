@@ -199,3 +199,56 @@ def test_proptest_reproducible(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "0 disagreements" in out1
+
+
+MISSING = object()
+NON_INTEGERS = {"float": 2.7, "string": "x", "bool": True, "missing": MISSING}
+INTEGER_FIELDS = [
+    # (file edited, path to the object holding the field, field, command)
+    ("s1_complex.json", ("degrees", 0), "degree", ["homology", "s1_complex.json"]),
+    ("s1_complex.json", ("degrees", 0), "rank", ["homology", "s1_complex.json"]),
+    ("s1_complex.json", ("diffs", 0), "from_degree", ["homology", "s1_complex.json"]),
+    ("s1_alpha.json", (), "degree_shift", ["cone", "s1_complex.json", "s1_lambda.json", "s1_alpha.json"]),
+    ("s1_alpha.json", ("blocks", 0), "degree", ["cone", "s1_complex.json", "s1_lambda.json", "s1_alpha.json"]),
+    ("s1_psi.json", ("blocks", 0), "degree", ["verify-homotopy", "s1_complex.json", "s1_psi.json"]),
+]
+
+
+# A missing degree_shift means 0, so that one case is well formed.
+NON_INTEGER_CASES = [
+    pytest.param(name, path, field, argv, kind, id=f"{name}-{field}-{kind}")
+    for name, path, field, argv in INTEGER_FIELDS
+    for kind in NON_INTEGERS
+    if (field, kind) != ("degree_shift", "missing")
+]
+
+
+@pytest.mark.parametrize("name, path, field, argv, kind", NON_INTEGER_CASES)
+def test_non_integer_fields_are_structural_errors(workdir, capsys, name, path, field, argv, kind):
+    payload = json.loads((workdir / name).read_text())
+    item = payload
+    for key in path:
+        item = item[key]
+    if NON_INTEGERS[kind] is MISSING:
+        del item[field]
+    else:
+        item[field] = NON_INTEGERS[kind]
+    (workdir / name).write_text(json.dumps(payload))
+    code, out, err = run(capsys, *[workdir / a if a.endswith(".json") else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert repr(field) in err
+
+
+@pytest.mark.parametrize("edit", ["entries", "item"])
+def test_malformed_complex_items_are_structural_errors(workdir, capsys, edit):
+    payload = json.loads((workdir / "s1_complex.json").read_text())
+    if edit == "entries":
+        del payload["diffs"][0]["entries"]
+    else:
+        payload["degrees"][0] = 0
+    (workdir / "s1_complex.json").write_text(json.dumps(payload))
+    code, out, err = run(capsys, "homology", workdir / "s1_complex.json")
+    assert code == 2
+    assert out == ""
+    assert "error" in err

@@ -1,0 +1,53 @@
+"""One SHA-256 over the canonical certificate bytes of a fixed corpus.
+
+Witnesses and certificates must stay bit-identical across kernel changes
+(the pivot rules fix every basis choice).  The corpus mixes seeded random
+complexes over Q, Z, F2 and F5, every ``alpha_variants`` pair of each, and
+the bundled circle.  If a change moves this digest, some certificate byte
+moved: find it with ``corpus_certificates`` before touching the pin.
+"""
+
+import hashlib
+import random
+
+from eigenchain import GF, QQ, ZZ
+from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
+from eigenchain.complexes import COCHAIN
+from eigenchain.formats import bundled_path, canonical_dumps, certificate_to_payload, load_complex
+from eigenchain.randgen import alpha_variants, random_complex
+
+# (ring, seeds, max_len, max_rank): small complexes on every ring, plus
+# wider Z complexes whose witnesses reach 11 to 49 decimal digits.
+CORPUS = (
+    (QQ, range(10), 4, 4),
+    (GF(2), range(10), 4, 4),
+    (GF(5), range(10), 4, 4),
+    (ZZ, range(10), 4, 4),
+    (ZZ, (105, 129, 130), 3, 12),
+)
+
+GOLDEN_SHA256 = "178367a41c94500a5fb1242e9cc64910b9d68cb9fc552ae5dc2d56abf985a4d0"
+
+
+def _bytes(cert, convention=COCHAIN) -> bytes:
+    return canonical_dumps(certificate_to_payload(cert, convention)).encode()
+
+
+def corpus_certificates():
+    """Yield ``(label, canonical certificate bytes)`` in a fixed order."""
+    doc = load_complex(bundled_path("s1_complex.json"))
+    yield "circle", _bytes(certify_homology_eigenvalue(doc.complex), doc.convention)
+    for ring, seeds, max_len, max_rank in CORPUS:
+        for seed in seeds:
+            f = random_complex(ring, random.Random(seed), max_len=max_len, max_rank=max_rank)
+            label = f"{ring}/{seed}"
+            yield label, _bytes(certify_homology_eigenvalue(f))
+            for tag, lam, alpha in alpha_variants(f, random.Random(f"variants-{seed}")):
+                yield f"{label}/{tag}", _bytes(decide_eigenvalue(f, lam, alpha))
+
+
+def test_certificate_bytes_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for label, data in corpus_certificates():
+        digest.update(label.encode() + b"\0" + data + b"\0")
+    assert digest.hexdigest() == GOLDEN_SHA256

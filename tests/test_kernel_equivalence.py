@@ -1,0 +1,246 @@
+"""Zero-skipping kernels against naive dense references.
+
+``@``, ``rref`` and ``smith_normal_form`` skip zero entries.  The dense
+loops below are the definitions they must reproduce exactly: the same
+entries, pivots and transforms, with every entry canonical for its ring.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from eigenchain import GF, QQ, ZZ, Matrix, rref, smith_normal_form
+
+FIELDS = [QQ, GF(2), GF(5)]
+RINGS = FIELDS + [ZZ]
+EMPTY_SHAPES = [(0, 4), (4, 0), (0, 0)]
+
+
+def _red(ring):
+    return ring.reduce if ring.needs_reduction else (lambda v: v)
+
+
+def sparse_matrix(ring, rng, rows, cols):
+    """Seeded ±1 entries at a density between 5% and 20%."""
+    density = rng.uniform(0.05, 0.20)
+    entries = [
+        [rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    return Matrix(ring, entries, cols=cols)
+
+
+def dense_matrix(ring, rng, rows, cols):
+    return Matrix(ring, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def assert_canonical(m: Matrix):
+    for row in m.data:
+        for v in row:
+            if m.ring == QQ:
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int
+                if m.ring.needs_reduction:
+                    assert 0 <= v < m.ring.p
+
+
+def as_tuples(grid):
+    return tuple(tuple(row) for row in grid)
+
+
+# -- naive dense references ---------------------------------------------------
+
+
+def dense_matmul(a: Matrix, b: Matrix):
+    red, zero = _red(a.ring), a.ring.normalize(0)
+    return [
+        [red(sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), zero)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def dense_rref(a: Matrix):
+    ring, red = a.ring, _red(a.ring)
+    m, n = a.rows, a.cols
+    work, trans = a.grid(), Matrix.identity(ring, m).grid()
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        trans[r], trans[p] = trans[p], trans[r]
+        inv = ring.inv(work[r][c])
+        work[r] = [red(v * inv) for v in work[r]]
+        trans[r] = [red(v * inv) for v in trans[r]]
+        for i in range(m):
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = [red(x - f * y) for x, y in zip(work[i], work[r])]
+                trans[i] = [red(x - f * y) for x, y in zip(trans[i], trans[r])]
+        pivots.append(c)
+    return work, trans, tuple(pivots)
+
+
+def dense_snf(a: Matrix):
+    """Smallest-absolute-value pivot, ties row-major; full-row and full-column updates."""
+    m, n = a.rows, a.cols
+    w = a.grid()
+    u, uinv, v = (Matrix.identity(ZZ, k).grid() for k in (m, m, n))
+
+    def add_row(i, t, q):  # row_i += q * row_t, col_t of u_inv -= q * col_i
+        w[i] = [x + q * y for x, y in zip(w[i], w[t])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[t])]
+        for r in range(m):
+            uinv[r][t] -= q * uinv[r][i]
+
+    def swap_rows(i, t):
+        w[i], w[t] = w[t], w[i]
+        u[i], u[t] = u[t], u[i]
+        for row in uinv:
+            row[i], row[t] = row[t], row[i]
+
+    def add_col(j, t, q):  # col_j += q * col_t
+        for grid in (w, v):
+            for row in grid:
+                row[j] += q * row[t]
+
+    def swap_cols(j, t):
+        for grid in (w, v):
+            for row in grid:
+                row[j], row[t] = row[t], row[j]
+
+    for t in range(min(m, n)):
+        cells = [(abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n) if w[i][j]]
+        if not cells:
+            break
+        _, i, j = min(cells)
+        while True:
+            if i != t:
+                swap_rows(i, t)
+            if j != t:
+                swap_cols(j, t)
+            if w[t][t] < 0:
+                w[t] = [-x for x in w[t]]
+                u[t] = [-x for x in u[t]]
+                for row in uinv:
+                    row[t] = -row[t]
+            restart = False
+            for i in range(t + 1, m):
+                while w[i][t]:
+                    add_row(i, t, -(w[i][t] // w[t][t]))
+                    if w[i][t]:
+                        swap_rows(i, t)
+            for j in range(t + 1, n):
+                while w[t][j]:
+                    add_col(j, t, -(w[t][j] // w[t][t]))
+                    if w[t][j]:
+                        swap_cols(j, t)
+                        restart = True
+            i = j = t
+            if restart or any(w[r][t] for r in range(t + 1, m)):
+                continue
+            d = w[t][t]
+            offender = next(
+                (r for r in range(t + 1, m) if any(w[r][c] % d for c in range(t + 1, n))), None
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+    return w, u, v, uinv
+
+
+# -- equivalence ----------------------------------------------------------------
+
+
+def _shapes(rng):
+    return [(rng.randint(1, 14), rng.randint(1, 14), rng.randint(1, 14)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_matmul_matches_the_dense_product(ring, seed):
+    rng = random.Random(seed)
+    for m, k, n in _shapes(rng):
+        for left in (sparse_matrix, dense_matrix):
+            for right in (sparse_matrix, dense_matrix):
+                a, b = left(ring, rng, m, k), right(ring, rng, k, n)
+                prod = a @ b
+                assert (prod.rows, prod.cols) == (m, n)
+                assert prod.data == as_tuples(dense_matmul(a, b))
+                assert_canonical(prod)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("m, k, n", [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0), (3, 0, 0), (0, 0, 3)])
+def test_matmul_of_empty_shapes(ring, m, k, n):
+    rng = random.Random(7)
+    prod = dense_matrix(ring, rng, m, k) @ dense_matrix(ring, rng, k, n)
+    assert (prod.rows, prod.cols) == (m, n)
+    assert prod.data == as_tuples([[ring.normalize(0)] * n for _ in range(m)])
+    assert_canonical(prod)
+
+
+def _assert_rref_matches(a: Matrix):
+    res = rref(a)
+    work, trans, pivots = dense_rref(a)
+    assert res.echelon.data == as_tuples(work)
+    assert res.transform.data == as_tuples(trans)
+    assert res.pivots == pivots
+    assert_canonical(res.echelon)
+    assert_canonical(res.transform)
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_matches_dense_elimination(ring, seed):
+    rng = random.Random(seed)
+    for m, n, _ in _shapes(rng):
+        _assert_rref_matches(sparse_matrix(ring, rng, m, n))
+        _assert_rref_matches(dense_matrix(ring, rng, m, n))
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+@pytest.mark.parametrize("m, n", EMPTY_SHAPES)
+def test_rref_of_empty_shapes(ring, m, n):
+    _assert_rref_matches(Matrix.zeros(ring, m, n))
+
+
+def _assert_snf_matches(a: Matrix):
+    res = smith_normal_form(a)
+    w, u, v, uinv = dense_snf(a)
+    assert res.s.data == as_tuples(w)
+    assert res.u.data == as_tuples(u)
+    assert res.v.data == as_tuples(v)
+    assert res.u_inv.data == as_tuples(uinv)
+    assert res.invariant_factors == tuple(w[i][i] for i in range(min(a.rows, a.cols)))
+    for mat in (res.s, res.u, res.v, res.u_inv):
+        assert_canonical(mat)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smith_form_matches_dense_reduction(seed):
+    rng = random.Random(seed)
+    for m, n, _ in _shapes(rng):
+        _assert_snf_matches(sparse_matrix(ZZ, rng, m, n))
+    # Dense inputs stay small: their transforms grow fast.
+    _assert_snf_matches(dense_matrix(ZZ, rng, rng.randint(1, 7), rng.randint(1, 7)))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[2, 0], [0, 3]], [[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]]],
+)
+def test_smith_form_folds_rows_for_divisibility(entries):
+    # The pivot divides its row and column but not the rest, so a row is folded in.
+    _assert_snf_matches(Matrix(ZZ, entries))
+
+
+@pytest.mark.parametrize("m, n", EMPTY_SHAPES)
+def test_smith_form_of_empty_shapes(m, n):
+    _assert_snf_matches(Matrix.zeros(ZZ, m, n))
