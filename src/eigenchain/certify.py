@@ -8,6 +8,11 @@ hypothesis per degree and is double-checked against the contractibility
 criterion, so a complement-dependent hypothesis failure can never mask a
 valid pair: if the cone contracts anyway, the verdict is positive with
 the contraction as witness.
+
+One :class:`~eigenchain.decompose.Decomposition` of F per call feeds every
+stage: homology ranks and torsion, the canonical pair, the cone layout,
+the hypothesis check and the witness.  Arbitration analyzes the cone once
+more, inside :func:`~eigenchain.cones.is_contractible`.
 """
 
 from __future__ import annotations
@@ -15,50 +20,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import ChainComplex, GradedMap, identity_map, validate_chain_map, zero_map
+from .complexes import ChainComplex, GradedMap, identity_map, zero_map
 from .cones import (
+    TORSION,
     ConeComplex,
+    ConeLayout,
+    FailureReason,
     Homotopy,
+    _assemble_cone,
+    _require_cone_input,
+    adapted_block,
+    check_hypotheses,
     construct_null_homotopy,
     is_contractible,
-    mapping_cone,
     verify_homotopy,
 )
-from .decompose import Decomposition, canonical_alpha, decompose, homology
-from .errors import LayoutMismatch, NotSaturated, TorsionHomology, ValidationError
-from .linalg import (
-    SubspaceBasis,
-    complement_basis,
-    image_basis,
-    intersect,
-    inverse,
-    kernel_basis,
-    solve_matrix,
-    spans_equal,
-)
-from .matrix import Matrix, block_diag, hstack
+from .decompose import Decomposition
+from .errors import LayoutMismatch, TorsionHomology, ValidationError
+from .linalg import SubspaceBasis, complement_basis, image_basis, intersect, spans_equal
+from .matrix import Matrix
 
 EIGENVALUE = "Eigenvalue"
 NOT_EIGENVALUE = "NotEigenvalue"
-
-RANK_MISMATCH = "RankMismatch"
-TORSION = "Torsion"
-ALPHA_NOT_INJECTIVE = "AlphaNotInjective"
-ALPHA_NOT_INTO_G = "AlphaNotIntoG"
-ALPHA_NOT_SURJECTIVE = "AlphaNotSurjective"
-NOT_SATURATED = "NotSaturated"
-
-
-@dataclass(frozen=True)
-class FailureReason:
-    kind: str
-    degree: Optional[int] = None
-    factors: tuple[int, ...] = ()
-
-    def describe(self) -> str:
-        where = f" at degree {self.degree}" if self.degree is not None else ""
-        extra = f" (invariant factors {list(self.factors)})" if self.factors else ""
-        return f"{self.kind}{where}{extra}"
 
 
 @dataclass
@@ -81,34 +64,43 @@ class EigenCertificate:
         return self.verdict == EIGENVALUE
 
 
-def _alpha_injectivity(lam: ChainComplex, alpha: GradedMap) -> dict[int, bool]:
-    return {n: kernel_basis(alpha.block(n)).dim == 0 for n in lam.degrees()}
+def _verified(cone: ConeComplex, witness: Homotopy, what: str) -> Homotopy:
+    z = cone.underlying
+    report = verify_homotopy(z, zero_map(z, z), identity_map(z), witness)
+    if not report.ok:
+        raise ValidationError(f"{what} failed verification: {report.message}")
+    return witness
 
 
-def _hypothesis_failures(
-    lam: ChainComplex, alpha: GradedMap, dec: Decomposition
-) -> list[FailureReason]:
-    """First violated hypothesis at each degree, ascending."""
-    f = alpha.target
-    failures = []
-    for n in sorted(set(lam.ranks) | set(f.ranks)):
-        part = dec.at(n)
-        betti = part.complement_cycles.dim
-        if lam.rank(n) != betti:
-            failures.append(FailureReason(RANK_MISMATCH, degree=n))
-            continue
-        a_n = alpha.block(n)
-        if a_n.cols == 0:
-            continue
-        if kernel_basis(a_n).dim != 0:
-            failures.append(FailureReason(ALPHA_NOT_INJECTIVE, degree=n))
-            continue
-        if solve_matrix(part.complement.vectors, a_n) is None:
-            failures.append(FailureReason(ALPHA_NOT_INTO_G, degree=n))
-            continue
-        if solve_matrix(a_n, part.cycles_in_ambient) is None:
-            failures.append(FailureReason(ALPHA_NOT_SURJECTIVE, degree=n))
-    return failures
+def _decide(lam: ChainComplex, alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
+    cone = _assemble_cone(alpha, dec)
+    check = check_hypotheses(alpha, dec)
+    base = dict(
+        ring=dec.ring,
+        eigenobject="R",
+        lambda_ranks=dict(lam.ranks),
+        homology_betti={n: dec.betti(n) for n in dec},
+        homology_torsion={n: dec.torsion(n) for n in dec if dec.torsion(n)},
+        alpha_injective=check.injective,
+    )
+    if not check.failures:
+        witness = _verified(cone, construct_null_homotopy(cone, dec, check), "constructed witness")
+        return EigenCertificate(verdict=EIGENVALUE, witness=witness, cone=cone, **base)
+
+    # Hypotheses are stated relative to our complement choice; arbitration
+    # by the contractibility criterion keeps the verdict choice-free.
+    contractible, witness = is_contractible(cone.underlying)
+    if contractible:
+        witness = _verified(cone, witness, "contraction witness")
+        return EigenCertificate(verdict=EIGENVALUE, witness=witness, cone=cone, **base)
+    return EigenCertificate(
+        verdict=NOT_EIGENVALUE,
+        witness=None,
+        cone=cone,
+        failure_reason=check.failures[0],
+        failure_reasons=check.failures,
+        **base,
+    )
 
 
 def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> EigenCertificate:
@@ -123,65 +115,8 @@ def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> E
     """
     if alpha.source != lam or alpha.target != f:
         raise ValidationError("alpha does not map the given scalar object into the given complex")
-    check = validate_chain_map(alpha)
-    if not check.ok:
-        raise ValidationError(f"alpha is not a chain map: {check.message}")
-    cone = mapping_cone(alpha)
-    hom = homology(f)
-    betti = {n: h.betti for n, h in hom.by_degree.items()}
-    torsion = {n: h.torsion for n, h in hom.by_degree.items() if h.torsion}
-    injective = _alpha_injectivity(lam, alpha)
-    base = dict(
-        ring=f.ring,
-        eigenobject="R",
-        lambda_ranks=dict(lam.ranks),
-        homology_betti=betti,
-        homology_torsion=torsion,
-        alpha_injective=injective,
-    )
-
-    failures: list[FailureReason]
-    dec = None
-    try:
-        dec = decompose(f)
-    except NotSaturated as exc:
-        failures = [FailureReason(NOT_SATURATED, degree=exc.degree, factors=tuple(exc.factors))]
-    else:
-        failures = _hypothesis_failures(lam, alpha, dec)
-
-    if not failures:
-        witness = construct_null_homotopy(cone, dec)
-        report = verify_homotopy(
-            cone.underlying,
-            zero_map(cone.underlying, cone.underlying),
-            identity_map(cone.underlying),
-            witness,
-        )
-        if not report.ok:
-            raise ValidationError(f"constructed witness failed verification: {report.message}")
-        return EigenCertificate(verdict=EIGENVALUE, witness=witness, cone=cone, **base)
-
-    # Hypotheses are stated relative to our complement choice; arbitration
-    # by the contractibility criterion keeps the verdict choice-free.
-    contractible, witness = is_contractible(cone.underlying)
-    if contractible:
-        report = verify_homotopy(
-            cone.underlying,
-            zero_map(cone.underlying, cone.underlying),
-            identity_map(cone.underlying),
-            witness,
-        )
-        if not report.ok:
-            raise ValidationError(f"contraction witness failed verification: {report.message}")
-        return EigenCertificate(verdict=EIGENVALUE, witness=witness, cone=cone, **base)
-    return EigenCertificate(
-        verdict=NOT_EIGENVALUE,
-        witness=None,
-        cone=cone,
-        failure_reason=failures[0],
-        failure_reasons=failures,
-        **base,
-    )
+    _require_cone_input(alpha)
+    return _decide(lam, alpha, Decomposition(f))
 
 
 def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
@@ -191,22 +126,23 @@ def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
     homology makes a free scalar object impossible and yields a negative
     certificate carrying the torsion degrees and invariant factors.
     """
+    dec = Decomposition(f)
     try:
-        lam, alpha = canonical_alpha(f)
+        lam, alpha = dec.canonical_alpha()
     except TorsionHomology as exc:
-        hom = homology(f)
+        reason = FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))
         return EigenCertificate(
             verdict=NOT_EIGENVALUE,
             ring=f.ring,
             eigenobject="R",
             lambda_ranks={},
-            homology_betti={n: h.betti for n, h in hom.by_degree.items()},
-            homology_torsion={n: h.torsion for n, h in hom.by_degree.items() if h.torsion},
+            homology_betti={n: dec.betti(n) for n in dec},
+            homology_torsion={n: dec.torsion(n) for n in dec if dec.torsion(n)},
             alpha_injective={},
-            failure_reason=FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors)),
-            failure_reasons=[FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))],
+            failure_reason=reason,
+            failure_reasons=[reason],
         )
-    return decide_eigenvalue(f, lam, alpha)
+    return _decide(lam, alpha, dec)
 
 
 @dataclass
@@ -253,21 +189,6 @@ class BlockAnalysis:
         return all(r.conclusions_hold() for r in self.by_degree.values())
 
 
-def _adapted_block(cone: ConeComplex, dec: Decomposition, psi: Homotopy, n: int) -> Matrix:
-    """psi^n rewritten in (scalar | complement | image) coordinates."""
-    ring = cone.ring
-    lam_src = cone.layout[n].lambda_rank if n in cone.layout else 0
-    lam_tgt = cone.layout[n - 1].lambda_rank if (n - 1) in cone.layout else 0
-    src_part = dec.at(n)
-    tgt_part = dec.at(n - 1)
-    src_change = block_diag([
-        Matrix.identity(ring, lam_src),
-        hstack([src_part.complement.vectors, src_part.incoming_image.vectors]),
-    ])
-    tgt_change_inv = block_diag([Matrix.identity(ring, lam_tgt), tgt_part.to_block_coords])
-    return tgt_change_inv @ psi.block(n) @ src_change
-
-
 def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition) -> BlockAnalysis:
     """Check the blockwise consequences of the homotopy identity.
 
@@ -282,80 +203,43 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
     if psi.on != cone.underlying:
         raise LayoutMismatch("homotopy is not attached to this cone")
     alpha = cone.source_alpha
-    lam, f = alpha.source, alpha.target
     ring = cone.ring
 
-    def lam_rank(n):
-        return cone.layout[n].lambda_rank if n in cone.layout else 0
+    def sizes(n):
+        return cone.layout.get(n, ConeLayout(0, 0, 0))
 
-    def g_rank(n):
-        return cone.layout[n].complement_rank if n in cone.layout else 0
-
-    def im_rank(n):
-        return cone.layout[n].image_rank if n in cone.layout else 0
-
-    bar_alpha = {}
-    for n in sorted(set(lam.ranks) | set(f.ranks)):
-        sol = solve_matrix(dec.at(n).complement.vectors, alpha.block(n))
+    def bar_alpha(n):
+        sol = dec.at(n).complement_coords(alpha.block(n))
         if sol is None:
             raise LayoutMismatch(f"eigenmap image leaves the complement block at degree {n}")
-        bar_alpha[n] = sol
+        return sol
 
-    def bar_alpha_at(n):
-        if n in bar_alpha:
-            return bar_alpha[n]
-        return Matrix.zeros(ring, dec.at(n).complement.dim, lam.rank(n))
-
+    # The two off-diagonal blocks of psi^n in (scalar | complement | image) coordinates.
     psi12 = {}
     psi23 = {}
-    for n in cone.layout:
-        ad = _adapted_block(cone, dec, psi, n)
-        lam_tgt = lam_rank(n - 1)
-        g_tgt = g_rank(n - 1)
-        lam_src = lam_rank(n)
-        g_src = g_rank(n)
-        psi12[n] = ad.submatrix(range(lam_tgt), range(lam_src, lam_src + g_src))
-        psi23[n] = ad.submatrix(
-            range(lam_tgt, lam_tgt + g_tgt),
-            range(lam_src + g_src, lam_src + g_src + im_rank(n)),
-        )
-
-    def psi12_at(n):
-        if n in psi12:
-            return psi12[n]
-        return Matrix.zeros(ring, lam_rank(n - 1), g_rank(n))
-
-    def psi23_at(n):
-        if n in psi23:
-            return psi23[n]
-        return Matrix.zeros(ring, g_rank(n - 1), im_rank(n))
+    for n in set(cone.layout) | {m + 1 for m in cone.layout}:
+        ad = adapted_block(cone, dec, psi.block(n), n, n - 1)
+        _, g_at, im_at = sizes(n).offsets
+        _, tgt_g_at, tgt_im_at = sizes(n - 1).offsets
+        psi12[n] = ad.submatrix(range(tgt_g_at), range(g_at, im_at))
+        psi23[n] = ad.submatrix(range(tgt_g_at, tgt_im_at), range(im_at, sizes(n).total))
 
     reports = {}
     for n in sorted(cone.layout):
         part = dec.at(n)
-        delta_n = part.restricted_diff
         prev = dec.at(n - 1)
-        # Equation on the scalar block of this cone degree.
-        lhs1 = psi12_at(n + 1) @ bar_alpha_at(n + 1)
-        eq1 = lhs1 == -Matrix.identity(ring, lam_rank(n))
-        # Equation on the complement block.
-        lhs2 = bar_alpha_at(n) @ psi12_at(n) + psi23_at(n + 1) @ delta_n
-        eq2 = lhs2 == -Matrix.identity(ring, g_rank(n))
-        # Equation on the image block.
+        size = sizes(n)
         delta_prev = prev.restricted_diff
-        lhs3 = delta_prev @ psi23_at(n)
-        eq3 = lhs3 == -Matrix.identity(ring, im_rank(n))
+        # Equations on the scalar, complement and image blocks of this cone degree.
+        eq1 = psi12[n + 1] @ bar_alpha(n + 1) == -Matrix.identity(ring, size.lambda_rank)
+        lhs2 = bar_alpha(n) @ psi12[n] + psi23[n + 1] @ part.restricted_diff
+        eq2 = lhs2 == -Matrix.identity(ring, size.complement_rank)
+        eq3 = delta_prev @ psi23[n] == -Matrix.identity(ring, size.image_rank)
         # Residual against the canonical right inverse through the transversal.
-        if im_rank(n):
-            delta_on_transversal = delta_prev @ prev.complement_transversal.vectors
-            right_inv = prev.complement_transversal.vectors @ inverse(delta_on_transversal)
-            residual = psi23_at(n) + right_inv
-            residual_ok = (delta_prev @ residual).is_zero()
-        else:
-            residual_ok = True
+        residual_ok = not size.image_rank or (delta_prev @ (psi23[n] + prev.right_inverse)).is_zero()
         # Intersection lattice inside the complement.
         g_dim = part.complement.dim
-        im_alpha = image_basis(bar_alpha_at(n))
+        im_alpha = image_basis(bar_alpha(n))
         cycles = part.complement_cycles
         transversal = part.complement_transversal
         if g_dim and im_alpha.dim:
@@ -368,8 +252,8 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
         rank_d = intersect(transversal, im_alpha).dim
         reports[n] = DegreeBlockReport(
             degree=n,
-            lambda_from_complement=psi12_at(n),
-            complement_from_image=psi23_at(n),
+            lambda_from_complement=psi12[n],
+            complement_from_image=psi23[n],
             left_inverse_ok=eq1,
             complement_identity_ok=eq2,
             right_inverse_ok=eq3,

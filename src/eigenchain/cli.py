@@ -192,7 +192,7 @@ def _cmd_proptest(args) -> int:
         for tag, lam, alpha in alpha_variants(f, rng):
             cert = decide_eigenvalue(f, lam, alpha)
             certified += 1
-            cone = mapping_cone(alpha)
+            cone = cert.cone
             oracle = homotopy_system_solvable(
                 cone.underlying,
                 zero_map(cone.underlying, cone.underlying),

@@ -113,15 +113,10 @@ def validate_complex(x: ChainComplex) -> ComplexReport:
         if first.rows == 0 or second.rows == 0 or first.cols == 0:
             continue
         comp = second @ first
-        for i, row in enumerate(comp.data):
-            for j, v in enumerate(row):
-                if v != 0:
-                    return ComplexReport(
-                        False,
-                        degree=n,
-                        entry=(i, j),
-                        message=f"d∘d != 0 leaving degree {n}: entry {(i, j)} is {x.ring.render(v)}",
-                    )
+        spot = comp.first_nonzero()
+        if spot is not None:
+            message = f"d∘d != 0 leaving degree {n}: entry {spot} is {x.ring.render(comp[spot])}"
+            return ComplexReport(False, degree=n, entry=spot, message=message)
     return ComplexReport(True)
 
 
@@ -199,16 +194,8 @@ def validate_chain_map(f: GradedMap) -> MapReport:
         lhs = y.diff(n) @ f.block(n)
         rhs = f.block(n + step) @ x.diff(n)
         if lhs != rhs:
-            diffm = lhs - rhs
-            for i, row in enumerate(diffm.data):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        return MapReport(
-                            False,
-                            degree=n,
-                            entry=(i, j),
-                            message=f"square at degree {n} fails at entry {(i, j)}",
-                        )
+            spot = (lhs - rhs).first_nonzero()
+            return MapReport(False, degree=n, entry=spot, message=f"square at degree {n} fails at entry {spot}")
     return MapReport(True)
 
 

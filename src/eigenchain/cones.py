@@ -8,6 +8,11 @@ i.e. a homotopy from the zero map to the identity; that sign convention
 is fixed so the constructed witnesses match the decomposition blocks
 literally, and :func:`verify_homotopy` takes ``f`` and ``g`` explicitly
 so the opposite convention remains expressible.
+
+Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
+of the target complex that its caller built: the cone's block layout, the
+single hypothesis checker :func:`check_hypotheses`, the witness, and the
+change to (scalar | complement | image) block coordinates.
 """
 
 from __future__ import annotations
@@ -21,13 +26,31 @@ from .complexes import (
     GradedMap,
     scalar_object,
     validate_chain_map,
-    validate_complex,
     zero_map,
 )
-from .decompose import Decomposition, decompose, homology
+from .decompose import Decomposition
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
-from .linalg import inverse, kernel_basis, rank, solve_matrix
+from .linalg import factor
 from .matrix import Matrix, block_diag, hstack, vstack
+
+RANK_MISMATCH = "RankMismatch"
+TORSION = "Torsion"
+ALPHA_NOT_INJECTIVE = "AlphaNotInjective"
+ALPHA_NOT_INTO_G = "AlphaNotIntoG"
+ALPHA_NOT_SURJECTIVE = "AlphaNotSurjective"
+NOT_SATURATED = "NotSaturated"
+
+
+@dataclass(frozen=True)
+class FailureReason:
+    kind: str
+    degree: Optional[int] = None
+    factors: tuple[int, ...] = ()
+
+    def describe(self) -> str:
+        where = f" at degree {self.degree}" if self.degree is not None else ""
+        extra = f" (invariant factors {list(self.factors)})" if self.factors else ""
+        return f"{self.kind}{where}{extra}"
 
 
 @dataclass(frozen=True)
@@ -85,8 +108,7 @@ class Homotopy:
         return Matrix.zeros(self.on.ring, self.on.rank(n - 1), self.on.rank(n))
 
 
-def mapping_cone(alpha: GradedMap) -> ConeComplex:
-    """Cone of a chain map whose source has zero differentials."""
+def _require_cone_input(alpha: GradedMap):
     lam, f = alpha.source, alpha.target
     if lam.convention != COCHAIN or f.convention != COCHAIN:
         raise ValidationError("mapping cone expects cochain presentation")
@@ -97,6 +119,15 @@ def mapping_cone(alpha: GradedMap) -> ConeComplex:
     check = validate_chain_map(alpha)
     if not check.ok:
         raise ValidationError(f"not a chain map: {check.message}")
+
+
+def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
+    """The cone of a checked ``alpha``; ``dec`` analyzes its (valid) target.
+
+    A chain map into a complex has a cone that is again a complex, so the
+    result needs no check of its own.
+    """
+    lam, f = alpha.source, alpha.target
     ring = f.ring
     degrees = sorted({n for n in f.ranks} | {n - 1 for n in lam.ranks})
     ranks = {}
@@ -105,7 +136,7 @@ def mapping_cone(alpha: GradedMap) -> ConeComplex:
         lam_rank = lam.rank(n + 1)
         f_rank = f.rank(n)
         ranks[n] = lam_rank + f_rank
-        im_rank = rank(f.diff(n - 1))
+        im_rank = dec.image_rank(n)
         layout[n] = ConeLayout(lam_rank, f_rank - im_rank, im_rank)
     diffs = {}
     for n in degrees:
@@ -118,11 +149,29 @@ def mapping_cone(alpha: GradedMap) -> ConeComplex:
         d = vstack([top, bottom])
         if not d.is_zero():
             diffs[n] = d
-    cone = ChainComplex(ring, COCHAIN, ranks, diffs)
-    report = validate_complex(cone)
-    if not report.ok:
-        raise ValidationError(f"cone is not a complex: {report.message}")
-    return ConeComplex(cone, layout, alpha)
+    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), layout, alpha)
+
+
+def mapping_cone(alpha: GradedMap) -> ConeComplex:
+    """Cone of a chain map whose source has zero differentials."""
+    _require_cone_input(alpha)
+    return _assemble_cone(alpha, Decomposition(alpha.target))
+
+
+def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tgt: int) -> Matrix:
+    """``m``, from cone degree ``src`` to ``tgt``, in (scalar | complement | image) coordinates."""
+    ring = cone.ring
+
+    def lam_rank(n):
+        return cone.layout[n].lambda_rank if n in cone.layout else 0
+
+    src_part = dec.at(src)
+    src_change = block_diag([
+        Matrix.identity(ring, lam_rank(src)),
+        hstack([src_part.complement.vectors, src_part.incoming_image.vectors]),
+    ])
+    tgt_change_inv = block_diag([Matrix.identity(ring, lam_rank(tgt)), dec.at(tgt).to_block_coords])
+    return tgt_change_inv @ m @ src_change
 
 
 def adapted_cone_differential(cone: ConeComplex, dec: Decomposition, n: int) -> Matrix:
@@ -131,22 +180,7 @@ def adapted_cone_differential(cone: ConeComplex, dec: Decomposition, n: int) -> 
     For a valid cone this is ``[[0,0,0],[alpha,0,0],[0,delta,0]]`` with
     respect to the (scalar | complement | image) blocks on both sides.
     """
-    z = cone.underlying
-    d = z.diff(n)
-    lam_src = cone.layout[n].lambda_rank if n in cone.layout else 0
-    lam_tgt = cone.layout[n + 1].lambda_rank if (n + 1) in cone.layout else 0
-    src_part = dec.at(n)
-    tgt_part = dec.at(n + 1)
-    ring = z.ring
-    src_change = block_diag([
-        Matrix.identity(ring, lam_src),
-        hstack([src_part.complement.vectors, src_part.incoming_image.vectors]),
-    ])
-    tgt_change_inv = block_diag([
-        Matrix.identity(ring, lam_tgt),
-        tgt_part.to_block_coords,
-    ])
-    return tgt_change_inv @ d @ src_change
+    return adapted_block(cone, dec, cone.underlying.diff(n), n, n + 1)
 
 
 @dataclass(frozen=True)
@@ -178,14 +212,7 @@ def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) 
         composites[n] = lhs
         target = f.block(n) - g.block(n)
         if failure is None and lhs != target:
-            delta = lhs - target
-            spot = next(
-                (i, j)
-                for i, row in enumerate(delta.data)
-                for j, v in enumerate(row)
-                if v != 0
-            )
-            failure = (n, spot)
+            failure = (n, (lhs - target).first_nonzero())
     if failure is None:
         return HomotopyReport(True, composites=composites)
     n, spot = failure
@@ -198,43 +225,76 @@ def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) 
     )
 
 
-def _check_cone_hypotheses(cone: ConeComplex, dec: Decomposition):
-    """The conditions under which the explicit null-homotopy exists.
+@dataclass(frozen=True)
+class HypothesisCheck:
+    """The per-degree conditions under which the explicit null-homotopy exists.
+
+    ``injective`` covers every degree of the scalar object.  ``failures``
+    holds the first violated hypothesis per degree, ascending; a complex
+    with torsion yields the single NotSaturated failure of its lowest such
+    degree.  ``alpha_inverse`` solves ``alpha_n x = cycles`` wherever every
+    hypothesis holds: the witness inverts the eigenmap with it.
+    """
+
+    injective: dict[int, bool]
+    failures: list[FailureReason]
+    alpha_inverse: dict[int, Matrix]
+
+
+def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
+    """Check the hypotheses of the explicit null-homotopy of ``alpha``'s cone.
 
     Per degree: the scalar rank matches the homology rank, the map is
     injective, lands in the chosen complement, and hits every cycle in it
     (automatic over a field once ranks match; a genuine extra condition
-    over Z).  Raises :class:`HypothesisFailure` with the reason.
+    over Z).  Each block of ``alpha`` is factored once, for its
+    injectivity and its solve.
     """
-    alpha = cone.source_alpha
     lam, f = alpha.source, alpha.target
+    factored = {n: factor(alpha.block(n)) for n in lam.degrees()}
+    injective = {n: a_n.rank == a_n.matrix.cols for n, a_n in factored.items()}
+    bad = dec.unsaturated()
+    if bad is not None:
+        failure = FailureReason(NOT_SATURATED, degree=bad.degree, factors=tuple(bad.factors))
+        return HypothesisCheck(injective, [failure], {})
+    failures = []
+    inverses = {}
     for n in sorted(set(lam.ranks) | set(f.ranks)):
         part = dec.at(n)
-        betti = part.complement_cycles.dim
-        if lam.rank(n) != betti:
-            raise HypothesisFailure("scalar rank differs from homology rank", degree=n)
-        a_n = alpha.block(n)
-        if a_n.cols:
-            if kernel_basis(a_n).dim != 0:
-                raise HypothesisFailure("eigenmap is not injective", degree=n)
-            in_g = solve_matrix(part.complement.vectors, a_n)
-            if in_g is None:
-                raise HypothesisFailure("eigenmap image leaves the complement", degree=n)
-            cycles_ambient = part.cycles_in_ambient
-            if solve_matrix(a_n, cycles_ambient) is None:
-                raise HypothesisFailure("eigenmap does not span the complement cycles", degree=n)
+        if lam.rank(n) != part.complement_cycles.dim:
+            failures.append(FailureReason(RANK_MISMATCH, degree=n))
+        elif n not in factored:
+            continue
+        elif not injective[n]:
+            failures.append(FailureReason(ALPHA_NOT_INJECTIVE, degree=n))
+        elif part.complement_coords(alpha.block(n)) is None:
+            failures.append(FailureReason(ALPHA_NOT_INTO_G, degree=n))
+        else:
+            inverse = factored[n].solve(part.cycles_in_ambient)
+            if inverse is None:
+                failures.append(FailureReason(ALPHA_NOT_SURJECTIVE, degree=n))
+            else:
+                inverses[n] = inverse
+    return HypothesisCheck(injective, failures, inverses)
 
 
-def construct_null_homotopy(cone: ConeComplex, dec: Decomposition) -> Homotopy:
+def construct_null_homotopy(
+    cone: ConeComplex, dec: Decomposition, check: Optional[HypothesisCheck] = None
+) -> Homotopy:
     """Build the explicit null-homotopy of a cone from the decomposition.
 
     On the complement the witness inverts the eigenmap on cycles and kills
     the transversal; on the image it inverts the restricted differential
-    back through the transversal.  Both inverses are exact solves against
-    the stored bases.
+    back through the transversal.  Both inverses are read off the
+    decomposition and ``check`` (run here when not given); a failed
+    hypothesis raises :class:`HypothesisFailure`.
     """
-    _check_cone_hypotheses(cone, dec)
     alpha = cone.source_alpha
+    if check is None:
+        check = check_hypotheses(alpha, dec)
+    if check.failures:
+        first = check.failures[0]
+        raise HypothesisFailure(first.kind, degree=first.degree)
     lam, f = alpha.source, alpha.target
     z = cone.underlying
     ring = z.ring
@@ -248,34 +308,15 @@ def construct_null_homotopy(cone: ConeComplex, dec: Decomposition) -> Homotopy:
         f_tgt = f.rank(n - 1)
         part = dec.at(n)
         prev = dec.at(n - 1)
-        # Split ambient vectors of F_n into (cycles | transversal | image) coords.
-        if f_src:
-            basis = hstack([
-                part.cycles_in_ambient,
-                part.transversal_in_ambient,
-                part.incoming_image.vectors,
-            ])
-            to_coords = inverse(basis)
-            zdim = part.complement_cycles.dim
-            kdim = part.complement_transversal.dim
-            cycle_coords = to_coords.submatrix(range(zdim), range(f_src))
-            image_coords = to_coords.submatrix(range(zdim + kdim, f_src), range(f_src))
-        else:
-            cycle_coords = Matrix.zeros(ring, 0, 0)
-            image_coords = Matrix.zeros(ring, 0, 0)
         # Scalar-part output: invert the eigenmap on the cycle component.
         if lam_tgt and f_src:
-            alpha_inv = solve_matrix(alpha.block(n), part.cycles_in_ambient)
-            if alpha_inv is None:
-                raise HypothesisFailure("eigenmap does not span the complement cycles", degree=n)
-            top_f = -(alpha_inv @ cycle_coords)
+            top_f = -(check.alpha_inverse[n] @ part.to_cycle_coords)
         else:
             top_f = Matrix.zeros(ring, lam_tgt, f_src)
         # F-part output: invert the restricted differential through the transversal.
         if f_tgt and part.incoming_image.dim:
-            delta_on_transversal = prev.restricted_diff @ prev.complement_transversal.vectors
-            delta_inv = inverse(delta_on_transversal)
-            bottom_f = -(prev.transversal_in_ambient @ (delta_inv @ image_coords))
+            image_coords = part.to_block_coords.submatrix(range(part.complement.dim, f_src), range(f_src))
+            bottom_f = -(prev.complement.vectors @ (prev.right_inverse @ image_coords))
         else:
             bottom_f = Matrix.zeros(ring, f_tgt, f_src)
         top = hstack([Matrix.zeros(ring, lam_tgt, lam_src), top_f])
@@ -292,12 +333,11 @@ def is_contractible(x: ChainComplex) -> tuple[bool, Optional[Homotopy]]:
     For bounded complexes of free modules this holds exactly when all
     homology vanishes (including torsion over Z); the witness is built by
     splitting, reusing the cone construction with an empty scalar part.
+    One analysis of ``x`` serves both the decision and the witness.
     """
-    h = homology(x)
-    if not h.is_zero():
+    dec = Decomposition(x)
+    if any(dec.betti(n) or dec.torsion(n) for n in dec):
         return False, None
-    lam = scalar_object(x.ring, {})
-    cone = mapping_cone(zero_map(lam, x))
-    dec = decompose(x)
+    cone = _assemble_cone(zero_map(scalar_object(x.ring, {}), x), dec)
     witness = construct_null_homotopy(cone, dec)
     return True, Homotopy(x, dict(witness.blocks))

@@ -1,34 +1,34 @@
-"""Per-degree splittings of a complex and the homology built from them.
+"""The per-complex analysis: one factorization per differential, shared by every stage.
+
+A :class:`Decomposition` is built once per public call and passed down.
+It validates the complex once and eliminates each differential ``d_n``
+exactly once (rref over a field, Smith form over Z); ranks, torsion,
+image and kernel bases all read off that one result.
 
 At each degree the module splits as (complement) ⊕ (image of the incoming
 differential), and the complement splits further into the cycles it
 contains plus a transversal that the differential carries isomorphically
-onto the outgoing image.  Homology ranks, torsion, canonical cycle
-representatives, and the canonical eigenmap all read off these pieces.
+onto the outgoing image.  A degree's split is built the first time it is
+asked for and kept for the rest of the call.  Homology ranks, torsion,
+canonical cycle representatives, the canonical eigenmap, the hypothesis
+checks and the witness homotopy all read off these pieces.
 
 Over Z the first split exists exactly when the incoming image is a pure
 (saturated) submodule, which is also exactly when homology at that degree
-is torsion-free; :class:`~eigenchain.errors.NotSaturated` reports the
-offending invariant factors otherwise.
+is torsion-free.  The analysis records the offending invariant factors of
+such a degree as :class:`~eigenchain.errors.NotSaturated` and raises it
+only when that degree's split is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .complexes import COCHAIN, ChainComplex, GradedMap, scalar_object, validate_complex
 from .errors import ConventionMismatch, NotSaturated, TorsionHomology, ValidationError
-from .linalg import (
-    SubspaceBasis,
-    complement_basis,
-    image_basis,
-    inverse,
-    kernel_basis,
-    rank,
-    smith_normal_form,
-    solve_matrix,
-)
-from .matrix import Matrix, hstack
+from .linalg import SubspaceBasis, complement_and_inverse, factor, smith_normal_form, solve_matrix
+from .matrix import Matrix
 
 
 def _require_cochain(f: ChainComplex):
@@ -42,11 +42,16 @@ class DegreeDecomposition:
 
     ``incoming_image`` and ``complement`` live in ambient coordinates;
     ``complement_cycles`` (cycles inside the complement) and
-    ``complement_transversal`` live in complement coordinates.
-    ``restricted_diff`` is the differential restricted to the complement,
-    written from complement coordinates to the basis of the outgoing
-    image.  ``to_block_coords`` inverts ``[complement | incoming_image]``,
-    i.e. converts ambient coordinates to block coordinates.
+    ``complement_transversal`` live in complement coordinates, and
+    ``cycles_in_ambient`` and ``transversal_in_ambient`` are the same
+    bases in ambient coordinates.  ``restricted_diff`` is the differential
+    restricted to the complement, written from complement coordinates to
+    the basis of the outgoing image.  ``to_block_coords`` inverts
+    ``[complement | incoming_image]``, i.e. converts ambient coordinates to
+    block coordinates.  ``to_cycle_coords`` takes ambient coordinates to
+    coefficients on ``cycles_in_ambient`` (along the transversal and the
+    image), and ``right_inverse`` lifts each outgoing image basis vector
+    to the transversal, in complement coordinates.
     """
 
     degree: int
@@ -56,91 +61,18 @@ class DegreeDecomposition:
     complement_transversal: SubspaceBasis
     restricted_diff: Matrix
     to_block_coords: Matrix
+    cycles_in_ambient: Matrix
+    transversal_in_ambient: Matrix
+    to_cycle_coords: Matrix
+    right_inverse: Matrix
 
-    @property
-    def cycles_in_ambient(self) -> Matrix:
-        return self.complement.vectors @ self.complement_cycles.vectors
-
-    @property
-    def transversal_in_ambient(self) -> Matrix:
-        return self.complement.vectors @ self.complement_transversal.vectors
-
-
-class Decomposition(dict):
-    """Degree-indexed decompositions with empty defaults off-support."""
-
-    def __init__(self, source: ChainComplex, parts: dict[int, DegreeDecomposition]):
-        super().__init__(parts)
-        self.source = source
-
-    def at(self, n: int) -> DegreeDecomposition:
-        if n in self:
-            return self[n]
-        if self.source.rank(n) != 0:
-            raise KeyError(f"no decomposition at degree {n}")
-        ring = self.source.ring
-        empty = Matrix.zeros(ring, 0, 0)
-        return DegreeDecomposition(
-            degree=n,
-            incoming_image=SubspaceBasis(0, empty),
-            complement=SubspaceBasis(0, empty),
-            complement_cycles=SubspaceBasis(0, empty),
-            complement_transversal=SubspaceBasis(0, empty),
-            restricted_diff=empty,
-            to_block_coords=empty,
-        )
-
-
-def _decompose_degree(
-    f: ChainComplex,
-    n: int,
-    incoming: SubspaceBasis,
-    outgoing: SubspaceBasis,
-) -> DegreeDecomposition:
-    ring = f.ring
-    ambient = f.rank(n)
-    if not ring.is_field:
-        # Purity of the incoming image in the ambient module.
-        factors = smith_normal_form(f.diff(n - 1)).invariant_factors if incoming.dim else ()
-        bad = [d for d in factors if d not in (0, 1)]
-        if bad:
-            raise NotSaturated(bad, degree=n)
-    try:
-        comp = complement_basis(incoming)
-    except NotSaturated as exc:
-        raise NotSaturated(exc.factors, degree=n) from None
-    # Differential restricted to the complement, in outgoing-image coordinates.
-    mapped = f.diff(n) @ comp.vectors
-    delta = solve_matrix(outgoing.vectors, mapped)
-    if delta is None:
-        raise ValidationError(f"image basis at degree {n + 1} does not span the differential image")
-    cycles = kernel_basis(delta)
-    transversal = complement_basis(cycles)
-    full = hstack([comp.vectors, incoming.vectors])
-    to_blocks = inverse(full) if ambient else Matrix.zeros(ring, 0, 0)
-    return DegreeDecomposition(
-        degree=n,
-        incoming_image=incoming,
-        complement=comp,
-        complement_cycles=cycles,
-        complement_transversal=transversal,
-        restricted_diff=delta,
-        to_block_coords=to_blocks,
-    )
-
-
-def decompose(f: ChainComplex) -> Decomposition:
-    """Split every supported degree; deterministic bases throughout."""
-    _require_cochain(f)
-    report = validate_complex(f)
-    if not report.ok:
-        raise ValidationError(report.message)
-    images = {n: image_basis(f.diff(n - 1)) for n in f.degrees()}
-    parts = {}
-    for n in f.degrees():
-        outgoing = images.get(n + 1, SubspaceBasis(f.rank(n + 1), Matrix.zeros(f.ring, f.rank(n + 1), 0)))
-        parts[n] = _decompose_degree(f, n, images[n], outgoing)
-    return Decomposition(f, parts)
+    def complement_coords(self, vectors: Matrix) -> Optional[Matrix]:
+        """Complement coordinates of ``vectors``, or ``None`` if they leave the complement."""
+        coords = self.to_block_coords @ vectors
+        g = self.complement.dim
+        if any(v != 0 for row in coords.data[g:] for v in row):
+            return None
+        return coords.submatrix(range(g), range(vectors.cols))
 
 
 @dataclass(frozen=True)
@@ -167,57 +99,166 @@ class HomologyResult:
         return all(h.betti == 0 and not h.torsion for h in self.by_degree.values())
 
 
-def _torsion_factors(f: ChainComplex, n: int) -> tuple[int, ...]:
-    if f.ring.is_field:
-        return ()
-    d_in = f.diff(n - 1)
-    if d_in.cols == 0 or d_in.rows == 0:
-        return ()
-    factors = smith_normal_form(d_in).invariant_factors
-    return tuple(d for d in factors if d > 1)
+class Decomposition:
+    """Everything read off one complex, for the length of one call.
+
+    Construction validates ``source`` and factors each differential once.
+    Indexing by a supported degree gives its :class:`DegreeDecomposition`;
+    :meth:`at` also answers off the support with an empty split.  A degree
+    with torsion raises its :class:`NotSaturated` there.
+    """
+
+    def __init__(self, source: ChainComplex):
+        _require_cochain(source)
+        report = validate_complex(source)
+        if not report.ok:
+            raise ValidationError(report.message)
+        self.source = source
+        self.ring = source.ring
+        self.ranks = dict(source.ranks)
+        # factored[n] eliminates the differential leaving degree n.
+        self.factored = {n: factor(source.diff(n)) for n in source.degrees()}
+        self._parts: dict[int, DegreeDecomposition] = {}
+
+    def __iter__(self):
+        return iter(sorted(self.ranks))
+
+    def __getitem__(self, n: int) -> DegreeDecomposition:
+        if n not in self.ranks:
+            raise KeyError(f"no decomposition at degree {n}")
+        return self.at(n)
+
+    def image_rank(self, n: int) -> int:
+        """Rank of the image arriving at degree ``n``."""
+        return self.factored[n - 1].rank if n - 1 in self.factored else 0
+
+    def torsion(self, n: int) -> tuple[int, ...]:
+        """Torsion invariant factors of homology at ``n`` (Z only)."""
+        return self.factored[n - 1].torsion if n - 1 in self.factored else ()
+
+    def betti(self, n: int) -> int:
+        return self.ranks[n] - self.factored[n].rank - self.image_rank(n)
+
+    def image(self, n: int) -> SubspaceBasis:
+        """Basis of the image arriving at degree ``n``, in ambient coordinates."""
+        if n - 1 in self.factored:
+            return self.factored[n - 1].image()
+        r = self.ranks.get(n, 0)
+        return SubspaceBasis(r, Matrix.zeros(self.ring, r, 0))
+
+    def unsaturated(self) -> Optional[NotSaturated]:
+        """The lowest degree whose incoming image is not a direct summand, if any."""
+        for n in self:
+            if self.torsion(n):
+                return NotSaturated(self.torsion(n), degree=n)
+        return None
+
+    def at(self, n: int) -> DegreeDecomposition:
+        part = self._parts.get(n)
+        if part is None:
+            part = self._parts[n] = self._split(n)
+        return part
+
+    def _split(self, n: int) -> DegreeDecomposition:
+        ring = self.ring
+        ambient = self.ranks.get(n, 0)
+        if not ambient:
+            empty = Matrix.zeros(ring, 0, 0)
+            basis = SubspaceBasis(0, empty)
+            return DegreeDecomposition(n, basis, basis, basis, basis, empty, empty, empty, empty, empty, empty)
+        if self.torsion(n):
+            raise NotSaturated(self.torsion(n), degree=n)
+        incoming = self.image(n)
+        comp, to_blocks = complement_and_inverse(incoming)
+        # Differential restricted to the complement, in outgoing-image coordinates.
+        d_n = self.factored[n]
+        delta = d_n.image_coords(d_n.matrix @ comp.vectors)
+        delta_n = factor(delta)
+        cycles = delta_n.kernel()
+        transversal, to_split = complement_and_inverse(cycles)
+        g, t = comp.dim, transversal.dim
+        to_transversal = to_split.submatrix(range(t), range(g))
+        to_cycles = to_split.submatrix(range(t, g), range(g))
+        # Any preimage of the outgoing basis, projected onto the transversal.
+        lift = to_transversal @ delta_n.solve(Matrix.identity(ring, delta.rows))
+        return DegreeDecomposition(
+            degree=n,
+            incoming_image=incoming,
+            complement=comp,
+            complement_cycles=cycles,
+            complement_transversal=transversal,
+            restricted_diff=delta,
+            to_block_coords=to_blocks,
+            cycles_in_ambient=comp.vectors @ cycles.vectors,
+            transversal_in_ambient=comp.vectors @ transversal.vectors,
+            to_cycle_coords=to_cycles @ to_blocks.submatrix(range(g), range(ambient)),
+            right_inverse=transversal.vectors @ lift,
+        )
+
+    def _fallback_representatives(self, n: int) -> SubspaceBasis:
+        # Free-part generators of ker/im when the degree carries torsion:
+        # write the image generators in kernel coordinates and read the free
+        # summand off the Smith transform of that coordinate matrix.
+        ker = self.factored[n].kernel()
+        coords = solve_matrix(ker.vectors, self.image(n).vectors)
+        if coords is None:
+            raise ValidationError(f"image at degree {n} is not contained in the kernel")
+        snf = smith_normal_form(coords)
+        nonzero = sum(1 for d in snf.invariant_factors if d != 0)
+        free_cols = snf.u_inv.cols_at(list(range(nonzero, ker.dim)))
+        return SubspaceBasis(self.ranks[n], ker.vectors @ free_cols)
+
+    def homology(self) -> HomologyResult:
+        """Exact ranks, torsion, and representative cycles per degree.
+
+        Representatives are the cycles inside the chosen complement whenever
+        the degree splits (always over a field); degrees with torsion fall
+        back to free-part generators of kernel modulo image.
+        """
+        out = {}
+        for n in self:
+            betti = self.betti(n)
+            torsion = self.torsion(n)
+            if torsion:
+                reps = self._fallback_representatives(n)
+            else:
+                reps = SubspaceBasis(self.ranks[n], self.at(n).cycles_in_ambient)
+            if reps.dim != betti:
+                raise ValidationError(f"representative count {reps.dim} != rank {betti} at degree {n}")
+            out[n] = DegreeHomology(n, betti, torsion, reps)
+        return HomologyResult(out)
+
+    def canonical_alpha(self) -> tuple[ChainComplex, GradedMap]:
+        """See :func:`canonical_alpha`."""
+        bad = self.unsaturated()
+        if bad is not None:
+            raise TorsionHomology(bad.degree, bad.factors)
+        ranks = {}
+        blocks = {}
+        for n in self:
+            part = self.at(n)
+            if part.complement_cycles.dim:
+                ranks[n] = part.complement_cycles.dim
+                blocks[n] = part.cycles_in_ambient
+        lam = scalar_object(self.ring, ranks)
+        return lam, GradedMap(lam, self.source, 0, blocks)
 
 
-def _fallback_representatives(f: ChainComplex, n: int) -> SubspaceBasis:
-    # Free-part generators of ker/im when the degree carries torsion:
-    # write the image generators in kernel coordinates and read the free
-    # summand off the Smith transform of that coordinate matrix.
-    ker = kernel_basis(f.diff(n))
-    img = image_basis(f.diff(n - 1))
-    coords = solve_matrix(ker.vectors, img.vectors)
-    if coords is None:
-        raise ValidationError(f"image at degree {n} is not contained in the kernel")
-    snf = smith_normal_form(coords)
-    nonzero = sum(1 for d in snf.invariant_factors if d != 0)
-    free_cols = snf.u_inv.cols_at(list(range(nonzero, ker.dim)))
-    return SubspaceBasis(f.rank(n), ker.vectors @ free_cols)
+def decompose(f: ChainComplex) -> Decomposition:
+    """Split every supported degree; deterministic bases throughout.
+
+    Raises :class:`NotSaturated` for the lowest degree that has no split.
+    """
+    dec = Decomposition(f)
+    bad = dec.unsaturated()
+    if bad is not None:
+        raise bad
+    return dec
 
 
 def homology(f: ChainComplex) -> HomologyResult:
-    """Exact ranks, torsion, and representative cycles per degree.
-
-    Representatives are the cycles inside the chosen complement whenever
-    the degree splits (always over a field); degrees with torsion fall
-    back to free-part generators of kernel modulo image.
-    """
-    _require_cochain(f)
-    report = validate_complex(f)
-    if not report.ok:
-        raise ValidationError(report.message)
-    out = {}
-    for n in f.degrees():
-        betti = f.rank(n) - rank(f.diff(n)) - rank(f.diff(n - 1))
-        torsion = _torsion_factors(f, n)
-        if torsion:
-            reps = _fallback_representatives(f, n)
-        else:
-            incoming = image_basis(f.diff(n - 1))
-            outgoing = image_basis(f.diff(n))
-            part = _decompose_degree(f, n, incoming, outgoing)
-            reps = SubspaceBasis(f.rank(n), part.cycles_in_ambient)
-        if reps.dim != betti:
-            raise ValidationError(f"representative count {reps.dim} != rank {betti} at degree {n}")
-        out[n] = DegreeHomology(n, betti, torsion, reps)
-    return HomologyResult(out)
+    """Exact ranks, torsion, and representative cycles per degree."""
+    return Decomposition(f).homology()
 
 
 def canonical_alpha(f: ChainComplex) -> tuple[ChainComplex, GradedMap]:
@@ -229,19 +270,4 @@ def canonical_alpha(f: ChainComplex) -> tuple[ChainComplex, GradedMap]:
     Raises :class:`TorsionHomology` over Z when homology has torsion (no
     free scalar object can match it).
     """
-    _require_cochain(f)
-    try:
-        dec = decompose(f)
-    except NotSaturated as exc:
-        raise TorsionHomology(exc.degree, exc.factors) from None
-    ranks = {}
-    blocks = {}
-    for n in f.degrees():
-        part = dec[n]
-        betti = part.complement_cycles.dim
-        if betti:
-            ranks[n] = betti
-            blocks[n] = part.cycles_in_ambient
-    lam = scalar_object(f.ring, ranks)
-    alpha = GradedMap(lam, f, 0, blocks)
-    return lam, alpha
+    return Decomposition(f).canonical_alpha()

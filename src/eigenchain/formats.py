@@ -1,8 +1,8 @@
 """JSON file formats: complexes, graded maps, homotopies, certificates.
 
-All scalars are strings (never JSON floats), serialization is canonical
-(sorted keys, two-space indent, sorted degree lists), and every format
-round-trips losslessly.  Files carry their own convention; chain-style
+All scalars are written as strings and a JSON float is never read as
+one; serialization is canonical (sorted keys, two-space indent, sorted
+degree lists), and every format round-trips losslessly.  Files carry their own convention; chain-style
 data is converted to the internal cochain indexing by negating degrees on
 read and converted back on write.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from .certify import EigenCertificate, FailureReason
@@ -20,6 +21,7 @@ from .complexes import (
     COCHAIN,
     ChainComplex,
     GradedMap,
+    convert_convention,
     identity_map,
     validate_complex,
     zero_map,
@@ -27,7 +29,7 @@ from .complexes import (
 from .cones import ConeComplex, Homotopy, verify_homotopy
 from .errors import ParseError, ValidationError
 from .matrix import Matrix
-from .rings import Ring, ring_from_tag
+from .rings import ZZ, Ring, ring_from_tag
 from .simplicial import simplicial_to_chain
 
 
@@ -87,11 +89,25 @@ def _int_field(item, key: str, what: str, default=None) -> int:
     return value
 
 
+def _list_field(payload: dict, key: str, what: str):
+    """``payload[key]`` as a JSON list; absent means empty."""
+    value = payload.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{what}: {key!r} must be a JSON list, got {value!r}")
+    return value
+
+
+_ENTRY_TYPES = frozenset((int, str))  # exact types: excludes bool and float
+
+
 def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matrix:
     if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
         raise ParseError(f"{what}: entries must be a list of rows")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValidationError(f"{what}: expected a {rows}x{cols} matrix")
+    if not _ENTRY_TYPES.issuperset(map(type, chain.from_iterable(entries))):
+        bad = next(v for r in entries for v in r if type(v) not in _ENTRY_TYPES)
+        raise ParseError(f"{what}: 'entries' must hold strings or JSON integers, got {bad!r}")
     try:
         return Matrix(ring, [[ring.parse(str(v)) for v in row] for row in entries], cols=cols)
     except ParseError as exc:
@@ -105,7 +121,7 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
         raise ParseError(f"bad convention {convention!r}")
     sign = -1 if convention == CHAIN else 1
     ranks = {}
-    for item in payload.get("degrees", []):
+    for item in _list_field(payload, "degrees", "complex"):
         deg = _int_field(item, "degree", "degrees entry")
         rank = _int_field(item, "rank", f"degree {deg}")
         if rank < 0:
@@ -114,7 +130,7 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
             ranks[sign * deg] = rank
     step = 1  # internal cochain
     diffs = {}
-    for item in payload.get("diffs", []):
+    for item in _list_field(payload, "diffs", "complex"):
         user_from = _int_field(item, "from_degree", "diffs entry")
         n = sign * user_from
         rows = ranks.get(n + step, 0)
@@ -159,7 +175,7 @@ def graded_map_from_payload(payload: dict, source: ComplexDoc, target: ComplexDo
     user_shift = _int_field(payload, "degree_shift", "graded map", default=0)
     shift = sign * user_shift
     blocks = {}
-    for item in payload.get("blocks", []):
+    for item in _list_field(payload, "blocks", "graded map"):
         user_deg = _int_field(item, "degree", "blocks entry")
         n = sign * user_deg
         rows = target.complex.rank(n + shift)
@@ -193,7 +209,7 @@ def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
         raise ValidationError("homotopy convention differs from the complex convention")
     sign = -1 if convention == CHAIN else 1
     blocks = {}
-    for item in payload.get("blocks", []):
+    for item in _list_field(payload, "blocks", "homotopy"):
         user_deg = _int_field(item, "degree", "homotopy blocks entry")
         n = sign * user_deg
         rows = on.complex.rank(n - 1)
@@ -315,12 +331,14 @@ def load_complex(path, ring: Ring | None = None) -> ComplexDoc:
     if kind == "complex":
         return complex_from_payload(payload)
     if kind == "simplicial":
-        from .rings import ZZ
-
         use_ring = ring if ring is not None else ZZ
-        chain, _ = simplicial_to_chain(payload["vertices"], payload["facets"], use_ring)
-        from .complexes import convert_convention
-
+        vertices = payload.get("vertices")
+        if not isinstance(vertices, list):
+            vertices = _int_field(payload, "vertices", "simplicial file")
+        facets = _list_field(payload, "facets", "simplicial file")
+        if any(not isinstance(facet, list) for facet in facets):
+            raise ParseError("simplicial file: each of 'facets' must be a JSON list of vertex indices")
+        chain, _ = simplicial_to_chain(vertices, facets, use_ring)
         return ComplexDoc(convert_convention(chain, COCHAIN), CHAIN)
     raise ParseError(f"expected a complex or simplicial file, found {kind}")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import (
     NotAField,
@@ -25,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .matrix import Matrix, hstack
+from .matrix import Matrix, hstack, vstack
 from .rings import QQ, Integers
 
 
@@ -234,11 +235,120 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     )
 
 
+@dataclass(frozen=True)
+class Factorization:
+    """One elimination of ``matrix``: its rref over a field, its Smith form over Z.
+
+    Rank, invariant factors, kernel and image bases and solves all read off
+    this one result, so a matrix that is used in several ways is
+    eliminated once.
+    """
+
+    matrix: Matrix
+    reduced: Optional[RrefResult] = None
+    snf: Optional[SnfResult] = None
+
+    @property
+    def rank(self) -> int:
+        if self.reduced is not None:
+            return len(self.reduced.pivots)
+        return sum(1 for d in self.snf.invariant_factors if d != 0)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """Invariant factors above one: the torsion of the cokernel (none over a field)."""
+        if self.snf is None:
+            return ()
+        return tuple(d for d in self.snf.invariant_factors if d > 1)
+
+    def kernel(self) -> SubspaceBasis:
+        """Basis of ``{x : matrix @ x = 0}``.
+
+        Over Z the returned columns generate the full kernel submodule (which
+        is automatically saturated).  Columns are sign-normalized so that the
+        topmost nonzero entry is positive (fields: equal to one).
+        """
+        a = self.matrix
+        ring, n = a.ring, a.cols
+        if self.reduced is not None:
+            pivots = list(self.reduced.pivots)
+            echelon = self.reduced.echelon.data
+            cols = []
+            for j in range(n):
+                if j in pivots:
+                    continue
+                vec = [ring.normalize(0)] * n
+                vec[j] = ring.normalize(1)
+                for row, col in enumerate(pivots):
+                    vec[col] = ring.reduce(-echelon[row][j]) if ring.needs_reduction else -echelon[row][j]
+                cols.append(vec)
+            basis = Matrix._raw(ring, n, len(cols), zip(*cols)) if cols else Matrix.zeros(ring, n, 0)
+        else:
+            factors = self.snf.invariant_factors
+            basis = self.snf.v.cols_at([j for j in range(n) if j >= len(factors) or factors[j] == 0])
+        return SubspaceBasis(n, _sign_normalize(basis))
+
+    def image(self) -> SubspaceBasis:
+        """Basis of the column space; over Z it generates the image submodule."""
+        a = self.matrix
+        if self.reduced is not None:
+            return SubspaceBasis(a.rows, a.cols_at(list(self.reduced.pivots)))
+        snf = self.snf
+        cols = [snf.u_inv.col(i).scale(d) for i, d in enumerate(snf.invariant_factors) if d != 0]
+        return SubspaceBasis(a.rows, hstack(cols) if cols else Matrix.zeros(a.ring, a.rows, 0))
+
+    def image_coords(self, v: Matrix) -> Matrix:
+        """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
+        r = self.rank
+        if self.reduced is not None:
+            return self.reduced.transform.submatrix(range(r), range(self.matrix.rows)) @ v
+        d = self.snf.invariant_factors
+        uv = self.snf.u.submatrix(range(r), range(self.matrix.rows)) @ v
+        return Matrix._raw(v.ring, r, v.cols, [[x // d[i] for x in row] for i, row in enumerate(uv.data)])
+
+    def solve(self, b: Matrix):
+        """One exact solution ``x`` of ``matrix @ x = b``, or ``None``.
+
+        Over Z the solution, when returned, is integral; ``None`` also covers
+        systems solvable over Q but not over Z.
+        """
+        a = self.matrix
+        ring = a.ring
+        if self.reduced is not None:
+            c = self.reduced.transform @ b
+            pivots = self.reduced.pivots
+            if any(v != 0 for row in c.data[len(pivots):] for v in row):
+                return None
+            x = [[ring.normalize(0)] * b.cols for _ in range(a.cols)]
+            for row, col in enumerate(pivots):
+                x[col] = c.data[row]
+            return Matrix._raw(ring, a.cols, b.cols, x)
+        factors = self.snf.invariant_factors
+        c = self.snf.u @ b
+        y = [[0] * b.cols for _ in range(a.cols)]
+        for i, row in enumerate(c.data):
+            d = factors[i] if i < len(factors) else 0
+            for j, ci in enumerate(row):
+                if d == 0:
+                    if ci != 0:
+                        return None
+                elif ci % d != 0:
+                    return None
+                else:
+                    y[i][j] = ci // d
+        return self.snf.v @ Matrix._raw(ring, a.cols, b.cols, y)
+
+
+def factor(a: Matrix) -> Factorization:
+    """Eliminate ``a`` once: rref over a field, Smith normal form over Z."""
+    if a.ring.is_field:
+        return Factorization(a, reduced=rref(a))
+    return Factorization(a, snf=smith_normal_form(a))
+
+
 def rank(a: Matrix) -> int:
     """Rank over the fraction field (equals nonzero invariant factors over Z)."""
-    if a.ring.is_field:
-        return len(rref(a).pivots)
-    return sum(1 for d in smith_normal_form(a).invariant_factors if d != 0)
+    return factor(a).rank
 
 
 def det(a: Matrix):
@@ -286,74 +396,18 @@ def det(a: Matrix):
     return sign * w[n - 1][n - 1]
 
 
-def _solver(a: Matrix):
-    """Factor ``a`` once; return a function solving ``a @ x = b`` per column."""
-    ring = a.ring
-    if ring.is_field:
-        res = rref(a)
-        pivots = res.pivots
-        t = res.transform
-        npiv = len(pivots)
-
-        def solve_col(b: Matrix):
-            c = t @ b
-            if any(c.data[i][0] != 0 for i in range(npiv, a.rows)):
-                return None
-            x = [ring.normalize(0)] * a.cols
-            for row, col in enumerate(pivots):
-                x[col] = c.data[row][0]
-            return Matrix.column(ring, x)
-
-        return solve_col
-
-    snf = smith_normal_form(a)
-    factors = snf.invariant_factors
-    u, v = snf.u, snf.v
-
-    def solve_col(b: Matrix):
-        c = u @ b
-        y = [0] * a.cols
-        for i in range(a.rows):
-            ci = c.data[i][0]
-            d = factors[i] if i < len(factors) else 0
-            if d == 0:
-                if ci != 0:
-                    return None
-            else:
-                if ci % d != 0:
-                    return None
-                if i < a.cols:
-                    y[i] = ci // d
-        return v @ Matrix.column(ring, y)
-
-    return solve_col
-
-
 def solve(a: Matrix, b: Matrix):
-    """One exact solution of ``a @ x = b`` (column b), or ``None``.
-
-    Over Z the solution, when returned, is integral; ``None`` also covers
-    systems solvable over Q but not over Z.
-    """
+    """One exact solution of ``a @ x = b`` for a column ``b``; see :meth:`Factorization.solve`."""
     if b.rows != a.rows or b.cols != 1:
         raise ShapeMismatch(f"rhs {b.rows}x{b.cols} against {a.rows}x{a.cols}")
-    return _solver(a)(b)
+    return factor(a).solve(b)
 
 
 def solve_matrix(a: Matrix, b: Matrix):
     """Solve ``a @ x = b`` column by column; ``None`` if any column fails."""
     if b.rows != a.rows:
         raise ShapeMismatch(f"rhs {b.rows}x{b.cols} against {a.rows}x{a.cols}")
-    solve_col = _solver(a)
-    cols = []
-    for j in range(b.cols):
-        x = solve_col(b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    if not cols:
-        return Matrix.zeros(a.ring, a.cols, 0)
-    return hstack(cols)
+    return factor(a).solve(b)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -376,46 +430,13 @@ def _lift_to_rationals(a: Matrix) -> Matrix:
 
 
 def kernel_basis(a: Matrix) -> SubspaceBasis:
-    """Basis of ``{x : a @ x = 0}``.
-
-    Over Z the returned columns generate the full kernel submodule (which
-    is automatically saturated).  Columns are sign-normalized so that the
-    topmost nonzero entry is positive (fields: equal to one).
-    """
-    ring = a.ring
-    n = a.cols
-    if ring.is_field:
-        res = rref(a)
-        pivots = list(res.pivots)
-        free = [j for j in range(n) if j not in pivots]
-        cols = []
-        for j in free:
-            vec = [ring.normalize(0)] * n
-            vec[j] = ring.normalize(1)
-            for row, col in enumerate(pivots):
-                vec[col] = ring.reduce(-res.echelon.data[row][j]) if ring.needs_reduction else -res.echelon.data[row][j]
-            cols.append(vec)
-        basis = Matrix._raw(ring, n, len(cols), zip(*cols)) if cols else Matrix.zeros(ring, n, 0)
-        return SubspaceBasis(n, _sign_normalize(basis))
-    snf = smith_normal_form(a)
-    factors = snf.invariant_factors
-    zero_cols = [j for j in range(n) if j >= len(factors) or factors[j] == 0]
-    basis = snf.v.cols_at(zero_cols)
-    return SubspaceBasis(n, _sign_normalize(basis))
+    """Basis of ``{x : a @ x = 0}``; see :meth:`Factorization.kernel`."""
+    return factor(a).kernel()
 
 
 def image_basis(a: Matrix) -> SubspaceBasis:
     """Basis of the column space; over Z it generates the image submodule."""
-    ring = a.ring
-    if ring.is_field:
-        return SubspaceBasis(a.rows, a.cols_at(list(rref(a).pivots)))
-    snf = smith_normal_form(a)
-    cols = []
-    for i, d in enumerate(snf.invariant_factors):
-        if d != 0:
-            cols.append(snf.u_inv.col(i).scale(d))
-    basis = hstack(cols) if cols else Matrix.zeros(ring, a.rows, 0)
-    return SubspaceBasis(a.rows, basis)
+    return factor(a).image()
 
 
 def _sign_normalize(basis: Matrix) -> Matrix:
@@ -439,12 +460,15 @@ def _sign_normalize(basis: Matrix) -> Matrix:
     return Matrix._raw(ring, basis.rows, basis.cols, zip(*cols))
 
 
-def _bottom_pivot_rows(sub: Matrix) -> set[int]:
+def _bottom_pivots(sub: Matrix) -> tuple[list[int], Matrix]:
     """Rows carrying the bottommost pivots of the column span of ``sub``.
 
     Computed as echelon pivots after reversing the coordinate order, so a
     column like (1,1,1) pivots at its last row.  This choice is what makes
-    complements prefer *early* standard vectors.
+    complements prefer *early* standard vectors.  Returns the rows bottom
+    up together with the inverse of ``sub`` restricted to them, in that
+    order (over the fraction field): the echelon transform of the reversed
+    transpose is that inverse, transposed.
     """
     m = sub.rows
     work = sub if sub.ring.is_field else _lift_to_rationals(sub)
@@ -457,7 +481,7 @@ def _bottom_pivot_rows(sub: Matrix) -> set[int]:
     res = rref(reversed_rows)
     if len(res.pivots) != sub.cols:
         raise ValidationError("basis columns are not independent")
-    return {m - 1 - p for p in res.pivots}
+    return [m - 1 - p for p in res.pivots], res.transform.transpose()
 
 
 def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
@@ -470,34 +494,46 @@ def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
     the Smith transform.  Raises :class:`NotSaturated` when no complement
     exists at all (torsion quotient).
     """
+    return complement_and_inverse(sub)[0]
+
+
+def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
+    """:func:`complement_basis` of ``sub`` and the inverse of ``[complement | sub]``.
+
+    The inverse converts ambient coordinates to (complement | sub)
+    coordinates.  It is read off the same elimination that picks the
+    complement: over Z the standard candidate completes a basis exactly
+    when the pivot rows of ``sub`` have an integral inverse, and only the
+    fallback runs a Smith form.
+    """
     ring = sub.vectors.ring
     m = sub.ambient_dim
     k = sub.dim
-    if k == 0:
-        return SubspaceBasis(m, Matrix.identity(ring, m))
-    snf = None
-    if not ring.is_field:
-        snf = smith_normal_form(sub.vectors)
-        bad = [d for d in snf.invariant_factors if d != 1]
-        if any(d == 0 for d in bad):
-            raise ValidationError("basis columns are not independent over Z")
-        if bad:
-            raise NotSaturated(bad)
-    pivot_rows = _bottom_pivot_rows(sub.vectors)
-    free_rows = [i for i in range(m) if i not in pivot_rows]
     eye = Matrix.identity(ring, m)
-    candidate = eye.cols_at(free_rows)
-    if ring.is_field:
-        return SubspaceBasis(m, candidate)
-    if abs(det(hstack([sub.vectors, candidate]))) == 1:
-        return SubspaceBasis(m, candidate)
-    # Fall back to completing through U^-1: columns k..m extend B*V to a basis.
-    return SubspaceBasis(m, snf.u_inv.cols_at(list(range(k, m))))
-
-
-def coordinates_in(basis: SubspaceBasis, vectors: Matrix):
-    """Coordinates of ``vectors`` in ``basis``, or ``None`` if outside the span."""
-    return solve_matrix(basis.vectors, vectors)
+    if k == 0:
+        return SubspaceBasis(m, eye), eye
+    rows, rows_inv = _bottom_pivots(sub.vectors)
+    if ring.is_field or all(v.denominator == 1 for row in rows_inv.data for v in row):
+        # x = e_free a + sub b: b = rows_inv x[rows], a = x[free] - sub[free] b.
+        free = [i for i in range(m) if i not in rows]
+        zero = ring.normalize(0)
+        to_sub = [[zero] * m for _ in range(k)]
+        for j, r in enumerate(rows):
+            for i in range(k):
+                to_sub[i][r] = ring.normalize(rows_inv.data[i][j])
+        to_sub = Matrix._raw(ring, k, m, to_sub)
+        to_comp = eye.submatrix(free, range(m)) - sub.vectors.submatrix(free, range(k)) @ to_sub
+        return SubspaceBasis(m, eye.cols_at(free)), vstack([to_comp, to_sub])
+    snf = smith_normal_form(sub.vectors)
+    bad = [d for d in snf.invariant_factors if d != 1]
+    if bad:
+        raise NotSaturated(bad)
+    # Fall back to completing through U^-1: columns k..m extend B*V to a basis,
+    # and U [U^-1[:, k:] | B] = [[0, V^-1], [I, 0]].
+    u = snf.u
+    to_comp = u.submatrix(range(k, m), range(m))
+    to_sub = snf.v @ u.submatrix(range(k), range(m))
+    return SubspaceBasis(m, snf.u_inv.cols_at(list(range(k, m)))), vstack([to_comp, to_sub])
 
 
 def spans_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
@@ -506,7 +542,7 @@ def spans_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
         raise ShapeMismatch("ambient dimensions differ")
     if a.dim != b.dim:
         return False
-    return coordinates_in(a, b.vectors) is not None and coordinates_in(b, a.vectors) is not None
+    return solve_matrix(a.vectors, b.vectors) is not None and solve_matrix(b.vectors, a.vectors) is not None
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

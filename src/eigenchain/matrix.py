@@ -136,6 +136,13 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
 
+    def first_nonzero(self):
+        """Row-major position ``(i, j)`` of the first nonzero entry, or ``None``."""
+        for i, row in enumerate(self.data):
+            if any(row):
+                return i, next(j for j, v in enumerate(row) if v)
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -252,3 +252,62 @@ def test_malformed_complex_items_are_structural_errors(workdir, capsys, edit):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def _edit(workdir, name, change):
+    payload = json.loads((workdir / name).read_text())
+    change(payload)
+    (workdir / name).write_text(json.dumps(payload))
+
+
+def _set(path, value):
+    def change(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        if value is MISSING:
+            del payload[last]
+        else:
+            payload[last] = value
+
+    return change
+
+
+COMPLEX_ARGV = ["homology", "s1_complex.json"]
+CONE_ARGV = ["cone", "s1_complex.json", "s1_lambda.json", "s1_alpha.json"]
+PSI_ARGV = ["verify-homotopy", "s1_complex.json", "s1_psi.json"]
+SIMPLICIAL_ARGV = ["homology", "s1_simplicial.json"]
+MALFORMED_INPUTS = [
+    # (file edited, path of the edited value, new value, named field, command)
+    pytest.param("s1_complex.json", ("diffs", 0, "entries", 1, 0), 1.5, "entries", COMPLEX_ARGV, id="float-entry"),
+    pytest.param("s1_complex.json", ("degrees",), 3, "degrees", COMPLEX_ARGV, id="degrees-not-list"),
+    pytest.param("s1_complex.json", ("diffs",), {"from_degree": 1}, "diffs", COMPLEX_ARGV, id="diffs-not-list"),
+    pytest.param("s1_alpha.json", ("blocks",), 0, "blocks", CONE_ARGV, id="map-blocks-not-list"),
+    pytest.param("s1_psi.json", ("blocks",), "none", "blocks", PSI_ARGV, id="homotopy-blocks-not-list"),
+    pytest.param("s1_simplicial.json", ("vertices",), MISSING, "vertices", SIMPLICIAL_ARGV, id="vertices-missing"),
+    pytest.param("s1_simplicial.json", ("vertices",), 3.0, "vertices", SIMPLICIAL_ARGV, id="vertices-float"),
+    pytest.param("s1_simplicial.json", ("facets",), 7, "facets", SIMPLICIAL_ARGV, id="facets-not-list"),
+    pytest.param("s1_simplicial.json", ("facets", 0), 1, "facets", SIMPLICIAL_ARGV, id="facet-not-list"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, field, argv", MALFORMED_INPUTS)
+def test_malformed_inputs_are_parse_errors_naming_the_field(workdir, capsys, name, path, value, field, argv):
+    _edit(workdir, name, _set(path, value))
+    code, out, err = run(capsys, *[workdir / a if a.endswith(".json") else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert repr(field) in err
+
+
+def test_float_entries_are_rejected_over_q(workdir, capsys):
+    # Over Z a float entry already fails to parse; over Q "1.5" used to read as 3/2.
+    def to_q(payload):
+        payload["ring"] = "Q"
+        payload["diffs"][0]["entries"][0][0] = 1.5
+
+    _edit(workdir, "s1_complex.json", to_q)
+    code, out, err = run(capsys, "homology", workdir / "s1_complex.json")
+    assert code == 2
+    assert out == ""
+    assert "'entries'" in err and "1.5" in err
