@@ -27,7 +27,7 @@ from typing import Optional
 
 from .complexes import COCHAIN, ChainComplex, GradedMap, scalar_object, validate_complex
 from .errors import ConventionMismatch, NotSaturated, TorsionHomology, ValidationError
-from .linalg import SubspaceBasis, complement_and_inverse, factor, smith_normal_form, solve_matrix
+from .linalg import SubspaceBasis, complement_and_inverse, factor, smith_normal_form
 from .matrix import Matrix
 
 
@@ -197,12 +197,15 @@ class Decomposition:
 
     def _fallback_representatives(self, n: int) -> SubspaceBasis:
         # Free-part generators of ker/im when the degree carries torsion:
-        # write the image generators in kernel coordinates and read the free
-        # summand off the Smith transform of that coordinate matrix.
+        # write the image generators in kernel coordinates (the lower block
+        # of the kernel's split) and read the free summand off the Smith
+        # transform of that coordinate matrix.
         ker = self.factored[n].kernel()
-        coords = solve_matrix(ker.vectors, self.image(n).vectors)
-        if coords is None:
+        comp, to_blocks = complement_and_inverse(ker)
+        split = to_blocks @ self.image(n).vectors
+        if any(v != 0 for row in split.data[: comp.dim] for v in row):
             raise ValidationError(f"image at degree {n} is not contained in the kernel")
+        coords = split.submatrix(range(comp.dim, split.rows), range(split.cols))
         snf = smith_normal_form(coords)
         nonzero = sum(1 for d in snf.invariant_factors if d != 0)
         free_cols = snf.u_inv.cols_at(list(range(nonzero, ker.dim)))

@@ -2,7 +2,9 @@
 
 Matrices are stored dense; eliminations update only the entries where
 the pivot row (or column) is nonzero, so sparse inputs cost little more
-than their nonzeros.
+than their nonzeros.  Over Z nothing leaves the integers: Smith forms
+and complement splits (which pivot fraction-free, after Bareiss) work on
+``int``s, and only Q computes with ``Fraction``s.
 
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
@@ -15,7 +17,6 @@ golden tests and reproducible certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .matrix import Matrix, hstack, vstack
-from .rings import QQ, Integers
+from .rings import Integers
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,17 @@ def rref(a: Matrix) -> RrefResult:
     )
 
 
+def _eye(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def smith_normal_form(a: Matrix) -> SnfResult:
     """Smith normal form over Z with unimodular transforms."""
     if not isinstance(a.ring, Integers):
         raise NotIntegerRing(f"Smith normal form needs Z, got {a.ring}")
     m, n = a.rows, a.cols
     w = a.grid()
-    u = Matrix.identity(a.ring, m).grid()
-    uinv = Matrix.identity(a.ring, m).grid()
-    v = Matrix.identity(a.ring, n).grid()
+    u, uinv, v = _eye(m), _eye(m), _eye(n)
 
     def row_sub(i, t, q):
         # row_i -= q * row_t ; keep u_inv consistent: col_t += q * col_i
@@ -425,10 +428,6 @@ def inverse(a: Matrix) -> Matrix:
     return snf.v @ snf.u
 
 
-def _lift_to_rationals(a: Matrix) -> Matrix:
-    return Matrix._raw(QQ, a.rows, a.cols, [[Fraction(v) for v in row] for row in a.data])
-
-
 def kernel_basis(a: Matrix) -> SubspaceBasis:
     """Basis of ``{x : a @ x = 0}``; see :meth:`Factorization.kernel`."""
     return factor(a).kernel()
@@ -460,28 +459,67 @@ def _sign_normalize(basis: Matrix) -> Matrix:
     return Matrix._raw(ring, basis.rows, basis.cols, zip(*cols))
 
 
-def _bottom_pivots(sub: Matrix) -> tuple[list[int], Matrix]:
+def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], Optional[Matrix]]:
+    """Pivot columns of integer ``a`` over Q, and its rref transform if integral (else ``None``).
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on ``[a | I]`` with the pivot
+    rule of :func:`rref`: each row stays the latest pivot times its rational
+    counterpart, so every division is exact and the pivots match.  At full
+    row rank the transform is integral exactly when the last pivot ``d`` is
+    ±1, and is then ``d`` times the augmented block.
+    """
+    m, n = a.rows, a.cols
+    work = [list(row) + e for row, e in zip(a.data, _eye(m))]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        piv = top[c]
+        nz = [(j, y) for j, y in enumerate(top) if y]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i == r:
+                continue
+            if piv != prev:
+                work[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)] if f else [piv * x // prev for x in row]
+            elif f:  # (prev x - f y) / prev = x - f y / prev
+                for j, y in nz:
+                    row[j] -= f * y // prev
+        pivots.append(c)
+        prev = piv
+    if len(pivots) < m or abs(prev) != 1:
+        return tuple(pivots), None
+    return tuple(pivots), Matrix._raw(a.ring, m, m, [[prev * x for x in row[n:]] for row in work])
+
+
+def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
     """Rows carrying the bottommost pivots of the column span of ``sub``.
 
     Computed as echelon pivots after reversing the coordinate order, so a
     column like (1,1,1) pivots at its last row.  This choice is what makes
     complements prefer *early* standard vectors.  Returns the rows bottom
     up together with the inverse of ``sub`` restricted to them, in that
-    order (over the fraction field): the echelon transform of the reversed
-    transpose is that inverse, transposed.
+    order: the echelon transform of the reversed transpose is that
+    inverse, transposed.  Over Z the elimination is fraction-free and the
+    inverse is ``None`` when it is not integral.
     """
     m = sub.rows
-    work = sub if sub.ring.is_field else _lift_to_rationals(sub)
-    reversed_rows = Matrix._raw(
-        work.ring,
-        work.cols,
-        m,
-        [tuple(work.data[m - 1 - i][j] for i in range(m)) for j in range(work.cols)],
-    )
-    res = rref(reversed_rows)
-    if len(res.pivots) != sub.cols:
+    reversed_rows = Matrix._raw(sub.ring, sub.cols, m, [[row[j] for row in reversed(sub.data)] for j in range(sub.cols)])
+    if sub.ring.is_field:
+        res = rref(reversed_rows)
+        pivots, transform = res.pivots, res.transform
+    else:
+        pivots, transform = _fraction_free_rref(reversed_rows)
+    if len(pivots) != sub.cols:
         raise ValidationError("basis columns are not independent")
-    return [m - 1 - p for p in res.pivots], res.transform.transpose()
+    return [m - 1 - p for p in pivots], None if transform is None else transform.transpose()
 
 
 def complement_basis(sub: SubspaceBasis) -> SubspaceBasis:
@@ -502,9 +540,9 @@ def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
 
     The inverse converts ambient coordinates to (complement | sub)
     coordinates.  It is read off the same elimination that picks the
-    complement: over Z the standard candidate completes a basis exactly
-    when the pivot rows of ``sub`` have an integral inverse, and only the
-    fallback runs a Smith form.
+    complement, which over Z is fraction-free: the standard candidate
+    completes a basis exactly when the pivot rows of ``sub`` have an
+    integral inverse, and only the fallback runs a Smith form.
     """
     ring = sub.vectors.ring
     m = sub.ambient_dim
@@ -513,14 +551,14 @@ def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
     if k == 0:
         return SubspaceBasis(m, eye), eye
     rows, rows_inv = _bottom_pivots(sub.vectors)
-    if ring.is_field or all(v.denominator == 1 for row in rows_inv.data for v in row):
+    if rows_inv is not None:
         # x = e_free a + sub b: b = rows_inv x[rows], a = x[free] - sub[free] b.
         free = [i for i in range(m) if i not in rows]
         zero = ring.normalize(0)
         to_sub = [[zero] * m for _ in range(k)]
         for j, r in enumerate(rows):
             for i in range(k):
-                to_sub[i][r] = ring.normalize(rows_inv.data[i][j])
+                to_sub[i][r] = rows_inv.data[i][j]
         to_sub = Matrix._raw(ring, k, m, to_sub)
         to_comp = eye.submatrix(free, range(m)) - sub.vectors.submatrix(free, range(k)) @ to_sub
         return SubspaceBasis(m, eye.cols_at(free)), vstack([to_comp, to_sub])

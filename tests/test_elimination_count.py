@@ -1,14 +1,19 @@
-"""Each differential is eliminated once per call.
+"""Each differential is eliminated once per call, and Z never leaves the integers.
 
-Every ``rref`` and ``smith_normal_form`` call is counted, in every
+Every elimination (``rref``, ``smith_normal_form`` and the fraction-free
+``_fraction_free_rref`` behind complements over Z) is counted, in every
 ``eigenchain`` module that binds the function, during one public call.
 The analysis of a complex factors each differential exactly once and
 derives the rest of its splits from a few more eliminations per degree;
-these tests keep duplicate analyses from creeping back in.
+these tests keep duplicate analyses from creeping back in.  Over Z no
+``Fraction`` is built at all.
 """
 
+import random
 import sys
+from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 
@@ -16,21 +21,29 @@ from eigenchain import QQ, ZZ, GradedMap, Matrix, linalg, scalar_object
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
 from eigenchain.complexes import COCHAIN, ChainComplex, convert_convention
 from eigenchain.decompose import homology
+from eigenchain.randgen import alpha_variants, random_complex
 from eigenchain.simplicial import simplicial_to_chain
+from test_golden_analysis import RP2
 
 PER_DEGREE = 4
+ELIMINATIONS = ("rref", "smith_normal_form", "_fraction_free_rref")
+
+
+class Elimination(NamedTuple):
+    name: str
+    matrix: Matrix
 
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """The matrices handed to ``rref`` or ``smith_normal_form``, in call order."""
+    """The matrices handed to each elimination, in call order, with the elimination's name."""
     calls = []
     modules = [m for name, m in sys.modules.items() if name == "eigenchain" or name.startswith("eigenchain.")]
-    for name in ("rref", "smith_normal_form"):
+    for name in ELIMINATIONS:
         original = getattr(linalg, name)
 
-        def counted(a, _original=original):
-            calls.append(a)
+        def counted(a, _original=original, _name=name):
+            calls.append(Elimination(_name, a))
             return _original(a)
 
         for module in modules:
@@ -46,7 +59,7 @@ def skeleton(ring):
 
 
 def times_factored(calls, d):
-    return sum(1 for a in calls if a == d)
+    return sum(1 for e in calls if e.matrix == d)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
@@ -70,3 +83,41 @@ def test_arbitration_analyzes_the_cone_once(eliminated):
     assert cert.is_eigenvalue() and cert.cone.underlying.diffs
     for d in list(f.diffs.values()) + list(cert.cone.underlying.diffs.values()):
         assert times_factored(eliminated, d) == 1
+
+
+def test_torsion_representatives_reuse_the_kernel_split(eliminated):
+    # H_1(RP^2; Z) = Z/2: the representatives of that degree come from the
+    # kernel's split, not from a second Smith form solving against the kernel.
+    chain, _ = simplicial_to_chain(6, RP2, ZZ)
+    f = convert_convention(chain, COCHAIN)
+    assert homology(f).torsion_by_degree() == {-1: (2,)}
+    assert sum(1 for e in eliminated if e.name == "smith_normal_form") == 6
+
+
+def integer_inputs():
+    """(complex, [(lambda, alpha), ...]) over Z: the 2-skeleton of the 5-simplex and seeded random complexes."""
+    complexes = [skeleton(ZZ)] + [random_complex(ZZ, random.Random(seed), max_len=3, max_rank=8) for seed in range(12)]
+    for i, f in enumerate(complexes):
+        yield f, [(lam, alpha) for _, lam, alpha in alpha_variants(f, random.Random(i))]
+
+
+def test_integer_analysis_builds_no_fractions(monkeypatch):
+    inputs = list(integer_inputs())
+    assert sum(len(pairs) for _, pairs in inputs) >= 40
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    verdicts = set()
+    for f, pairs in inputs:
+        verdicts.add(certify_homology_eigenvalue(f).is_eigenvalue())
+        homology(f)
+        for lam, alpha in pairs:
+            verdicts.add(decide_eigenvalue(f, lam, alpha).is_eigenvalue())
+    monkeypatch.undo()
+    assert verdicts == {True, False}
+    assert built == []
