@@ -6,7 +6,7 @@ cones; explicit null-homotopies; and machine-checkable certificates that
 a zero-differential complex realizes the homology of another complex.
 """
 
-from .rings import GF, QQ, ZZ, PrimeField, Rationals, Integers, Ring, Scalar, ring_from_tag
+from .rings import GF, QQ, ZZ, PrimeField, Rationals, Integers, Ring, ring_from_tag
 from .matrix import Matrix, block_diag, hstack, vstack
 from .linalg import (
     RrefResult,

@@ -57,8 +57,12 @@ class EigenCertificate:
     alpha_injective: dict[int, bool]
     witness: Optional[Homotopy] = None
     cone: Optional[ConeComplex] = None
-    failure_reason: Optional[FailureReason] = None
     failure_reasons: list[FailureReason] = field(default_factory=list)
+
+    @property
+    def failure_reason(self) -> Optional[FailureReason]:
+        """The first failure reason, or ``None`` on a positive verdict."""
+        return self.failure_reasons[0] if self.failure_reasons else None
 
     def is_eigenvalue(self) -> bool:
         return self.verdict == EIGENVALUE
@@ -97,7 +101,6 @@ def _decide(lam: ChainComplex, alpha: GradedMap, dec: Decomposition) -> EigenCer
         verdict=NOT_EIGENVALUE,
         witness=None,
         cone=cone,
-        failure_reason=check.failures[0],
         failure_reasons=check.failures,
         **base,
     )
@@ -130,7 +133,6 @@ def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
     try:
         lam, alpha = dec.canonical_alpha()
     except TorsionHomology as exc:
-        reason = FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))
         return EigenCertificate(
             verdict=NOT_EIGENVALUE,
             ring=f.ring,
@@ -139,8 +141,7 @@ def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
             homology_betti={n: dec.betti(n) for n in dec},
             homology_torsion={n: dec.torsion(n) for n in dec if dec.torsion(n)},
             alpha_injective={},
-            failure_reason=reason,
-            failure_reasons=[reason],
+            failure_reasons=[FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))],
         )
     return _decide(lam, alpha, dec)
 

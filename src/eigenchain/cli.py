@@ -97,13 +97,16 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _load_map(path, source: ComplexDoc, target: ComplexDoc):
+    kind, payload = load_document(path)
+    if kind != "graded_map":
+        raise EigenchainError(f"{path}: expected a graded map file, found {kind}")
+    return graded_map_from_payload(payload, source, target)
+
+
 def _load_pair(args, f_doc: ComplexDoc):
     lam_doc = load_complex(args.lambda_path)
-    kind, payload = load_document(args.alpha_path)
-    if kind != "graded_map":
-        raise EigenchainError(f"{args.alpha_path}: expected a graded map file")
-    alpha = graded_map_from_payload(payload, lam_doc, f_doc)
-    return lam_doc, alpha
+    return lam_doc, _load_map(args.alpha_path, lam_doc, f_doc)
 
 
 def _cmd_cone(args) -> int:
@@ -150,16 +153,8 @@ def _cmd_verify_homotopy(args) -> int:
     if kind not in ("homotopy", "graded_map"):
         raise EigenchainError(f"{args.homotopy}: expected a homotopy file")
     psi = homotopy_from_payload(payload, doc)
-    if args.f_path:
-        kind, fp = load_document(args.f_path)
-        f = graded_map_from_payload(fp, doc, doc)
-    else:
-        f = zero_map(x, x)
-    if args.g_path:
-        kind, gp = load_document(args.g_path)
-        g = graded_map_from_payload(gp, doc, doc)
-    else:
-        g = identity_map(x)
+    f = _load_map(args.f_path, doc, doc) if args.f_path else zero_map(x, x)
+    g = _load_map(args.g_path, doc, doc) if args.g_path else identity_map(x)
     report = verify_homotopy(x, f, g, psi)
     if report.ok:
         print("ok")

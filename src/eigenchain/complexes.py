@@ -20,6 +20,33 @@ COCHAIN = "cochain"
 CHAIN = "chain"
 
 
+def convention_sign(convention: str) -> int:
+    """The differential's step in ``convention``: +1 for cochain, -1 for chain.
+
+    The same sign turns a degree written in ``convention`` into its
+    internal cochain degree and back.
+    """
+    return -1 if convention == CHAIN else 1
+
+
+def _nonzero_blocks(blocks: dict, source: ChainComplex, target: ChainComplex, shift: int, what: str) -> dict:
+    """``blocks`` without its zero matrices, each checked as a map of degree ``shift``.
+
+    The matrix at degree ``n`` must live over the source's ring and map the
+    source's degree-``n`` module to the target's degree ``n + shift`` module.
+    """
+    kept = {}
+    for n, m in blocks.items():
+        if m.ring != source.ring:
+            raise RingMismatch(f"{what} at degree {n} lives over {m.ring}")
+        rows, cols = target.rank(n + shift), source.rank(n)
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValidationError(f"{what} at degree {n} is {m.rows}x{m.cols}, expected {rows}x{cols}")
+        if not m.is_zero():
+            kept[n] = m
+    return kept
+
+
 @dataclass
 class ChainComplex:
     """Graded family of free-module ranks plus differential matrices.
@@ -42,39 +69,23 @@ class ChainComplex:
         for n, r in self.ranks.items():
             if r < 0:
                 raise ValidationError(f"negative rank {r} at degree {n}")
-        step = 1 if self.convention == COCHAIN else -1
-        kept = {}
-        for n, m in self.diffs.items():
-            if m.ring != self.ring:
-                raise RingMismatch(f"differential at degree {n} lives over {m.ring}")
-            expected = (self.rank(n + step), self.rank(n))
-            if (m.rows, m.cols) != expected:
-                raise ValidationError(
-                    f"differential at degree {n} is {m.rows}x{m.cols}, expected {expected[0]}x{expected[1]}"
-                )
-            if not m.is_zero():
-                kept[n] = m
-        self.diffs = kept
+        self.diffs = _nonzero_blocks(self.diffs, self, self, self.step, "differential")
+
+    @property
+    def step(self) -> int:
+        """Degree change of the differential: +1 for cochain, -1 for chain."""
+        return convention_sign(self.convention)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
     def diff(self, n: int) -> Matrix:
-        step = 1 if self.convention == COCHAIN else -1
         if n in self.diffs:
             return self.diffs[n]
-        return Matrix.zeros(self.ring, self.rank(n + step), self.rank(n))
+        return Matrix.zeros(self.ring, self.rank(n + self.step), self.rank(n))
 
     def degrees(self) -> list[int]:
         return sorted(self.ranks)
-
-    @property
-    def lo(self) -> Optional[int]:
-        return min(self.ranks) if self.ranks else None
-
-    @property
-    def hi(self) -> Optional[int]:
-        return max(self.ranks) if self.ranks else None
 
     def total_dim(self) -> int:
         return sum(self.ranks.values())
@@ -82,16 +93,6 @@ class ChainComplex:
     def is_scalar(self) -> bool:
         """Zero differentials everywhere."""
         return not self.diffs
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainComplex):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.convention == other.convention
-            and self.ranks == other.ranks
-            and self.diffs == other.diffs
-        )
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,9 @@ class ComplexReport:
 
 def validate_complex(x: ChainComplex) -> ComplexReport:
     """Check that consecutive differentials compose to zero."""
-    step = 1 if x.convention == COCHAIN else -1
     for n in x.degrees():
         first = x.diff(n)
-        second = x.diff(n + step)
+        second = x.diff(n + x.step)
         if first.rows == 0 or second.rows == 0 or first.cols == 0:
             continue
         comp = second @ first
@@ -140,18 +140,7 @@ class GradedMap:
             raise RingMismatch("graded map between complexes over different rings")
         if self.source.convention != self.target.convention:
             raise ConventionMismatch("graded map between mixed conventions")
-        kept = {}
-        for n, m in self.blocks.items():
-            if m.ring != self.source.ring:
-                raise RingMismatch(f"block at degree {n} lives over {m.ring}")
-            expected = (self.target.rank(n + self.degree_shift), self.source.rank(n))
-            if (m.rows, m.cols) != expected:
-                raise ValidationError(
-                    f"block at degree {n} is {m.rows}x{m.cols}, expected {expected[0]}x{expected[1]}"
-                )
-            if not m.is_zero():
-                kept[n] = m
-        self.blocks = kept
+        self.blocks = _nonzero_blocks(self.blocks, self.source, self.target, self.degree_shift, "block")
 
     @property
     def ring(self) -> Ring:
@@ -161,16 +150,6 @@ class GradedMap:
         if n in self.blocks:
             return self.blocks[n]
         return Matrix.zeros(self.ring, self.target.rank(n + self.degree_shift), self.source.rank(n))
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.degree_shift == other.degree_shift
-            and self.blocks == other.blocks
-        )
 
 
 @dataclass(frozen=True)
@@ -188,11 +167,10 @@ def validate_chain_map(f: GradedMap) -> MapReport:
     if f.degree_shift != 0:
         raise ValidationError("chain-map check applies to shift-0 maps")
     x, y = f.source, f.target
-    step = 1 if x.convention == COCHAIN else -1
     degrees = sorted(set(x.ranks) | set(y.ranks))
     for n in degrees:
         lhs = y.diff(n) @ f.block(n)
-        rhs = f.block(n + step) @ x.diff(n)
+        rhs = f.block(n + x.step) @ x.diff(n)
         if lhs != rhs:
             spot = (lhs - rhs).first_nonzero()
             return MapReport(False, degree=n, entry=spot, message=f"square at degree {n} fails at entry {spot}")
@@ -232,11 +210,7 @@ def direct_sum(x: ChainComplex, y: ChainComplex) -> ChainComplex:
         raise ConventionMismatch("direct sum of mixed conventions")
     degrees = sorted(set(x.ranks) | set(y.ranks))
     ranks = {n: x.rank(n) + y.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        d = block_diag([x.diff(n), y.diff(n)])
-        if not d.is_zero():
-            diffs[n] = d
+    diffs = {n: block_diag([x.diff(n), y.diff(n)]) for n in degrees}
     return ChainComplex(x.ring, x.convention, ranks, diffs)
 
 

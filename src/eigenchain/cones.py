@@ -3,11 +3,12 @@
 The cone of a map ``alpha`` from a zero-differential complex into ``F``
 has degree-``n`` term ``lambda_{n+1} ⊕ F_n`` and the unsigned block
 differential ``(a, x) -> (0, alpha(a) + d(x))``.  A null-homotopy here is
-a degree-(-1) family ``psi`` certified against ``d∘psi + psi∘d = -id``,
-i.e. a homotopy from the zero map to the identity; that sign convention
-is fixed so the constructed witnesses match the decomposition blocks
-literally, and :func:`verify_homotopy` takes ``f`` and ``g`` explicitly
-so the opposite convention remains expressible.
+a :class:`Homotopy`, the degree-(-1) :class:`~eigenchain.complexes.GradedMap`
+``psi`` of one complex certified against ``d∘psi + psi∘d = -id``, i.e. a
+homotopy from the zero map to the identity; that sign convention is fixed
+so the constructed witnesses match the decomposition blocks literally, and
+:func:`verify_homotopy` takes ``f`` and ``g`` explicitly so the opposite
+convention remains expressible.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout, the
@@ -83,29 +84,19 @@ class ConeComplex:
         return self.underlying.ring
 
 
-@dataclass
-class Homotopy:
-    """Degree-(-1) family on one complex: block ``n`` maps degree n to n-1."""
+class Homotopy(GradedMap):
+    """A degree-(-1) :class:`GradedMap` of one complex to itself.
 
-    on: ChainComplex
-    blocks: dict[int, Matrix] = field(default_factory=dict)
+    Block ``n`` maps degree ``n`` to ``n - 1``; validation, pruning of zero
+    blocks and ``block(n)`` are those of every graded map.
+    """
 
-    def __post_init__(self):
-        kept = {}
-        for n, m in self.blocks.items():
-            expected = (self.on.rank(n - 1), self.on.rank(n))
-            if (m.rows, m.cols) != expected:
-                raise ValidationError(
-                    f"homotopy block at degree {n} is {m.rows}x{m.cols}, expected {expected[0]}x{expected[1]}"
-                )
-            if not m.is_zero():
-                kept[n] = m
-        self.blocks = kept
+    def __init__(self, on: ChainComplex, blocks: Optional[dict[int, Matrix]] = None):
+        super().__init__(on, on, -1, blocks or {})
 
-    def block(self, n: int) -> Matrix:
-        if n in self.blocks:
-            return self.blocks[n]
-        return Matrix.zeros(self.on.ring, self.on.rank(n - 1), self.on.rank(n))
+    @property
+    def on(self) -> ChainComplex:
+        return self.source
 
 
 def _require_cone_input(alpha: GradedMap):
@@ -146,9 +137,7 @@ def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
             continue
         top = Matrix.zeros(ring, lam.rank(n + 2), cols)
         bottom = hstack([alpha.block(n + 1), f.diff(n)])
-        d = vstack([top, bottom])
-        if not d.is_zero():
-            diffs[n] = d
+        diffs[n] = vstack([top, bottom])
     return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), layout, alpha)
 
 
@@ -321,9 +310,7 @@ def construct_null_homotopy(
             bottom_f = Matrix.zeros(ring, f_tgt, f_src)
         top = hstack([Matrix.zeros(ring, lam_tgt, lam_src), top_f])
         bottom = hstack([Matrix.zeros(ring, f_tgt, lam_src), bottom_f])
-        block = vstack([top, bottom])
-        if not block.is_zero():
-            blocks[n] = block
+        blocks[n] = vstack([top, bottom])
     return Homotopy(z, blocks)
 
 

@@ -1,10 +1,14 @@
 """JSON file formats: complexes, graded maps, homotopies, certificates.
 
 All scalars are written as strings and a JSON float is never read as
-one; serialization is canonical (sorted keys, two-space indent, sorted
-degree lists), and every format round-trips losslessly.  Files carry their own convention; chain-style
-data is converted to the internal cochain indexing by negating degrees on
-read and converted back on write.
+one; serialization is canonical (sorted keys, two-space indent, degree
+lists in ascending file degree), and every format round-trips losslessly.
+Files carry their own convention; chain-style data is converted to the
+internal cochain indexing by negating degrees on read and converted back
+on write, with the one sign :func:`~eigenchain.complexes.convention_sign`.
+Every degree-keyed list of matrices (a complex's ``diffs``, the
+``blocks`` of a graded map or a homotopy) is read by one helper and
+written by another.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .complexes import (
     COCHAIN,
     ChainComplex,
     GradedMap,
+    convention_sign,
     convert_convention,
     identity_map,
     validate_complex,
@@ -41,9 +46,7 @@ class ComplexDoc:
     convention: str
 
     def user_degree(self, n: int) -> int:
-        return -n if self.convention == CHAIN else n
-
-    internal_degree = user_degree  # negation is an involution
+        return convention_sign(self.convention) * n
 
 
 def canonical_dumps(payload) -> str:
@@ -114,12 +117,53 @@ def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matri
         raise ParseError(f"{what}: {exc}") from None
 
 
+def _by_user_degree(degrees, sign: int) -> list[int]:
+    """Internal degrees in ascending order of the degrees a file shows."""
+    return sorted(degrees, key=lambda n: sign * n)
+
+
+def _read_blocks(payload: dict, key: str, degree_key: str, shape, ring: Ring, sign: int, what: str) -> dict:
+    """``payload[key]``, a list of ``{degree_key, entries}``, by internal degree.
+
+    ``shape(n)`` is the (rows, cols) the matrix at internal degree ``n``
+    must have.  A degree listed twice is a parse error.
+    """
+    blocks = {}
+    for item in _list_field(payload, key, what):
+        user_deg = _int_field(item, degree_key, f"{what} {key} entry")
+        n = sign * user_deg
+        if n in blocks:
+            raise ParseError(f"{what}: {degree_key!r} {user_deg} appears twice in {key!r}")
+        where = f"{what} {key} entry at {degree_key} {user_deg}"
+        blocks[n] = _parse_matrix(ring, item.get("entries"), *shape(n), where)
+    return blocks
+
+
+def _write_blocks(blocks: dict, degree_key: str, sign: int) -> list:
+    """Inverse of :func:`_read_blocks`: ``{degree_key, entries}`` in file-degree order."""
+    return [{degree_key: sign * n, "entries": blocks[n].render_rows()} for n in _by_user_degree(blocks, sign)]
+
+
+def _write_ranks(ranks: dict, sign: int) -> list:
+    return [{"degree": sign * n, "rank": ranks[n]} for n in _by_user_degree(ranks, sign)]
+
+
+def _read_header(payload: dict, on: ComplexDoc, what: str) -> tuple[Ring, int]:
+    """Ring and degree sign of a map or homotopy file read against ``on``'s complex."""
+    ring = ring_from_tag(payload.get("ring"))
+    if ring != on.complex.ring:
+        raise ValidationError(f"{what} ring differs from the complex ring")
+    if payload.get("convention", on.convention) != on.convention:
+        raise ValidationError(f"{what} convention differs from the complex convention")
+    return ring, convention_sign(on.convention)
+
+
 def complex_from_payload(payload: dict) -> ComplexDoc:
     ring = ring_from_tag(payload.get("ring"))
     convention = payload.get("convention")
     if convention not in (CHAIN, COCHAIN):
         raise ParseError(f"bad convention {convention!r}")
-    sign = -1 if convention == CHAIN else 1
+    sign = convention_sign(convention)
     ranks = {}
     for item in _list_field(payload, "degrees", "complex"):
         deg = _int_field(item, "degree", "degrees entry")
@@ -128,16 +172,11 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
             raise ValidationError(f"negative rank at degree {deg}")
         if rank:
             ranks[sign * deg] = rank
-    step = 1  # internal cochain
-    diffs = {}
-    for item in _list_field(payload, "diffs", "complex"):
-        user_from = _int_field(item, "from_degree", "diffs entry")
-        n = sign * user_from
-        rows = ranks.get(n + step, 0)
-        cols = ranks.get(n, 0)
-        m = _parse_matrix(ring, item.get("entries"), rows, cols, f"differential from degree {user_from}")
-        if not m.is_zero():
-            diffs[n] = m
+
+    def shape(n):  # internal cochain: the differential leaving n lands in n + 1
+        return ranks.get(n + 1, 0), ranks.get(n, 0)
+
+    diffs = _read_blocks(payload, "diffs", "from_degree", shape, ring, sign, "complex")
     cx = ChainComplex(ring, COCHAIN, ranks, diffs)
     report = validate_complex(cx)
     if not report.ok:
@@ -146,88 +185,48 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
 
 
 def complex_to_payload(doc: ComplexDoc) -> dict:
-    sign = -1 if doc.convention == CHAIN else 1
+    sign = convention_sign(doc.convention)
     cx = doc.complex
-    degrees = [
-        {"degree": sign * n, "rank": cx.ranks[n]}
-        for n in sorted(cx.ranks, key=lambda n: sign * n)
-    ]
-    diffs = [
-        {"from_degree": sign * n, "entries": cx.diffs[n].render_rows()}
-        for n in sorted(cx.diffs, key=lambda n: sign * n)
-    ]
     return {
         "ring": cx.ring.json_tag,
         "convention": doc.convention,
-        "degrees": degrees,
-        "diffs": diffs,
+        "degrees": _write_ranks(cx.ranks, sign),
+        "diffs": _write_blocks(cx.diffs, "from_degree", sign),
     }
 
 
 def graded_map_from_payload(payload: dict, source: ComplexDoc, target: ComplexDoc) -> GradedMap:
-    ring = ring_from_tag(payload.get("ring"))
-    if ring != source.complex.ring:
-        raise ValidationError("map ring differs from the complexes' ring")
-    convention = payload.get("convention", source.convention)
-    if convention != source.convention:
-        raise ValidationError("map convention differs from the complexes' convention")
-    sign = -1 if convention == CHAIN else 1
-    user_shift = _int_field(payload, "degree_shift", "graded map", default=0)
-    shift = sign * user_shift
-    blocks = {}
-    for item in _list_field(payload, "blocks", "graded map"):
-        user_deg = _int_field(item, "degree", "blocks entry")
-        n = sign * user_deg
-        rows = target.complex.rank(n + shift)
-        cols = source.complex.rank(n)
-        m = _parse_matrix(ring, item.get("entries"), rows, cols, f"block at degree {user_deg}")
-        if not m.is_zero():
-            blocks[n] = m
+    ring, sign = _read_header(payload, source, "graded map")
+    shift = sign * _int_field(payload, "degree_shift", "graded map", default=0)
+
+    def shape(n):
+        return target.complex.rank(n + shift), source.complex.rank(n)
+
+    blocks = _read_blocks(payload, "blocks", "degree", shape, ring, sign, "graded map")
     return GradedMap(source.complex, target.complex, shift, blocks)
 
 
 def graded_map_to_payload(gm: GradedMap, convention: str) -> dict:
-    sign = -1 if convention == CHAIN else 1
-    blocks = [
-        {"degree": sign * n, "entries": gm.blocks[n].render_rows()}
-        for n in sorted(gm.blocks, key=lambda n: sign * n)
-    ]
+    sign = convention_sign(convention)
     return {
         "ring": gm.ring.json_tag,
         "convention": convention,
         "degree_shift": sign * gm.degree_shift,
-        "blocks": blocks,
+        "blocks": _write_blocks(gm.blocks, "degree", sign),
     }
 
 
 def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
-    ring = ring_from_tag(payload.get("ring"))
-    if ring != on.complex.ring:
-        raise ValidationError("homotopy ring differs from the complex ring")
-    convention = payload.get("convention", on.convention)
-    if convention != on.convention:
-        raise ValidationError("homotopy convention differs from the complex convention")
-    sign = -1 if convention == CHAIN else 1
-    blocks = {}
-    for item in _list_field(payload, "blocks", "homotopy"):
-        user_deg = _int_field(item, "degree", "homotopy blocks entry")
-        n = sign * user_deg
-        rows = on.complex.rank(n - 1)
-        cols = on.complex.rank(n)
-        m = _parse_matrix(ring, item.get("entries"), rows, cols, f"homotopy block at degree {user_deg}")
-        if not m.is_zero():
-            blocks[n] = m
-    return Homotopy(on.complex, blocks)
+    ring, sign = _read_header(payload, on, "homotopy")
+
+    def shape(n):
+        return on.complex.rank(n - 1), on.complex.rank(n)
+
+    return Homotopy(on.complex, _read_blocks(payload, "blocks", "degree", shape, ring, sign, "homotopy"))
 
 
 def homotopy_to_payload(h: Homotopy, convention: str, with_ring: bool = True) -> dict:
-    sign = -1 if convention == CHAIN else 1
-    payload = {
-        "blocks": [
-            {"degree": sign * n, "entries": h.blocks[n].render_rows()}
-            for n in sorted(h.blocks, key=lambda n: sign * n)
-        ]
-    }
+    payload = {"blocks": _write_blocks(h.blocks, "degree", convention_sign(convention))}
     if with_ring:
         payload["ring"] = h.on.ring.json_tag
         payload["convention"] = convention
@@ -236,7 +235,7 @@ def homotopy_to_payload(h: Homotopy, convention: str, with_ring: bool = True) ->
 
 def cone_to_payload(cone: ConeComplex, convention: str) -> dict:
     payload = complex_to_payload(ComplexDoc(cone.underlying, convention))
-    sign = -1 if convention == CHAIN else 1
+    sign = convention_sign(convention)
     payload["layout"] = [
         {
             "degree": sign * n,
@@ -244,7 +243,7 @@ def cone_to_payload(cone: ConeComplex, convention: str) -> dict:
             "complement_rank": cone.layout[n].complement_rank,
             "image_rank": cone.layout[n].image_rank,
         }
-        for n in sorted(cone.layout, key=lambda n: sign * n)
+        for n in _by_user_degree(cone.layout, sign)
     ]
     return payload
 
@@ -258,37 +257,32 @@ def _failure_to_payload(reason: FailureReason, sign: int):
 
 
 def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
-    sign = -1 if convention == CHAIN else 1
-    hom_degrees = sorted(cert.homology_betti, key=lambda n: sign * n)
+    sign = convention_sign(convention)
     payload = {
         "verdict": cert.verdict,
         "ring": cert.ring.json_tag,
         "convention": convention,
         "eigenobject": cert.eigenobject,
-        "lambda_ranks": [
-            {"degree": sign * n, "rank": r}
-            for n, r in sorted(cert.lambda_ranks.items(), key=lambda kv: sign * kv[0])
-        ],
+        "lambda_ranks": _write_ranks(cert.lambda_ranks, sign),
         "homology": [
             {
                 "degree": sign * n,
                 "betti": cert.homology_betti[n],
                 "torsion": list(cert.homology_torsion.get(n, ())),
             }
-            for n in hom_degrees
+            for n in _by_user_degree(cert.homology_betti, sign)
         ],
         "alpha_injective": [
-            {"degree": sign * n, "injective": flag}
-            for n, flag in sorted(cert.alpha_injective.items(), key=lambda kv: sign * kv[0])
+            {"degree": sign * n, "injective": cert.alpha_injective[n]}
+            for n in _by_user_degree(cert.alpha_injective, sign)
         ],
     }
     if cert.verdict == "Eigenvalue":
         payload["failure_reason"] = None
     else:
         # Report the failure at the smallest degree in the file's convention.
-        reasons = cert.failure_reasons or ([cert.failure_reason] if cert.failure_reason else [])
         primary = min(
-            reasons,
+            cert.failure_reasons,
             key=lambda r: (sign * r.degree if r.degree is not None else 0),
         )
         payload["failure_reason"] = _failure_to_payload(primary, sign)

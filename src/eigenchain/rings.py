@@ -1,11 +1,12 @@
-"""Exact coefficient rings and scalars.
+"""Exact coefficient rings.
 
 Three rings are supported: the rationals, prime fields F_p, and the
 integers.  Values are stored as plain Python objects (``Fraction`` for Q,
 ``int`` for Z and for F_p residues in ``[0, p)``), so all arithmetic is
 exact and arbitrary precision.  Matrix code operates on these raw values
-directly and calls ``ring.reduce`` after accumulating; the :class:`Scalar`
-wrapper is the user-facing pairing of a value with its ring.
+directly with Python's operators and calls ``ring.reduce`` after
+accumulating; a ring supplies only coercion (``normalize``), reduction,
+inversion and the text form of its values (``parse``, ``render``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotInvertible, ParseError, RingMismatch, ValidationError
+from .errors import NotInvertible, ParseError, ValidationError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -62,22 +63,10 @@ class Rationals:
     def reduce(self, x):
         return x
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise NotInvertible("zero has no inverse in Q")
         return 1 / Fraction(a)
-
-    def is_unit(self, a) -> bool:
-        return a != 0
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -123,23 +112,11 @@ class PrimeField:
     def reduce(self, x):
         return x % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         try:
             return pow(a, -1, self.p)
         except ValueError:
             raise NotInvertible(f"0 has no inverse in F_{self.p}") from None
-
-    def is_unit(self, a) -> bool:
-        return a % self.p != 0
 
     def parse(self, text: str) -> int:
         try:
@@ -182,22 +159,10 @@ class Integers:
     def reduce(self, x):
         return x
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a in (1, -1):
             return a
         raise NotInvertible(f"{a} is not a unit in Z")
-
-    def is_unit(self, a) -> bool:
-        return a in (1, -1)
 
     def parse(self, text: str) -> int:
         try:
@@ -234,60 +199,9 @@ def ring_from_tag(tag) -> Ring:
     if tag == "Z":
         return ZZ
     if isinstance(tag, dict) and set(tag) == {"Fp"}:
-        return PrimeField(int(tag["Fp"]))
+        p = tag["Fp"]
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ParseError(f"ring tag: 'Fp' must be a JSON integer, got {p!r}")
+        return PrimeField(p)
     raise ParseError(f"unknown ring tag {tag!r}")
 
-
-@dataclass(frozen=True)
-class Scalar:
-    """An exact ring element paired with its ring.
-
-    Arithmetic between scalars of different rings raises
-    :class:`~eigenchain.errors.RingMismatch`; division/inversion outside
-    the units raises :class:`~eigenchain.errors.NotInvertible`.
-    """
-
-    ring: Ring
-    value: object
-
-    @staticmethod
-    def of(ring: Ring, value) -> "Scalar":
-        return Scalar(ring, ring.normalize(value))
-
-    def _coerced(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            return Scalar.of(self.ring, other)
-        if other.ring != self.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        return other
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        return Scalar(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        return Scalar(self.ring, self.ring.add(self.value, self.ring.neg(other.value)))
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        return Scalar(self.ring, self.ring.mul(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.ring, self.ring.neg(self.value))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.ring, self.ring.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def render(self) -> str:
-        return self.ring.render(self.value)
-
-    @staticmethod
-    def parse(ring: Ring, text: str) -> "Scalar":
-        return Scalar(ring, ring.parse(text))
-
-    def __str__(self):
-        return self.render()

@@ -79,8 +79,6 @@ def simplicial_to_chain(vertices, facets, ring: Ring) -> tuple[ChainComplex, Sim
                 face = simplex[:i] + simplex[i + 1 :]
                 sign = 1 if i % 2 == 0 else -1
                 grid[index[k - 1][face]][j] += sign
-        m = Matrix(ring, grid, cols=len(simps))
-        if not m.is_zero():
-            diffs[k] = m
+        diffs[k] = Matrix(ring, grid, cols=len(simps))
     complex_ = ChainComplex(ring, CHAIN, ranks, diffs)
     return complex_, data

@@ -61,6 +61,14 @@ class TestDecide:
         assert cert.failure_reason.degree == 0
         assert not is_contractible(cert.cone.underlying)[0]
 
+    def test_failure_reason_is_the_first_of_the_failure_reasons(self, circle_with_pair):
+        f, lam, alpha = circle_with_pair
+        assert decide_eigenvalue(f, lam, alpha).failure_reason is None
+        lam = scalar_object(ZZ, {-1: 1, 0: 1})
+        cert = decide_eigenvalue(f, lam, GradedMap(lam, f, 0, {}))
+        assert cert.failure_reasons
+        assert cert.failure_reason is cert.failure_reasons[0]
+
     def test_non_injective_map(self, circle):
         lam = scalar_object(ZZ, {-1: 1, 0: 1})
         alpha = GradedMap(lam, circle, 0, {-1: Matrix(ZZ, [[1], [1], [1]])})

@@ -164,6 +164,24 @@ def test_verify_homotopy_with_explicit_endpoints(workdir, capsys):
     assert out.strip() == "ok"
 
 
+@pytest.mark.parametrize("flag", ["--f", "--g"])
+def test_verify_homotopy_endpoints_must_be_graded_maps(workdir, capsys, flag):
+    # A complex file is no map: it used to read as the zero map.
+    cone = workdir / "cone.json"
+    run(capsys, "cone", *(workdir / n for n in ("s1_complex.json", "s1_lambda.json", "s1_alpha.json")), "-o", cone)
+    code, out, err = run(
+        capsys,
+        "verify-homotopy",
+        cone,
+        workdir / "s1_psi.json",
+        flag,
+        workdir / "s1_complex.json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "expected a graded map file" in err
+
+
 def test_structural_error_exit_code(workdir, capsys):
     bad = {
         "ring": "Q",
@@ -277,6 +295,7 @@ COMPLEX_ARGV = ["homology", "s1_complex.json"]
 CONE_ARGV = ["cone", "s1_complex.json", "s1_lambda.json", "s1_alpha.json"]
 PSI_ARGV = ["verify-homotopy", "s1_complex.json", "s1_psi.json"]
 SIMPLICIAL_ARGV = ["homology", "s1_simplicial.json"]
+ZERO_D1 = {"from_degree": 1, "entries": [["0", "0", "0"]] * 3}
 MALFORMED_INPUTS = [
     # (file edited, path of the edited value, new value, named field, command)
     pytest.param("s1_complex.json", ("diffs", 0, "entries", 1, 0), 1.5, "entries", COMPLEX_ARGV, id="float-entry"),
@@ -288,6 +307,9 @@ MALFORMED_INPUTS = [
     pytest.param("s1_simplicial.json", ("vertices",), 3.0, "vertices", SIMPLICIAL_ARGV, id="vertices-float"),
     pytest.param("s1_simplicial.json", ("facets",), 7, "facets", SIMPLICIAL_ARGV, id="facets-not-list"),
     pytest.param("s1_simplicial.json", ("facets", 0), 1, "facets", SIMPLICIAL_ARGV, id="facet-not-list"),
+    pytest.param("s1_complex.json", ("ring",), {"Fp": "abc"}, "Fp", COMPLEX_ARGV, id="ring-fp-string"),
+    pytest.param("s1_complex.json", ("ring",), {"Fp": 7.9}, "Fp", COMPLEX_ARGV, id="ring-fp-float"),
+    pytest.param("s1_complex.json", ("diffs",), [ZERO_D1, ZERO_D1], "from_degree", COMPLEX_ARGV, id="diff-degree-twice"),
 ]
 
 

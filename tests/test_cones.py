@@ -23,7 +23,7 @@ from eigenchain import (
     zero_map,
 )
 from eigenchain.cones import Homotopy, adapted_cone_differential
-from eigenchain.errors import HypothesisFailure, NotScalarSource, ValidationError
+from eigenchain.errors import HypothesisFailure, NotScalarSource, RingMismatch, ValidationError
 from eigenchain.randgen import random_complex
 
 F2 = GF(2)
@@ -147,6 +147,19 @@ class TestVerifyHomotopy:
     def test_wrong_shape_rejected(self, circle):
         with pytest.raises(ValidationError):
             Homotopy(circle, {0: Matrix.identity(ZZ, 2)})
+
+    def test_block_over_another_ring_rejected(self, circle):
+        # The right 3x3 shape from degree 0 to degree -1, but over Q.
+        with pytest.raises(RingMismatch):
+            Homotopy(circle, {0: Matrix.identity(QQ, 3)})
+
+    def test_homotopy_is_a_degree_minus_one_graded_map(self, circle):
+        psi = Homotopy(circle, {0: Matrix.zeros(ZZ, 3, 3)})
+        assert isinstance(psi, GradedMap)
+        assert psi.on is psi.source is psi.target is circle
+        assert psi.degree_shift == -1
+        assert psi.blocks == {}
+        assert psi.block(0) == Matrix.zeros(ZZ, 3, 3)
 
 
 class TestContractibility:
