@@ -6,11 +6,9 @@ cones; explicit null-homotopies; and machine-checkable certificates that
 a zero-differential complex realizes the homology of another complex.
 """
 
-from .rings import GF, QQ, ZZ, PrimeField, Rationals, Integers, Ring, ring_from_tag
+from .rings import GF, QQ, ZZ, PrimeField, ring_from_tag
 from .matrix import Matrix, block_diag, hstack, vstack
 from .linalg import (
-    RrefResult,
-    SnfResult,
     SubspaceBasis,
     complement_basis,
     det,
@@ -21,52 +19,22 @@ from .linalg import (
     rank,
     rref,
     smith_normal_form,
-    solve,
     solve_matrix,
     spans_equal,
 )
 from .complexes import (
     ChainComplex,
-    ComplexReport,
     GradedMap,
-    MapReport,
     convert_convention,
-    direct_sum,
     identity_map,
     scalar_object,
-    shift,
     validate_chain_map,
     validate_complex,
     zero_map,
 )
-from .decompose import (
-    Decomposition,
-    DegreeDecomposition,
-    DegreeHomology,
-    HomologyResult,
-    canonical_alpha,
-    decompose,
-    homology,
-)
-from .cones import (
-    ConeComplex,
-    ConeLayout,
-    Homotopy,
-    HomotopyReport,
-    construct_null_homotopy,
-    is_contractible,
-    mapping_cone,
-    verify_homotopy,
-)
-from .certify import (
-    BlockAnalysis,
-    DegreeBlockReport,
-    EigenCertificate,
-    FailureReason,
-    analyze_homotopy_blocks,
-    certify_homology_eigenvalue,
-    decide_eigenvalue,
-)
-from .oracle import OracleReport, brute_homology_f2, homotopy_system_solvable
+from .decompose import canonical_alpha, decompose, homology
+from .cones import construct_null_homotopy, is_contractible, mapping_cone, verify_homotopy
+from .certify import analyze_homotopy_blocks, certify_homology_eigenvalue, decide_eigenvalue
+from .oracle import brute_homology_f2, homotopy_system_solvable
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,7 +50,6 @@ class EigenCertificate:
 
     verdict: str
     ring: object
-    eigenobject: str
     lambda_ranks: dict[int, int]
     homology_betti: dict[int, int]
     homology_torsion: dict[int, tuple[int, ...]]
@@ -76,34 +75,31 @@ def _verified(cone: ConeComplex, witness: Homotopy, what: str) -> Homotopy:
     return witness
 
 
-def _decide(lam: ChainComplex, alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
-    cone = _assemble_cone(alpha, dec)
-    check = check_hypotheses(alpha, dec)
-    base = dict(
+def _certificate(dec: Decomposition, verdict: str, **fields) -> EigenCertificate:
+    """A certificate carrying the ring and the homology that ``dec`` read off F."""
+    return EigenCertificate(
+        verdict=verdict,
         ring=dec.ring,
-        eigenobject="R",
-        lambda_ranks=dict(lam.ranks),
         homology_betti={n: dec.betti(n) for n in dec},
         homology_torsion={n: dec.torsion(n) for n in dec if dec.torsion(n)},
-        alpha_injective=check.injective,
+        **fields,
     )
+
+
+def _decide(alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
+    cone = _assemble_cone(alpha, dec)
+    check = check_hypotheses(alpha, dec)
+    base = dict(lambda_ranks=dict(alpha.source.ranks), alpha_injective=check.injective, cone=cone)
     if not check.failures:
         witness = _verified(cone, construct_null_homotopy(cone, dec, check), "constructed witness")
-        return EigenCertificate(verdict=EIGENVALUE, witness=witness, cone=cone, **base)
+        return _certificate(dec, EIGENVALUE, witness=witness, **base)
 
     # Hypotheses are stated relative to our complement choice; arbitration
     # by the contractibility criterion keeps the verdict choice-free.
     contractible, witness = is_contractible(cone.underlying)
     if contractible:
-        witness = _verified(cone, witness, "contraction witness")
-        return EigenCertificate(verdict=EIGENVALUE, witness=witness, cone=cone, **base)
-    return EigenCertificate(
-        verdict=NOT_EIGENVALUE,
-        witness=None,
-        cone=cone,
-        failure_reasons=check.failures,
-        **base,
-    )
+        return _certificate(dec, EIGENVALUE, witness=_verified(cone, witness, "contraction witness"), **base)
+    return _certificate(dec, NOT_EIGENVALUE, failure_reasons=check.failures, **base)
 
 
 def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> EigenCertificate:
@@ -119,7 +115,7 @@ def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> E
     if alpha.source != lam or alpha.target != f:
         raise ValidationError("alpha does not map the given scalar object into the given complex")
     _require_cone_input(alpha)
-    return _decide(lam, alpha, Decomposition(f))
+    return _decide(alpha, Decomposition(f))
 
 
 def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
@@ -131,19 +127,11 @@ def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
     """
     dec = Decomposition(f)
     try:
-        lam, alpha = dec.canonical_alpha()
+        _, alpha = dec.canonical_alpha()
     except TorsionHomology as exc:
-        return EigenCertificate(
-            verdict=NOT_EIGENVALUE,
-            ring=f.ring,
-            eigenobject="R",
-            lambda_ranks={},
-            homology_betti={n: dec.betti(n) for n in dec},
-            homology_torsion={n: dec.torsion(n) for n in dec if dec.torsion(n)},
-            alpha_injective={},
-            failure_reasons=[FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))],
-        )
-    return _decide(lam, alpha, dec)
+        reason = FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))
+        return _certificate(dec, NOT_EIGENVALUE, lambda_ranks={}, alpha_injective={}, failure_reasons=[reason])
+    return _decide(alpha, dec)
 
 
 @dataclass

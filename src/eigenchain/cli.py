@@ -98,8 +98,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _load_map(path, source: ComplexDoc, target: ComplexDoc):
+    # A graded map file may omit its degree_shift, which then reads as a homotopy.
     kind, payload = load_document(path)
-    if kind != "graded_map":
+    if kind not in ("graded_map", "homotopy"):
         raise EigenchainError(f"{path}: expected a graded map file, found {kind}")
     return graded_map_from_payload(payload, source, target)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConventionMismatch, RingMismatch, ValidationError
-from .matrix import Matrix, block_diag
+from .matrix import Matrix
 from .rings import Ring
 
 COCHAIN = "cochain"
@@ -96,16 +96,21 @@ class ChainComplex:
 
 
 @dataclass(frozen=True)
-class ComplexReport:
-    """Outcome of the d∘d = 0 check; ``entry`` is the first nonzero (i, j)."""
+class CheckReport:
+    """Outcome of one exact degreewise check; ``entry`` is the first failing (i, j).
+
+    ``composites`` is filled only by the homotopy check, with the product
+    it computed at each degree.
+    """
 
     ok: bool
     degree: Optional[int] = None
     entry: Optional[tuple[int, int]] = None
     message: str = ""
+    composites: dict[int, Matrix] = field(default_factory=dict)
 
 
-def validate_complex(x: ChainComplex) -> ComplexReport:
+def validate_complex(x: ChainComplex) -> CheckReport:
     """Check that consecutive differentials compose to zero."""
     for n in x.degrees():
         first = x.diff(n)
@@ -116,8 +121,8 @@ def validate_complex(x: ChainComplex) -> ComplexReport:
         spot = comp.first_nonzero()
         if spot is not None:
             message = f"d∘d != 0 leaving degree {n}: entry {spot} is {x.ring.render(comp[spot])}"
-            return ComplexReport(False, degree=n, entry=spot, message=message)
-    return ComplexReport(True)
+            return CheckReport(False, degree=n, entry=spot, message=message)
+    return CheckReport(True)
 
 
 @dataclass
@@ -152,17 +157,7 @@ class GradedMap:
         return Matrix.zeros(self.ring, self.target.rank(n + self.degree_shift), self.source.rank(n))
 
 
-@dataclass(frozen=True)
-class MapReport:
-    """Outcome of the chain-map square check."""
-
-    ok: bool
-    degree: Optional[int] = None
-    entry: Optional[tuple[int, int]] = None
-    message: str = ""
-
-
-def validate_chain_map(f: GradedMap) -> MapReport:
+def validate_chain_map(f: GradedMap) -> CheckReport:
     """Check ``d_target ∘ f_n == f_{n+1} ∘ d_source`` at every degree."""
     if f.degree_shift != 0:
         raise ValidationError("chain-map check applies to shift-0 maps")
@@ -173,12 +168,12 @@ def validate_chain_map(f: GradedMap) -> MapReport:
         rhs = f.block(n + x.step) @ x.diff(n)
         if lhs != rhs:
             spot = (lhs - rhs).first_nonzero()
-            return MapReport(False, degree=n, entry=spot, message=f"square at degree {n} fails at entry {spot}")
-    return MapReport(True)
+            return CheckReport(False, degree=n, entry=spot, message=f"square at degree {n} fails at entry {spot}")
+    return CheckReport(True)
 
 
-def zero_map(source: ChainComplex, target: ChainComplex, degree_shift: int = 0) -> GradedMap:
-    return GradedMap(source, target, degree_shift, {})
+def zero_map(source: ChainComplex, target: ChainComplex) -> GradedMap:
+    return GradedMap(source, target, 0, {})
 
 
 def identity_map(x: ChainComplex) -> GradedMap:
@@ -186,32 +181,9 @@ def identity_map(x: ChainComplex) -> GradedMap:
     return GradedMap(x, x, 0, blocks)
 
 
-def scalar_object(ring: Ring, ranks: dict[int, int], convention: str = COCHAIN) -> ChainComplex:
-    """Complex with the given ranks and all-zero differentials."""
-    return ChainComplex(ring, convention, dict(ranks), {})
-
-
-def shift(x: ChainComplex, k: int) -> ChainComplex:
-    """Reindex degrees: the result at degree ``n`` is ``x`` at ``n + k``.
-
-    Differentials are reused unchanged (no sign is introduced); the cone
-    construction in this package uses unsigned blocks throughout.
-    """
-    ranks = {n - k: r for n, r in x.ranks.items()}
-    diffs = {n - k: m for n, m in x.diffs.items()}
-    return ChainComplex(x.ring, x.convention, ranks, diffs)
-
-
-def direct_sum(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """Degreewise direct sum with block-diagonal differentials (x first)."""
-    if x.ring != y.ring:
-        raise RingMismatch("direct sum over different rings")
-    if x.convention != y.convention:
-        raise ConventionMismatch("direct sum of mixed conventions")
-    degrees = sorted(set(x.ranks) | set(y.ranks))
-    ranks = {n: x.rank(n) + y.rank(n) for n in degrees}
-    diffs = {n: block_diag([x.diff(n), y.diff(n)]) for n in degrees}
-    return ChainComplex(x.ring, x.convention, ranks, diffs)
+def scalar_object(ring: Ring, ranks: dict[int, int]) -> ChainComplex:
+    """Cochain complex with the given ranks and all-zero differentials."""
+    return ChainComplex(ring, COCHAIN, dict(ranks), {})
 
 
 def convert_convention(x: ChainComplex, to: str) -> ChainComplex:

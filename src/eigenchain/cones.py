@@ -12,18 +12,20 @@ convention remains expressible.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout, the
-single hypothesis checker :func:`check_hypotheses`, the witness, and the
-change to (scalar | complement | image) block coordinates.
+single hypothesis checker :func:`check_hypotheses`, the witness, and
+:func:`adapted_block`, the change to (scalar | complement | image) block
+coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (
     COCHAIN,
     ChainComplex,
+    CheckReport,
     GradedMap,
     scalar_object,
     validate_chain_map,
@@ -47,11 +49,6 @@ class FailureReason:
     kind: str
     degree: Optional[int] = None
     factors: tuple[int, ...] = ()
-
-    def describe(self) -> str:
-        where = f" at degree {self.degree}" if self.degree is not None else ""
-        extra = f" (invariant factors {list(self.factors)})" if self.factors else ""
-        return f"{self.kind}{where}{extra}"
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,8 @@ class Homotopy(GradedMap):
     blocks and ``block(n)`` are those of every graded map.
     """
 
-    def __init__(self, on: ChainComplex, blocks: Optional[dict[int, Matrix]] = None):
-        super().__init__(on, on, -1, blocks or {})
+    def __init__(self, on: ChainComplex, blocks: dict[int, Matrix]):
+        super().__init__(on, on, -1, blocks)
 
     @property
     def on(self) -> ChainComplex:
@@ -148,7 +145,11 @@ def mapping_cone(alpha: GradedMap) -> ConeComplex:
 
 
 def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tgt: int) -> Matrix:
-    """``m``, from cone degree ``src`` to ``tgt``, in (scalar | complement | image) coordinates."""
+    """``m``, from cone degree ``src`` to ``tgt``, in (scalar | complement | image) coordinates.
+
+    For a valid cone its differential at ``n`` becomes
+    ``[[0,0,0],[alpha,0,0],[0,delta,0]]`` in these blocks.
+    """
     ring = cone.ring
 
     def lam_rank(n):
@@ -163,27 +164,7 @@ def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tg
     return tgt_change_inv @ m @ src_change
 
 
-def adapted_cone_differential(cone: ConeComplex, dec: Decomposition, n: int) -> Matrix:
-    """The cone differential at degree ``n`` in block coordinates.
-
-    For a valid cone this is ``[[0,0,0],[alpha,0,0],[0,delta,0]]`` with
-    respect to the (scalar | complement | image) blocks on both sides.
-    """
-    return adapted_block(cone, dec, cone.underlying.diff(n), n, n + 1)
-
-
-@dataclass(frozen=True)
-class HomotopyReport:
-    """Result of checking ``f - g == d∘psi + psi∘d`` degree by degree."""
-
-    ok: bool
-    degree: Optional[int] = None
-    entry: Optional[tuple[int, int]] = None
-    composites: dict[int, Matrix] = field(default_factory=dict)
-    message: str = ""
-
-
-def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) -> HomotopyReport:
+def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) -> CheckReport:
     """Exact degreewise check of the homotopy identity.
 
     ``composites`` records ``d∘psi + psi∘d`` at every supported degree so
@@ -203,9 +184,9 @@ def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) 
         if failure is None and lhs != target:
             failure = (n, (lhs - target).first_nonzero())
     if failure is None:
-        return HomotopyReport(True, composites=composites)
+        return CheckReport(True, composites=composites)
     n, spot = failure
-    return HomotopyReport(
+    return CheckReport(
         False,
         degree=n,
         entry=spot,

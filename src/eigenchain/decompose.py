@@ -95,9 +95,6 @@ class HomologyResult:
     def torsion_by_degree(self) -> dict[int, tuple[int, ...]]:
         return {n: h.torsion for n, h in self.by_degree.items() if h.torsion}
 
-    def is_zero(self) -> bool:
-        return all(h.betti == 0 and not h.torsion for h in self.by_degree.values())
-
 
 class Decomposition:
     """Everything read off one complex, for the length of one call.

@@ -111,8 +111,8 @@ def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matri
     if not _ENTRY_TYPES.issuperset(map(type, chain.from_iterable(entries))):
         bad = next(v for r in entries for v in r if type(v) not in _ENTRY_TYPES)
         raise ParseError(f"{what}: 'entries' must hold strings or JSON integers, got {bad!r}")
-    try:
-        return Matrix(ring, [[ring.parse(str(v)) for v in row] for row in entries], cols=cols)
+    try:  # the constructor's normalize parses string entries
+        return Matrix(ring, entries, cols=cols)
     except ParseError as exc:
         raise ParseError(f"{what}: {exc}") from None
 
@@ -262,7 +262,7 @@ def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
         "verdict": cert.verdict,
         "ring": cert.ring.json_tag,
         "convention": convention,
-        "eigenobject": cert.eigenobject,
+        "eigenobject": "R",
         "lambda_ranks": _write_ranks(cert.lambda_ranks, sign),
         "homology": [
             {

@@ -399,15 +399,11 @@ def det(a: Matrix):
     return sign * w[n - 1][n - 1]
 
 
-def solve(a: Matrix, b: Matrix):
-    """One exact solution of ``a @ x = b`` for a column ``b``; see :meth:`Factorization.solve`."""
-    if b.rows != a.rows or b.cols != 1:
-        raise ShapeMismatch(f"rhs {b.rows}x{b.cols} against {a.rows}x{a.cols}")
-    return factor(a).solve(b)
-
-
 def solve_matrix(a: Matrix, b: Matrix):
-    """Solve ``a @ x = b`` column by column; ``None`` if any column fails."""
+    """Solve ``a @ x = b`` column by column; ``None`` if any column fails.
+
+    See :meth:`Factorization.solve`: over Z a returned solution is integral.
+    """
     if b.rows != a.rows:
         raise ShapeMismatch(f"rhs {b.rows}x{b.cols} against {a.rows}x{a.cols}")
     return factor(a).solve(b)

@@ -14,16 +14,15 @@ from typing import Optional
 from .complexes import COCHAIN, ChainComplex, GradedMap
 from .cones import Homotopy
 from .errors import ConventionMismatch, NotAField, TooLarge, ValidationError
-from .linalg import solve
+from .linalg import solve_matrix
 from .matrix import Matrix
 from .rings import GF
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of one oracle run."""
+    """Outcome of one oracle run: homology ranks, or solvability and a witness."""
 
-    method: str  # "Enumeration" | "LinearSystem"
     ranks: Optional[dict[int, int]] = None
     solvable: Optional[bool] = None
     homotopy: Optional[Homotopy] = None
@@ -73,7 +72,7 @@ def brute_homology_f2(f: ChainComplex, max_total_dim: int = 12) -> OracleReport:
         kernel_rank = kernel_count.bit_length() - 1
         image_rank = len(image).bit_length() - 1
         ranks[n] = kernel_rank - image_rank
-    return OracleReport(method="Enumeration", ranks=ranks)
+    return OracleReport(ranks=ranks)
 
 
 def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> OracleReport:
@@ -94,7 +93,7 @@ def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> Ora
             raise ValidationError("oracle compares degree-0 endomorphisms")
     degrees = x.degrees()
     if not degrees:
-        return OracleReport(method="LinearSystem", solvable=True, homotopy=Homotopy(x, {}))
+        return OracleReport(solvable=True, homotopy=Homotopy(x, {}))
     # Index the unknown entries of each candidate block psi^n : X_n -> X_{n-1}.
     offsets = {}
     total = 0
@@ -135,15 +134,15 @@ def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> Ora
                 rhs.append(target.data[i][j])
     if not equations:
         solvable = all(v == 0 for v in rhs)
-        return OracleReport(method="LinearSystem", solvable=solvable, homotopy=Homotopy(x, {}) if solvable else None)
+        return OracleReport(solvable=solvable, homotopy=Homotopy(x, {}) if solvable else None)
     system = Matrix._raw(ring, len(equations), total, equations)
-    solution = solve(system, Matrix.column(ring, rhs))
+    solution = solve_matrix(system, Matrix.column(ring, rhs))
     if solution is None:
-        return OracleReport(method="LinearSystem", solvable=False)
+        return OracleReport(solvable=False)
     flat = [solution.data[i][0] for i in range(total)]
     blocks = {}
     for n, base in offsets.items():
         rows, cols = x.rank(n - 1), x.rank(n)
         entries = [[flat[base + k * cols + j] for j in range(cols)] for k in range(rows)]
         blocks[n] = Matrix(ring, entries, cols=cols)
-    return OracleReport(method="LinearSystem", solvable=True, homotopy=Homotopy(x, blocks))
+    return OracleReport(solvable=True, homotopy=Homotopy(x, blocks))

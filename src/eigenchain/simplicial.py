@@ -3,8 +3,8 @@
 Facets are closed under subsets; simplices are stored with sorted vertex
 indices and the boundary of a simplex alternates signs over deleted
 vertices.  That orientation convention is a choice made here: it
-reproduces the expected homology of the bundled examples, and the
-recorded basis labels let adapted-basis fixtures be matched explicitly.
+reproduces the expected homology of the bundled examples.  Vertex labels,
+when given, only count the vertices; simplices are named by index.
 """
 
 from __future__ import annotations
@@ -20,28 +20,14 @@ from .rings import Ring
 
 @dataclass
 class SimplicialComplexData:
-    """Vertex labels and the full simplex lists per dimension."""
+    """The full simplex lists per dimension, each sorted."""
 
-    labels: list[str]
     simplices: dict[int, list[tuple[int, ...]]]
-
-    def label_of(self, simplex: tuple[int, ...]) -> str:
-        names = [self.labels[v] for v in simplex]
-        joiner = "" if all(len(s) == 1 for s in names) else ","
-        return "[" + joiner.join(names) + "]"
-
-    def basis_labels(self) -> dict[int, list[str]]:
-        return {k: [self.label_of(s) for s in simps] for k, simps in self.simplices.items()}
 
 
 def close_simplicial(vertices, facets) -> SimplicialComplexData:
     """Validate input and close the facet list under subsets."""
-    if isinstance(vertices, int):
-        count = vertices
-        labels = [str(i) for i in range(count)]
-    else:
-        labels = [str(v) for v in vertices]
-        count = len(labels)
+    count = vertices if isinstance(vertices, int) else len(vertices)
     if count < 0:
         raise ValidationError("negative vertex count")
     seen: dict[int, set[tuple[int, ...]]] = {}
@@ -60,7 +46,7 @@ def close_simplicial(vertices, facets) -> SimplicialComplexData:
             for face in combinations(simplex, size):
                 seen.setdefault(size - 1, set()).add(face)
     simplices = {k: sorted(faces) for k, faces in seen.items()}
-    return SimplicialComplexData(labels, simplices)
+    return SimplicialComplexData(simplices)
 
 
 def simplicial_to_chain(vertices, facets, ring: Ring) -> tuple[ChainComplex, SimplicialComplexData]:

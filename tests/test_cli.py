@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from eigenchain.cli import main
+from eigenchain.errors import ParseError
 from eigenchain.formats import bundled_path, canonical_dumps, load_complex, reverify_certificate
 
 
@@ -333,3 +334,28 @@ def test_float_entries_are_rejected_over_q(workdir, capsys):
     assert code == 2
     assert out == ""
     assert "'entries'" in err and "1.5" in err
+
+
+@pytest.mark.parametrize("ring, bad", [("Q", "1/0"), ("Z", "1.5"), ({"Fp": 5}, "x")], ids=["q", "z", "f5"])
+def test_bad_entry_strings_are_parse_errors_naming_the_field(workdir, capsys, ring, bad):
+    def change(payload):
+        payload["ring"] = ring
+        payload["diffs"][0]["entries"][1][0] = bad
+
+    _edit(workdir, "s1_complex.json", change)
+    with pytest.raises(ParseError, match="diffs entry at from_degree 1"):
+        load_complex(workdir / "s1_complex.json")
+    code, out, err = run(capsys, "homology", workdir / "s1_complex.json")
+    assert code == 2
+    assert out == ""
+    assert "diffs entry at from_degree 1" in err and repr(bad) in err
+
+
+def test_cone_accepts_a_map_without_degree_shift(workdir, capsys):
+    # A missing degree_shift reads as 0: the cone is the one of the full file.
+    argv = [workdir / n for n in ("s1_complex.json", "s1_lambda.json", "s1_alpha.json")]
+    assert run(capsys, "cone", *argv, "-o", workdir / "with_shift.json")[0] == 0
+    _edit(workdir, "s1_alpha.json", _set(("degree_shift",), MISSING))
+    code, _, err = run(capsys, "cone", *argv, "-o", workdir / "without_shift.json")
+    assert code == 0, err
+    assert (workdir / "without_shift.json").read_bytes() == (workdir / "with_shift.json").read_bytes()

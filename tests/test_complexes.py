@@ -11,18 +11,15 @@ from eigenchain import (
     ChainComplex,
     GradedMap,
     Matrix,
+    block_diag,
     convert_convention,
-    direct_sum,
     homology,
     scalar_object,
-    shift,
     validate_chain_map,
     validate_complex,
 )
-from eigenchain.errors import ConventionMismatch, RingMismatch, ValidationError
+from eigenchain.errors import ValidationError
 from eigenchain.randgen import random_complex
-
-from conftest import circle_complex, circle_pair
 
 
 def test_zero_differentials_always_validate():
@@ -71,30 +68,18 @@ def test_non_cycle_eigenmap_fails(circle):
     assert report.degree == -1
 
 
-def test_shift_reindexes_without_signs():
-    lam = scalar_object(QQ, {0: 1, 1: 1})
-    assert shift(lam, 1).ranks == {-1: 1, 0: 1}
-    x = circle_complex()
-    assert shift(x, 2).diff(-3) == x.diff(-1)
-
-
-def test_direct_sum_ranks_for_the_circle_cone_terms():
-    f, lam, _ = circle_pair()
-    summed = direct_sum(shift(lam, 1), f)
-    assert summed.ranks == {-2: 1, -1: 4, 0: 3}
-
-
-def test_direct_sum_requires_matching_ring_and_convention():
-    with pytest.raises(RingMismatch):
-        direct_sum(scalar_object(QQ, {0: 1}), scalar_object(ZZ, {0: 1}))
-    with pytest.raises(ConventionMismatch):
-        direct_sum(scalar_object(QQ, {0: 1}), scalar_object(QQ, {0: 1}, convention="chain"))
-
-
 def test_scalar_object_has_zero_maps():
     lam = scalar_object(ZZ, {0: 1, 1: 1})
     assert lam.is_scalar()
     assert lam.diff(0).is_zero()
+
+
+def block_diag_sum(x, y):
+    """Degreewise direct sum of two cochain complexes, block-diagonal differentials."""
+    degrees = set(x.ranks) | set(y.ranks)
+    ranks = {n: x.rank(n) + y.rank(n) for n in degrees}
+    diffs = {n: block_diag([x.diff(n), y.diff(n)]) for n in degrees}
+    return ChainComplex(x.ring, "cochain", ranks, diffs)
 
 
 def test_homology_of_direct_sum_is_the_sum():
@@ -105,7 +90,7 @@ def test_homology_of_direct_sum_is_the_sum():
             y = random_complex(ring, rng, max_len=3, max_rank=3)
             hx = {n: h.betti for n, h in homology(x).by_degree.items()}
             hy = {n: h.betti for n, h in homology(y).by_degree.items()}
-            hs = {n: h.betti for n, h in homology(direct_sum(x, y)).by_degree.items()}
+            hs = {n: h.betti for n, h in homology(block_diag_sum(x, y)).by_degree.items()}
             expected = {
                 n: hx.get(n, 0) + hy.get(n, 0)
                 for n in set(hx) | set(hy) | set(hs)
@@ -134,6 +119,5 @@ def test_validated_outputs_of_constructions():
     for _ in range(8):
         x = random_complex(GF(3), rng, max_len=4, max_rank=3)
         assert validate_complex(x).ok
-        assert validate_complex(shift(x, rng.randint(-2, 2))).ok
         y = random_complex(GF(3), rng, max_len=3, max_rank=2)
-        assert validate_complex(direct_sum(x, y)).ok
+        assert validate_complex(block_diag_sum(x, y)).ok

@@ -22,7 +22,7 @@ from eigenchain import (
     verify_homotopy,
     zero_map,
 )
-from eigenchain.cones import Homotopy, adapted_cone_differential
+from eigenchain.cones import Homotopy, adapted_block
 from eigenchain.errors import HypothesisFailure, NotScalarSource, RingMismatch, ValidationError
 from eigenchain.randgen import random_complex
 
@@ -76,7 +76,7 @@ class TestMappingCone:
         f, lam, alpha = circle_with_pair
         cone = mapping_cone(alpha)
         dec = decompose(f)
-        ad = adapted_cone_differential(cone, dec, -1)
+        ad = adapted_block(cone, dec, cone.underlying.diff(-1), -1, 0)
         # Rows: lambda 0 | complement 1 | image 2; cols: lambda 1 | complement 3.
         assert ad.data[0][0] == 1  # alpha block lands in the complement rows
         top_row_zero = all(v == 0 for v in ad.data[0][1:])

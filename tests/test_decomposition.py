@@ -102,7 +102,8 @@ class TestHomology:
 
     def test_exact_complex_is_acyclic(self):
         x = ChainComplex(QQ, "cochain", {0: 1, 1: 1}, {0: Matrix(QQ, [[1]])})
-        assert homology(x).is_zero()
+        hom = homology(x)
+        assert not hom.betti_numbers() and not hom.torsion_by_degree()
 
     def test_f2_projector_complex(self):
         x = ChainComplex(F2, "cochain", {0: 2, 1: 2}, {0: Matrix(F2, [[1, 0], [0, 0]])})

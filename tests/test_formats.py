@@ -153,7 +153,7 @@ class TestSimplicial:
         # Edge order is lexicographic: [AB], [AC], [BC].
         expected = Matrix(ZZ, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
         assert chain.diff(1) == expected
-        assert data.basis_labels()[1] == ["[AB]", "[AC]", "[BC]"]
+        assert data.simplices[1] == [(0, 1), (0, 2), (1, 2)]
 
     def test_circle_homology_from_the_simplicial_file(self):
         doc = load_complex(bundled_path("s1_simplicial.json"))

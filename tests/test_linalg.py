@@ -20,7 +20,6 @@ from eigenchain import (
     rank,
     rref,
     smith_normal_form,
-    solve,
     solve_matrix,
     spans_equal,
 )
@@ -143,11 +142,11 @@ class TestKernelImage:
 class TestSolve:
     def test_identity(self):
         b = Matrix.column(ZZ, [1, 2, 3])
-        assert solve(Matrix.identity(ZZ, 3), b) == b
+        assert solve_matrix(Matrix.identity(ZZ, 3), b) == b
 
     def test_parity_obstruction(self):
-        assert solve(Matrix(ZZ, [[2]]), Matrix.column(ZZ, [1])) is None
-        assert solve(Matrix(QQ, [[2]]), Matrix.column(QQ, [1])) == Matrix.column(QQ, ["1/2"])
+        assert solve_matrix(Matrix(ZZ, [[2]]), Matrix.column(ZZ, [1])) is None
+        assert solve_matrix(Matrix(QQ, [[2]]), Matrix.column(QQ, [1])) == Matrix.column(QQ, ["1/2"])
 
     def test_random_consistent_systems(self):
         rng = random.Random(41)
@@ -156,7 +155,7 @@ class TestSolve:
                 rows, cols = rng.randint(1, 4), rng.randint(1, 4)
                 a = Matrix(ring, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
                 x = Matrix.column(ring, [rng.randint(-3, 3) for _ in range(cols)])
-                sol = solve(a, a @ x)
+                sol = solve_matrix(a, a @ x)
                 assert sol is not None
                 assert a @ sol == a @ x
 
