@@ -11,8 +11,13 @@ the contraction as witness.
 
 One :class:`~eigenchain.decompose.Decomposition` of F per call feeds every
 stage: homology ranks and torsion, the canonical pair, the cone layout,
-the hypothesis check and the witness.  Arbitration analyzes the cone once
-more, inside :func:`~eigenchain.cones.is_contractible`.
+the hypothesis check and the witness.  The verdict comes from ranks
+first: a rank mismatch or a non-injective eigenmap is read off the
+factorizations, and a degree of F is split only for the checks and the
+witness that need the split.  Arbitration, inside
+:func:`~eigenchain.cones.is_contractible`, ranks the cone's differentials
+modulo primes (over Z and F_p) and analyzes the cone only when it is
+exact modulo all of them.
 """
 
 from __future__ import annotations

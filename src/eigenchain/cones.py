@@ -31,10 +31,11 @@ from .complexes import (
     validate_chain_map,
     zero_map,
 )
-from .decompose import Decomposition
+from .decompose import Decomposition, _require_valid
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
-from .linalg import factor
+from .linalg import _rank_mod, factor
 from .matrix import Matrix, block_diag, hstack, vstack
+from .rings import Integers, PrimeField
 
 RANK_MISMATCH = "RankMismatch"
 TORSION = "Torsion"
@@ -230,14 +231,15 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     failures = []
     inverses = {}
     for n in sorted(set(lam.ranks) | set(f.ranks)):
-        part = dec.at(n)
-        if lam.rank(n) != part.complement_cycles.dim:
+        # Without torsion the Betti number is the rank of the complement's
+        # cycles, so the degree's split is built only for the checks below.
+        if lam.rank(n) != dec.betti(n):
             failures.append(FailureReason(RANK_MISMATCH, degree=n))
         elif n not in factored:
             continue
         elif not injective[n]:
             failures.append(FailureReason(ALPHA_NOT_INJECTIVE, degree=n))
-        elif part.complement_coords(alpha.block(n)) is None:
+        elif (part := dec.at(n)).complement_coords(alpha.block(n)) is None:
             failures.append(FailureReason(ALPHA_NOT_INTO_G, degree=n))
         else:
             inverse = factored[n].solve(part.cycles_in_ambient)
@@ -295,14 +297,38 @@ def construct_null_homotopy(
     return Homotopy(z, blocks)
 
 
+def _primes_to_try(ring) -> tuple[int, ...]:
+    """Primes whose residue fields can refute contractibility over ``ring``."""
+    if isinstance(ring, Integers):
+        return (2, 2147483647)
+    if isinstance(ring, PrimeField):
+        return (ring.p,)
+    return ()
+
+
+def _exact_modulo(x: ChainComplex, p: int) -> bool:
+    """Whether ``x`` is exact modulo ``p``: at each degree the incoming and outgoing ranks add up to its rank."""
+    ranks = {n: _rank_mod(d.data, p) for n, d in x.diffs.items()}
+    return all(ranks.get(n - 1, 0) + ranks.get(n, 0) == r for n, r in x.ranks.items())
+
+
 def is_contractible(x: ChainComplex) -> tuple[bool, Optional[Homotopy]]:
     """Decide null-homotopy existence and produce a witness when it exists.
 
     For bounded complexes of free modules this holds exactly when all
-    homology vanishes (including torsion over Z); the witness is built by
-    splitting, reusing the cone construction with an empty scalar part.
-    One analysis of ``x`` serves both the decision and the witness.
+    homology vanishes (including torsion over Z).  Over Z and F_p the
+    differentials are first ranked modulo primes (2 and 2^31 - 1 over Z,
+    p itself over F_p): a complex that contracts over Z contracts over
+    every F_p, and over a field exactness is contractibility, so a complex
+    that is not exact modulo some prime is refused without an analysis.
+    Only a complex exact modulo every prime tried (and every complex over
+    Q) is analyzed exactly; that one analysis serves both the decision,
+    which catches torsion at primes not tried, and the witness, built by
+    splitting with the cone construction and an empty scalar part.
     """
+    _require_valid(x)
+    if not all(_exact_modulo(x, p) for p in _primes_to_try(x.ring)):
+        return False, None
     dec = Decomposition(x)
     if any(dec.betti(n) or dec.torsion(n) for n in dec):
         return False, None

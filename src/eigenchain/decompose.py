@@ -31,9 +31,13 @@ from .linalg import SubspaceBasis, complement_and_inverse, factor, smith_normal_
 from .matrix import Matrix
 
 
-def _require_cochain(f: ChainComplex):
+def _require_valid(f: ChainComplex):
+    """Raise unless ``f`` is in the cochain presentation and its differentials compose to zero."""
     if f.convention != COCHAIN:
         raise ConventionMismatch("core operations expect the cochain presentation; convert first")
+    report = validate_complex(f)
+    if not report.ok:
+        raise ValidationError(report.message)
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,7 @@ class Decomposition:
     """
 
     def __init__(self, source: ChainComplex):
-        _require_cochain(source)
-        report = validate_complex(source)
-        if not report.ok:
-            raise ValidationError(report.message)
+        _require_valid(source)
         self.source = source
         self.ring = source.ring
         self.ranks = dict(source.ranks)
@@ -134,6 +135,9 @@ class Decomposition:
         return self.factored[n - 1].torsion if n - 1 in self.factored else ()
 
     def betti(self, n: int) -> int:
+        """Free rank of homology at ``n``; zero off the support."""
+        if n not in self.ranks:
+            return 0
         return self.ranks[n] - self.factored[n].rank - self.image_rank(n)
 
     def image(self, n: int) -> SubspaceBasis:

@@ -218,6 +218,10 @@ def graded_map_to_payload(gm: GradedMap, convention: str) -> dict:
 
 def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
     ring, sign = _read_header(payload, on, "homotopy")
+    # Absent means the homotopy's own shift: -1 internally, +1 in chain files.
+    shift = sign * _int_field(payload, "degree_shift", "homotopy", default=-sign)
+    if shift != -1:
+        raise ParseError(f"homotopy: 'degree_shift' must be {-sign} in {on.convention} convention, got {sign * shift}")
 
     def shape(n):
         return on.complex.rank(n - 1), on.complex.rank(n)

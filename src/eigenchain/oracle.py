@@ -3,7 +3,8 @@
 Neither oracle touches the decomposition or cone internals.  The F2
 homology oracle counts kernel and image sizes by enumerating bitmask
 vectors; the homotopy oracle assembles the degreewise homotopy identity
-into one linear system over the field and hands it to the exact solver.
+into one linear system over the ring and hands it to the exact solver,
+which over Z returns only integral solutions.
 """
 
 from __future__ import annotations
@@ -80,14 +81,12 @@ def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> Ora
 
     The unknowns are all entries of all homotopy blocks; every entry of
     the identity ``f - g = d∘psi + psi∘d`` at every degree becomes one
-    linear equation.  The assembled system is solved exactly; a returned
-    witness is repackaged as a :class:`Homotopy`.
+    linear equation.  The assembled system is solved exactly, over Z in
+    integers; a returned witness is repackaged as a :class:`Homotopy`.
     """
     if x.convention != COCHAIN:
         raise ConventionMismatch("oracle expects the cochain presentation")
     ring = x.ring
-    if not ring.is_field:
-        raise NotAField("homotopy linear system requires a field")
     for m in (f, g):
         if m.source != x or m.target != x or m.degree_shift != 0:
             raise ValidationError("oracle compares degree-0 endomorphisms")

@@ -140,6 +140,18 @@ def test_verify_homotopy_detects_tampering(workdir, capsys):
     assert "FAILED" in out
 
 
+@pytest.mark.parametrize("shift, code, out", [(7, 2, ""), (1, 0, "ok\n")], ids=["wrong", "chain-homotopy"])
+def test_verify_homotopy_reads_the_declared_degree_shift(workdir, capsys, shift, code, out):
+    # In chain convention a homotopy raises the degree by one; any other shift is a parse error.
+    cone = workdir / "cone.json"
+    run(capsys, "cone", *(workdir / n for n in ("s1_complex.json", "s1_lambda.json", "s1_alpha.json")), "-o", cone)
+    _edit(workdir, "s1_psi.json", _set(("degree_shift",), shift))
+    result = run(capsys, "verify-homotopy", cone, workdir / "s1_psi.json")
+    assert result[:2] == (code, out)
+    if code == 2:
+        assert "'degree_shift'" in result[2]
+
+
 def test_verify_homotopy_with_explicit_endpoints(workdir, capsys):
     # f = g = 0 admits the zero homotopy; check the --f/--g flags wire up.
     zero_f = {

@@ -22,9 +22,16 @@ from eigenchain import (
     verify_homotopy,
     zero_map,
 )
-from eigenchain.cones import Homotopy, adapted_block
+from eigenchain import cones
+from eigenchain.certify import decide_eigenvalue
+from eigenchain.complexes import COCHAIN, convert_convention
+from eigenchain.cones import Homotopy, _assemble_cone, adapted_block
+from eigenchain.decompose import Decomposition
 from eigenchain.errors import HypothesisFailure, NotScalarSource, RingMismatch, ValidationError
-from eigenchain.randgen import random_complex
+from eigenchain.formats import canonical_dumps, homotopy_to_payload
+from eigenchain.randgen import alpha_variants, random_complex
+from eigenchain.simplicial import simplicial_to_chain
+from test_golden_analysis import RP2
 
 F2 = GF(2)
 
@@ -216,3 +223,84 @@ class TestContractibility:
             assert not is_contractible(cone.underlying)[0]
             checked += 1
         assert checked >= 5
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """The complexes ``is_contractible`` analyzes exactly, in call order."""
+    built = []
+
+    class Counted(cones.Decomposition):
+        def __init__(self, source):
+            built.append(source)
+            super().__init__(source)
+
+    monkeypatch.setattr(cones, "Decomposition", Counted)
+    return built
+
+
+def one_differential(ring, d):
+    return ChainComplex(ring, "cochain", {0: 1, 1: 1}, {0: Matrix(ring, [[d]])})
+
+
+def rp2_with_a_vertex():
+    """RP^2 over Z with H_0 = Z realized by one vertex: the cone's homology is Z/2 alone."""
+    chain, _ = simplicial_to_chain(6, RP2, ZZ)
+    f = convert_convention(chain, COCHAIN)
+    lam = scalar_object(ZZ, {0: 1})
+    vertex = Matrix(ZZ, [[1]] + [[0]] * (f.rank(0) - 1))
+    return f, lam, GradedMap(lam, f, 0, {0: vertex})
+
+
+class TestModularArbitration:
+    """Z and F_p complexes are ranked modulo primes before any exact analysis."""
+
+    def test_two_torsion_is_refused_modulo_two(self, analyses):
+        f, lam, alpha = rp2_with_a_vertex()
+        cone = mapping_cone(alpha).underlying
+        analyses.clear()
+        for x in (cone, one_differential(ZZ, 2)):
+            assert not cones._exact_modulo(x, 2)
+            assert is_contractible(x) == (False, None)
+        assert analyses == []
+        cert = decide_eigenvalue(f, lam, alpha)
+        assert cert.verdict == "NotEigenvalue"
+        assert [r.kind for r in cert.failure_reasons] == ["NotSaturated"]
+
+    def test_three_torsion_falls_back_to_the_exact_analysis(self, analyses):
+        x = one_differential(ZZ, 3)
+        assert cones._exact_modulo(x, 2) and cones._exact_modulo(x, 2147483647)
+        assert is_contractible(x) == (False, None)
+        assert analyses == [x]
+
+    def test_invalid_complex_raises_before_ranking(self, analyses):
+        # Not exact modulo 2 either, so skipping the check would answer False.
+        one = Matrix(ZZ, [[1]])
+        x = ChainComplex(ZZ, "cochain", {0: 1, 1: 1, 2: 1}, {0: one, 1: one})
+        with pytest.raises(ValidationError, match="d∘d"):
+            is_contractible(x)
+        assert analyses == []
+
+    def test_flag_and_witness_match_the_exact_analysis(self, analyses):
+        paths = set()
+        for ring, seed in ((ZZ, 3), (F2, 4), (GF(5), 5)):
+            rng = random.Random(seed)
+            for _ in range(15):
+                f = random_complex(ring, rng, max_len=3, max_rank=3)
+                for _tag, _lam, alpha in alpha_variants(f, rng):
+                    x = mapping_cone(alpha).underlying
+                    analyses.clear()
+                    flag, psi = is_contractible(x)
+                    exact = all(cones._exact_modulo(x, p) for p in cones._primes_to_try(ring))
+                    assert analyses == ([x] if exact else [])
+                    dec = Decomposition(x)
+                    assert flag == (not any(dec.betti(n) or dec.torsion(n) for n in dec))
+                    if flag:
+                        expected = construct_null_homotopy(_assemble_cone(zero_map(scalar_object(ring, {}), x), dec), dec)
+                        assert canonical_dumps(homotopy_to_payload(psi, COCHAIN)) == canonical_dumps(
+                            homotopy_to_payload(Homotopy(x, dict(expected.blocks)), COCHAIN)
+                        )
+                    paths.add((ring, flag, exact))
+        # Both verdicts on every ring, and a Z cone exact modulo both primes but not contractible.
+        assert {(r, v) for r, v, _ in paths} == {(r, v) for r in (ZZ, F2, GF(5)) for v in (True, False)}
+        assert (ZZ, False, True) in paths

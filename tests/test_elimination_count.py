@@ -20,7 +20,8 @@ import pytest
 from eigenchain import QQ, ZZ, GradedMap, Matrix, linalg, scalar_object
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
 from eigenchain.complexes import COCHAIN, ChainComplex, convert_convention
-from eigenchain.decompose import homology
+from eigenchain.cones import RANK_MISMATCH, FailureReason
+from eigenchain.decompose import Decomposition, homology
 from eigenchain.randgen import alpha_variants, random_complex
 from eigenchain.simplicial import simplicial_to_chain
 from test_golden_analysis import RP2
@@ -83,6 +84,30 @@ def test_arbitration_analyzes_the_cone_once(eliminated):
     assert cert.is_eigenvalue() and cert.cone.underlying.diffs
     for d in list(f.diffs.values()) + list(cert.cone.underlying.diffs.values()):
         assert times_factored(eliminated, d) == 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_rank_mismatch_everywhere_builds_no_split(monkeypatch, ring):
+    # Every degree's rank mismatches, so the verdict needs ranks only: no
+    # degree of F or of the cone is split.
+    splits = []
+    original_split = Decomposition._split
+    monkeypatch.setattr(Decomposition, "_split", lambda dec, n: splits.append(n) or original_split(dec, n))
+    original = linalg.complement_and_inverse
+
+    def counted(sub):
+        splits.append(sub)
+        return original(sub)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("eigenchain")]:
+        if getattr(module, "complement_and_inverse", None) is original:
+            monkeypatch.setattr(module, "complement_and_inverse", counted)
+    f = skeleton(ring)
+    lam = scalar_object(ring, {-2: 11, -1: 1, 0: 2})  # Betti numbers 10, 0, 1, each plus one
+    cert = decide_eigenvalue(f, lam, GradedMap(lam, f, 0, {}))
+    assert cert.verdict == "NotEigenvalue"
+    assert cert.failure_reasons == [FailureReason(RANK_MISMATCH, degree=n) for n in (-2, -1, 0)]
+    assert splits == []
 
 
 def test_torsion_representatives_reuse_the_kernel_split(eliminated):

@@ -76,10 +76,21 @@ class TestHomotopySystem:
         assert report.solvable
         assert verify_homotopy(x, f, f, report.homotopy).ok
 
-    def test_rejects_integer_rings(self):
-        x = scalar_object(ZZ, {0: 1})
-        with pytest.raises(NotAField):
-            homotopy_system_solvable(x, zero_map(x, x), identity_map(x))
+    def test_agrees_with_the_contractibility_criterion_over_z(self):
+        # d = [2] and d = [3] are exact over Q but not over Z: no integral homotopy.
+        rng = random.Random(52)
+        complexes = [random_complex(ZZ, rng, max_len=4, max_rank=3, total_cap=10) for _ in range(20)]
+        complexes += [ChainComplex(ZZ, "cochain", {0: 1, 1: 1}, {0: Matrix(ZZ, [[d]])}) for d in (1, 2, 3)]
+        flags = set()
+        for x in complexes:
+            flag, _ = is_contractible(x)
+            report = homotopy_system_solvable(x, zero_map(x, x), identity_map(x))
+            assert flag == report.solvable
+            if report.solvable:
+                assert verify_homotopy(x, zero_map(x, x), identity_map(x), report.homotopy).ok
+            flags.add(flag)
+        assert flags == {True, False}
+        assert [is_contractible(x)[0] for x in complexes[-3:]] == [True, False, False]
 
     def test_agrees_with_the_contractibility_criterion(self):
         rng = random.Random(51)
