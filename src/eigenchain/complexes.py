@@ -19,6 +19,14 @@ from .rings import Ring
 COCHAIN = "cochain"
 CHAIN = "chain"
 
+# The size cap on input: the largest rank a degree of a complex file may
+# have, and the largest vertex count and number of simplices per dimension
+# of a simplicial file.  The readers refuse more with a ParseError before
+# any matrix is built; exact elimination of a dense matrix of this side is
+# already far beyond what this kernel finishes, and a rank of, say, 10^9
+# would otherwise allocate a 10^9-square identity.
+MAX_RANK = 4096
+
 
 def convention_sign(convention: str) -> int:
     """The differential's step in ``convention``: +1 for cochain, -1 for chain.

@@ -300,7 +300,7 @@ def construct_null_homotopy(
 def _primes_to_try(ring) -> tuple[int, ...]:
     """Primes whose residue fields can refute contractibility over ``ring``."""
     if isinstance(ring, Integers):
-        return (2, 2147483647)
+        return (2, 3)
     if isinstance(ring, PrimeField):
         return (ring.p,)
     return ()
@@ -317,10 +317,12 @@ def is_contractible(x: ChainComplex) -> tuple[bool, Optional[Homotopy]]:
 
     For bounded complexes of free modules this holds exactly when all
     homology vanishes (including torsion over Z).  Over Z and F_p the
-    differentials are first ranked modulo primes (2 and 2^31 - 1 over Z,
-    p itself over F_p): a complex that contracts over Z contracts over
-    every F_p, and over a field exactness is contractibility, so a complex
-    that is not exact modulo some prime is refused without an analysis.
+    differentials are first ranked modulo primes (2 and 3 over Z, p itself
+    over F_p): a complex that contracts over Z contracts over every F_p,
+    and over a field exactness is contractibility, so a complex that is
+    not exact modulo some prime is refused without an analysis.  Over Z
+    exactness modulo one prime already implies exactness over Q, so the
+    second prime can only refuse a cone whose homology has 3-torsion.
     Only a complex exact modulo every prime tried (and every complex over
     Q) is analyzed exactly; that one analysis serves both the decision,
     which catches torsion at primes not tried, and the witness, built by

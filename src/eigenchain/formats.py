@@ -17,12 +17,14 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .certify import EigenCertificate, FailureReason
 from .complexes import (
     CHAIN,
     COCHAIN,
+    MAX_RANK,
     ChainComplex,
     GradedMap,
     convention_sign,
@@ -50,7 +52,65 @@ class ComplexDoc:
 
 
 def canonical_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte, but faster.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder;
+    documents here hold only dicts with ``str`` keys, lists, ``str``,
+    ``int``, ``bool`` and ``None``, which this writer renders directly.
+    A tuple is written as a list, as ``json`` does.  Any other value
+    (floats included, which no format here writes) or key raises
+    ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list):
+    """Append the indented JSON of ``value`` to ``out``; ``newline`` ends with the current indent."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            if type(item) is str:
+                out.append(_json_string(item))
+            else:
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        bad = next((key for key in value if not isinstance(key, str)), None)
+        if bad is not None:
+            raise TypeError(f"canonical JSON keys must be str, got {bad!r}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_json_string(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"canonical JSON cannot hold {type(value).__name__} {value!r}")
 
 
 def _load_json(path) -> dict:
@@ -170,6 +230,8 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
         rank = _int_field(item, "rank", f"degree {deg}")
         if rank < 0:
             raise ValidationError(f"negative rank at degree {deg}")
+        if rank > MAX_RANK:
+            raise ParseError(f"complex: rank {rank} at degree {deg} exceeds the size cap of {MAX_RANK}")
         if rank:
             ranks[sign * deg] = rank
 

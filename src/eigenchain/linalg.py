@@ -6,6 +6,13 @@ than their nonzeros.  Over Z nothing leaves the integers: Smith forms
 and complement splits (which pivot fraction-free, after Bareiss) work on
 ``int``s, and only Q computes with ``Fraction``s.
 
+``rref`` and ``smith_normal_form`` update only their working matrix and
+log each elementary operation they apply.  Their transforms (the rref's
+left transform; a Smith form's ``U``, ``U^-1`` and ``V``) are built by
+replaying that log onto an identity the first time something reads them,
+so a rank or an invariant factor costs one elimination and no transform,
+and a transform that is read costs no more than updating it inline did.
+
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
 Smith reduction picks the smallest-absolute-value nonzero entry of the
@@ -16,7 +23,8 @@ golden tests and reproducible certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -33,11 +41,25 @@ from .rings import Integers
 
 @dataclass(frozen=True)
 class RrefResult:
-    """``transform @ input == echelon`` with ``transform`` invertible."""
+    """``transform @ input == echelon`` with ``transform`` invertible.
+
+    The elimination keeps only ``echelon`` and ``pivots`` and logs its row
+    operations in ``steps``, one ``(row, pivot_row, inverse, eliminations)``
+    per pivot: the swap of ``row`` with ``pivot_row``, the scaling of the
+    pivot row by ``inverse`` (``None`` when the pivot is already one), and
+    the ``(i, f)`` pairs that subtract ``f`` times the pivot row from row
+    ``i``.  ``transform`` replays that log onto the identity the first time
+    it is read, and is kept from then on.
+    """
 
     echelon: Matrix
-    transform: Matrix
     pivots: tuple[int, ...]
+    steps: list = field(repr=False)
+
+    @cached_property
+    def transform(self) -> Matrix:
+        m = self.echelon.rows
+        return Matrix._raw(self.echelon.ring, m, m, _replay_rref(self.echelon.ring, m, self.steps))
 
 
 @dataclass(frozen=True)
@@ -46,15 +68,36 @@ class SnfResult:
 
     ``s`` is diagonal, entries nonnegative, each dividing the next, zeros
     trailing.  ``invariant_factors`` is the full diagonal of ``s`` (length
-    ``min(rows, cols)``).  ``u_inv`` is carried along because image bases
-    and basis completions read off its columns.
+    ``min(rows, cols)``).  ``u_inv`` is available because image bases and
+    basis completions read off its columns.
+
+    The elimination updates ``s`` alone and logs its row operations in
+    ``row_ops`` and its column operations in ``col_ops`` (see
+    :func:`_replay`).  ``u``, ``u_inv`` and ``v`` are each built by
+    replaying the log onto an identity the first time they are read, and
+    kept from then on, so a caller that reads only ranks or invariant
+    factors never builds a transform.
     """
 
-    u: Matrix
     s: Matrix
-    v: Matrix
     invariant_factors: tuple[int, ...]
-    u_inv: Matrix
+    row_ops: list = field(repr=False)
+    col_ops: list = field(repr=False)
+
+    @cached_property
+    def u(self) -> Matrix:
+        m = self.s.rows
+        return Matrix._raw(self.s.ring, m, m, _replay(self.row_ops, m))
+
+    @cached_property
+    def u_inv(self) -> Matrix:
+        m = self.s.rows
+        return Matrix._raw(self.s.ring, m, m, zip(*_replay(self.row_ops, m, inverse=True)))
+
+    @cached_property
+    def v(self) -> Matrix:
+        n = self.s.cols
+        return Matrix._raw(self.s.ring, n, n, zip(*_replay(self.col_ops, n)))
 
 
 @dataclass(frozen=True)
@@ -74,14 +117,14 @@ class SubspaceBasis:
 
 
 def rref(a: Matrix) -> RrefResult:
-    """Reduced row-echelon form over a field, with the left transform."""
+    """Reduced row-echelon form over a field; its left transform is built on first read."""
     ring = a.ring
     if not ring.is_field:
         raise NotAField(f"rref needs a field, got {ring}")
     m, n = a.rows, a.cols
     red = ring.reduce if ring.needs_reduction else (lambda v: v)
     work = a.grid()
-    trans = Matrix.identity(ring, m).grid()
+    steps = []
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -91,80 +134,117 @@ def rref(a: Matrix) -> RrefResult:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
-        inv = ring.inv(work[r][c])
+        inv = None
         if work[r][c] != 1:
+            inv = ring.inv(work[r][c])
             work[r] = [red(v * inv) if v else v for v in work[r]]
-            trans[r] = [red(v * inv) if v else v for v in trans[r]]
         wnz = [(j, y) for j, y in enumerate(work[r]) if y]
-        tnz = [(j, y) for j, y in enumerate(trans[r]) if y]
+        eliminations = []
         for i in range(m):
             f = work[i][c]
             if i != r and f != 0:
-                wi, ti = work[i], trans[i]
+                wi = work[i]
                 for j, y in wnz:
                     wi[j] = red(wi[j] - f * y)
-                for j, y in tnz:
-                    ti[j] = red(ti[j] - f * y)
+                eliminations.append((i, f))
+        steps.append((r, pivot_row, inv, eliminations))
         pivots.append(c)
         r += 1
-    return RrefResult(
-        Matrix._raw(ring, m, n, work),
-        Matrix._raw(ring, m, m, trans),
-        tuple(pivots),
-    )
+    return RrefResult(Matrix._raw(ring, m, n, work), tuple(pivots), steps)
+
+
+def _replay_rref(ring, m: int, steps) -> list[list]:
+    """The ``m``-by-``m`` identity after the row operations :func:`rref` logged in ``steps``."""
+    red = ring.reduce if ring.needs_reduction else (lambda v: v)
+    trans = Matrix.identity(ring, m).grid()
+    for r, pivot_row, inv, eliminations in steps:
+        trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
+        if inv is not None:
+            trans[r] = [red(v * inv) if v else v for v in trans[r]]
+        tnz = [(j, y) for j, y in enumerate(trans[r]) if y]
+        for i, f in eliminations:
+            ti = trans[i]
+            for j, y in tnz:
+                ti[j] = red(ti[j] - f * y)
+    return trans
 
 
 def _eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _replay(ops, k: int, inverse: bool = False) -> list[list[int]]:
+    """The ``k``-by-``k`` integer identity after the row operations ``ops``, in order.
+
+    ``(i, t, q)`` subtracts ``q`` times row ``t`` from row ``i``, ``(i, t)``
+    swaps the two rows and ``(i,)`` negates row ``i``.  A column operation
+    on a transform is the same operation on the rows of its transpose, so
+    :func:`smith_normal_form` logs ``V``'s column operations in this form
+    too.  With ``inverse`` each subtraction is undone on the other side,
+    which builds the transpose of the inverse: row ``t`` gains ``q`` times
+    row ``i`` (swaps and negations are their own inverse transposes).
+    """
+    g = _eye(k)
+    for op in ops:
+        if len(op) == 3:
+            i, t, q = op
+            if inverse:
+                i, t, q = t, i, -q
+            dst = g[i]
+            for j, y in enumerate(g[t]):
+                if y:
+                    dst[j] -= q * y
+        elif len(op) == 2:
+            i, t = op
+            g[i], g[t] = g[t], g[i]
+        else:
+            (i,) = op
+            g[i] = [-x for x in g[i]]
+    return g
+
+
 def smith_normal_form(a: Matrix) -> SnfResult:
-    """Smith normal form over Z with unimodular transforms."""
+    """Smith normal form over Z; its unimodular transforms are built on first read."""
     if not isinstance(a.ring, Integers):
         raise NotIntegerRing(f"Smith normal form needs Z, got {a.ring}")
     m, n = a.rows, a.cols
     w = a.grid()
-    u, uinv, v = _eye(m), _eye(m), _eye(n)
+    # Row operations act on U (and U^-1); column operations act on V and
+    # are logged as the same operations on V's transpose.
+    row_ops: list[tuple[int, ...]] = []
+    col_ops: list[tuple[int, ...]] = []
 
     def row_sub(i, t, q):
-        # row_i -= q * row_t ; keep u_inv consistent: col_t += q * col_i
+        # row_i -= q * row_t
         if not q:
             return
-        for src, dst in ((w[t], w[i]), (u[t], u[i])):
-            for j, y in enumerate(src):
-                if y:
-                    dst[j] -= q * y
-        for row in uinv:
-            if row[i]:
-                row[t] += q * row[i]
+        dst = w[i]
+        for j, y in enumerate(w[t]):
+            if y:
+                dst[j] -= q * y
+        row_ops.append((i, t, q))
 
     def row_swap(i, t):
         w[i], w[t] = w[t], w[i]
-        u[i], u[t] = u[t], u[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][t] = uinv[r][t], uinv[r][i]
+        row_ops.append((i, t))
 
     def row_neg(i):
         w[i] = [-x for x in w[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
+        row_ops.append((i,))
 
     def col_sub(j, t, q):
         # col_j -= q * col_t
         if not q:
             return
-        for grid in (w, v):
-            for row in grid:
-                if row[t]:
-                    row[j] -= q * row[t]
+        for row in w:
+            if row[t]:
+                row[j] -= q * row[t]
+        col_ops.append((j, t, q))
 
     def col_swap(j, t):
-        for r in range(m):
-            w[r][j], w[r][t] = w[r][t], w[r][j]
-        for r in range(n):
-            v[r][j], v[r][t] = v[r][t], v[r][j]
+        for row in w:
+            row[j], row[t] = row[t], row[j]
+        col_ops.append((j, t))
 
     def find_pivot(t):
         best = None
@@ -229,13 +309,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             pos = (t, t)
 
     factors = tuple(w[i][i] for i in range(min(m, n)))
-    return SnfResult(
-        Matrix._raw(a.ring, m, m, u),
-        Matrix._raw(a.ring, m, n, w),
-        Matrix._raw(a.ring, n, n, v),
-        factors,
-        Matrix._raw(a.ring, m, m, uinv),
-    )
+    return SnfResult(Matrix._raw(a.ring, m, n, w), factors, row_ops, col_ops)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .complexes import CHAIN, ChainComplex
-from .errors import BadIndex, ValidationError
+from .complexes import CHAIN, MAX_RANK, ChainComplex
+from .errors import BadIndex, ParseError, ValidationError
 from .matrix import Matrix
 from .rings import Ring
 
@@ -26,10 +27,18 @@ class SimplicialComplexData:
 
 
 def close_simplicial(vertices, facets) -> SimplicialComplexData:
-    """Validate input and close the facet list under subsets."""
+    """Validate input and close the facet list under subsets.
+
+    Input past the size cap :data:`~eigenchain.complexes.MAX_RANK` raises
+    :class:`ParseError` before its closure grows: more vertices, a facet
+    whose own closure has more faces of one dimension, or more simplices
+    of one dimension in all.
+    """
     count = vertices if isinstance(vertices, int) else len(vertices)
     if count < 0:
         raise ValidationError("negative vertex count")
+    if count > MAX_RANK:
+        raise ParseError(f"{count} vertices exceed the size cap of {MAX_RANK}")
     seen: dict[int, set[tuple[int, ...]]] = {}
     for facet in facets:
         if not facet:
@@ -41,10 +50,14 @@ def close_simplicial(vertices, facets) -> SimplicialComplexData:
             idx.append(v)
         if len(set(idx)) != len(idx):
             raise ValidationError(f"facet {facet} repeats a vertex")
+        if comb(len(idx), len(idx) // 2) > MAX_RANK:
+            raise ParseError(f"facet of {len(idx)} vertices: its faces exceed the size cap of {MAX_RANK}")
         simplex = tuple(sorted(idx))
         for size in range(1, len(simplex) + 1):
-            for face in combinations(simplex, size):
-                seen.setdefault(size - 1, set()).add(face)
+            faces = seen.setdefault(size - 1, set())
+            faces.update(combinations(simplex, size))
+            if len(faces) > MAX_RANK:
+                raise ParseError(f"simplices of dimension {size - 1} exceed the size cap of {MAX_RANK}")
     simplices = {k: sorted(faces) for k, faces in seen.items()}
     return SimplicialComplexData(simplices)
 

@@ -2,6 +2,8 @@
 
 import json
 import shutil
+from itertools import combinations
+from time import perf_counter
 
 import pytest
 
@@ -371,3 +373,23 @@ def test_cone_accepts_a_map_without_degree_shift(workdir, capsys):
     code, _, err = run(capsys, "cone", *argv, "-o", workdir / "without_shift.json")
     assert code == 0, err
     assert (workdir / "without_shift.json").read_bytes() == (workdir / "with_shift.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"ring": "Z", "convention": "chain", "degrees": [{"degree": 0, "rank": 10**9}], "diffs": []},
+        {"vertices": 10**9, "facets": [[0, 1]]},
+        {"vertices": 20, "facets": [list(range(20))]},
+        {"vertices": 31, "facets": [list(t) for t in combinations(range(31), 3)]},
+    ],
+    ids=["rank", "vertices", "facet-size", "simplices"],
+)
+def test_input_past_the_size_cap_exits_two_at_once(tmp_path, capsys, payload):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    start = perf_counter()
+    code, out, err = run(capsys, "homology", path)
+    assert perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "size cap of 4096" in err

@@ -267,9 +267,16 @@ class TestModularArbitration:
         assert cert.verdict == "NotEigenvalue"
         assert [r.kind for r in cert.failure_reasons] == ["NotSaturated"]
 
-    def test_three_torsion_falls_back_to_the_exact_analysis(self, analyses):
+    def test_three_torsion_is_refused_modulo_three(self, analyses):
         x = one_differential(ZZ, 3)
-        assert cones._exact_modulo(x, 2) and cones._exact_modulo(x, 2147483647)
+        assert cones._primes_to_try(ZZ) == (2, 3)
+        assert cones._exact_modulo(x, 2) and not cones._exact_modulo(x, 3)
+        assert is_contractible(x) == (False, None)
+        assert analyses == []
+
+    def test_five_torsion_falls_back_to_the_exact_analysis(self, analyses):
+        x = one_differential(ZZ, 5)
+        assert all(cones._exact_modulo(x, p) for p in cones._primes_to_try(ZZ))
         assert is_contractible(x) == (False, None)
         assert analyses == [x]
 

@@ -6,7 +6,8 @@ Every elimination (``rref``, ``smith_normal_form`` and the fraction-free
 The analysis of a complex factors each differential exactly once and
 derives the rest of its splits from a few more eliminations per degree;
 these tests keep duplicate analyses from creeping back in.  Over Z no
-``Fraction`` is built at all.
+``Fraction`` is built at all.  A transform is replayed from its
+elimination's log only when something reads it, and at most once.
 """
 
 import random
@@ -108,6 +109,48 @@ def test_rank_mismatch_everywhere_builds_no_split(monkeypatch, ring):
     assert cert.verdict == "NotEigenvalue"
     assert cert.failure_reasons == [FailureReason(RANK_MISMATCH, degree=n) for n in (-2, -1, 0)]
     assert splits == []
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Each transform built from an elimination's log, as (log, inverse), in call order.
+
+    Smith forms log row operations (replayed for U, and with ``inverse``
+    for U^-1) and column operations (for V); rref logs its pivot steps
+    (``inverse`` is ``None``).  Holding the logs keeps their ids distinct.
+    """
+    calls = []
+    replay, replay_rref = linalg._replay, linalg._replay_rref
+
+    def counted(ops, k, inverse=False):
+        calls.append((ops, inverse))
+        return replay(ops, k, inverse)
+
+    def counted_rref(ring, m, steps):
+        calls.append((steps, None))
+        return replay_rref(ring, m, steps)
+
+    monkeypatch.setattr(linalg, "_replay", counted)
+    monkeypatch.setattr(linalg, "_replay_rref", counted_rref)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_rank_mismatch_everywhere_replays_no_transform(replays, ring):
+    f = skeleton(ring)
+    lam = scalar_object(ring, {-2: 11, -1: 1, 0: 2})  # Betti numbers 10, 0, 1, each plus one
+    cert = decide_eigenvalue(f, lam, GradedMap(lam, f, 0, {}))
+    assert [r.kind for r in cert.failure_reasons] == [RANK_MISMATCH] * 3
+    assert replays == []
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_a_positive_certificate_replays_each_transform_at_most_once(replays, ring):
+    cert = certify_homology_eigenvalue(skeleton(ring))
+    assert cert.is_eigenvalue()
+    assert replays
+    built = [(id(log), inverse) for log, inverse in replays]
+    assert len(built) == len(set(built))
 
 
 def test_torsion_representatives_reuse_the_kernel_split(eliminated):

@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eigenchain import QQ, ZZ, ChainComplex, Matrix, homology
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
+from eigenchain.complexes import MAX_RANK
 from eigenchain.errors import BadIndex, ParseError, ValidationError
 from eigenchain.formats import (
     ComplexDoc,
@@ -186,11 +189,59 @@ class TestSimplicial:
         with pytest.raises(BadIndex):
             close_simplicial(2, [[0, 5]])
 
+    def test_size_cap(self):
+        close_simplicial(MAX_RANK, [[0, 1]])
+        with pytest.raises(ParseError, match="vertices exceed the size cap"):
+            close_simplicial(MAX_RANK + 1, [[0, 1]])
+        close_simplicial(14, [list(range(14))])  # at most 3432 faces of one dimension
+        with pytest.raises(ParseError, match="facet of 15 vertices"):
+            close_simplicial(15, [list(range(15))])  # 6435 of dimension 6
+        with pytest.raises(ParseError, match="simplices of dimension 1 exceed the size cap"):
+            close_simplicial(92, [[i, j] for i in range(92) for j in range(i + 1, 92)])  # 4186 edges
+
     def test_closure_is_computed(self):
         data = close_simplicial(3, [[0, 1, 2]])
         assert len(data.simplices[0]) == 3
         assert len(data.simplices[1]) == 3
         assert len(data.simplices[2]) == 1
+
+
+def test_complex_ranks_past_the_size_cap_are_parse_errors():
+    def payload(rank):
+        return {"ring": "Z", "convention": "cochain", "degrees": [{"degree": 3, "rank": rank}], "diffs": []}
+
+    assert complex_from_payload(payload(MAX_RANK)).complex.ranks == {3: MAX_RANK}
+    with pytest.raises(ParseError, match=f"rank {MAX_RANK + 1} at degree 3 exceeds the size cap"):
+        complex_from_payload(payload(MAX_RANK + 1))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-(2**80)) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestCanonicalDumps:
+    @given(JSON_VALUES)
+    def test_matches_sorted_indented_json(self, value):
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_edge_cases(self):
+        value = {
+            "": [],
+            "b": {},
+            "a": [[], {}, [[None]], {"z": True, "y": False}],
+            'quote " and back\\slash': "tab\t nul\x00 bell\x07 é ∂ 😀",
+            "big": -(10**40),
+        }
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert canonical_dumps(("a", 1)) == canonical_dumps(["a", 1])
+
+    @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2}}, b"bytes"], ids=repr)
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            canonical_dumps(value)
 
 
 class TestDetection:

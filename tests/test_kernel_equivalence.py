@@ -3,10 +3,13 @@
 ``@``, ``rref`` and ``smith_normal_form`` skip zero entries.  The dense
 loops below are the definitions they must reproduce exactly: the same
 entries, pivots and transforms, with every entry canonical for its ring.
+The transforms are replayed from the elimination's log when first read,
+so they must match whichever of them is read first.
 """
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -244,3 +247,43 @@ def test_smith_form_folds_rows_for_divisibility(entries):
 @pytest.mark.parametrize("m, n", EMPTY_SHAPES)
 def test_smith_form_of_empty_shapes(m, n):
     _assert_snf_matches(Matrix.zeros(ZZ, m, n))
+
+
+def _replay_inputs(rng):
+    for m, n, _ in _shapes(rng):
+        yield sparse_matrix(ZZ, rng, m, n)
+    yield dense_matrix(ZZ, rng, rng.randint(1, 7), rng.randint(1, 7))
+    yield Matrix(ZZ, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    for m, n in EMPTY_SHAPES:
+        yield Matrix.zeros(ZZ, m, n)
+
+
+@pytest.mark.parametrize("order", list(permutations(("u", "u_inv", "v"))), ids="-".join)
+@pytest.mark.parametrize("seed", range(3))
+def test_smith_transforms_read_in_any_order_match_dense_reduction(order, seed):
+    for a in _replay_inputs(random.Random(100 + seed)):
+        res = smith_normal_form(a)
+        w, u, v, uinv = dense_snf(a)
+        expected = {"u": u, "u_inv": uinv, "v": v}
+        for name in order:
+            mat = getattr(res, name)
+            assert mat.data == as_tuples(expected[name])
+            assert_canonical(mat)
+            assert getattr(res, name) is mat
+        assert res.s.data == as_tuples(w)
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_rref_transform_read_first_matches_dense_elimination(ring, seed):
+    rng = random.Random(200 + seed)
+    inputs = [Matrix.zeros(ring, m, n) for m, n in EMPTY_SHAPES]
+    for m, n, _ in _shapes(rng):
+        inputs += [sparse_matrix(ring, rng, m, n), dense_matrix(ring, rng, m, n)]
+    for a in inputs:
+        res = rref(a)
+        work, trans, pivots = dense_rref(a)
+        assert res.transform.data == as_tuples(trans)
+        assert_canonical(res.transform)
+        assert res.transform is res.transform
+        assert (res.echelon.data, res.pivots) == (as_tuples(work), pivots)
