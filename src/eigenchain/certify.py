@@ -4,20 +4,21 @@ A certificate records, for a triple (complex F, zero-differential complex
 lambda, chain map alpha), whether the mapping cone of alpha is
 null-homotopic.  A positive verdict always ships a witness homotopy that
 re-verifies from scratch; a negative verdict names the first violated
-hypothesis per degree and is double-checked against the contractibility
-criterion, so a complement-dependent hypothesis failure can never mask a
-valid pair: if the cone contracts anyway, the verdict is positive with
-the contraction as witness.
+hypothesis per degree.  The verdict does not depend on the chosen
+complement: it is negative exactly when alpha induces no isomorphism on
+homology, read in F's homology coordinates.  So a complement-dependent
+hypothesis failure can never mask a valid pair; if the cone contracts
+anyway, the verdict is positive with the contraction as witness.
 
 One :class:`~eigenchain.decompose.Decomposition` of F per call feeds every
 stage: homology ranks and torsion, the canonical pair, the cone layout,
 the hypothesis check and the witness.  The verdict comes from ranks
 first: a rank mismatch or a non-injective eigenmap is read off the
 factorizations, and a degree of F is split only for the checks and the
-witness that need the split.  Arbitration, inside
-:func:`~eigenchain.cones.is_contractible`, ranks the cone's differentials
-modulo primes (over Z and F_p) and analyzes the cone only when it is
-exact modulo all of them.
+witness that need the split.  The cone itself is analyzed, by
+:func:`~eigenchain.cones.is_contractible`, only for the contraction
+witness of a pair whose hypotheses fail although alpha is an
+isomorphism on homology.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ def _decide(alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
         witness = _verified(cone, construct_null_homotopy(cone, dec, check), "constructed witness")
         return _certificate(dec, EIGENVALUE, witness=witness, **base)
 
-    # Hypotheses are stated relative to our complement choice; arbitration
-    # by the contractibility criterion keeps the verdict choice-free.
-    contractible, witness = is_contractible(cone.underlying)
-    if contractible:
+    # Hypotheses are stated relative to our complement choice; the verdict
+    # reads alpha in homology coordinates instead, so it is choice-free.
+    # Only a positive arbitration analyzes the cone, for its witness.
+    if check.homology_iso:
+        _, witness = is_contractible(cone.underlying)
         return _certificate(dec, EIGENVALUE, witness=_verified(cone, witness, "contraction witness"), **base)
     return _certificate(dec, NOT_EIGENVALUE, failure_reasons=check.failures, **base)
 
@@ -114,8 +116,8 @@ def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> E
     fast path checks the per-degree hypotheses (rank match, injectivity,
     image inside the chosen complement and spanning its cycles) and then
     constructs the explicit witness; if some hypothesis fails, the
-    contractibility criterion arbitrates before a negative verdict is
-    issued.
+    verdict is positive exactly when alpha is still an isomorphism on
+    homology, with the cone's contraction as witness.
     """
     if alpha.source != lam or alpha.target != f:
         raise ValidationError("alpha does not map the given scalar object into the given complex")

@@ -19,7 +19,7 @@ from .certify import certify_homology_eigenvalue, decide_eigenvalue
 from .complexes import identity_map, validate_complex, zero_map
 from .cones import is_contractible, mapping_cone, verify_homotopy
 from .decompose import decompose, homology
-from .errors import EigenchainError
+from .errors import EigenchainError, ValidationError
 from .formats import (
     ComplexDoc,
     certificate_to_payload,
@@ -52,8 +52,17 @@ def _ring_flag(text: str) -> Ring:
     if t == "z":
         return ZZ
     if t.startswith("f") and t[1:].isdigit():
-        return GF(int(t[1:]))
+        try:
+            return GF(int(t[1:]))
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(f"ring {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(f"unknown ring {text!r} (use Q, Z, or F<p>)")
+
+
+def _count_flag(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _group_label(ring, betti: int, torsion) -> str:
@@ -250,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("proptest", help="seeded oracle-equivalence suites")
     p.add_argument("--ring", type=_ring_flag, default=GF(2))
-    p.add_argument("--max-dim", type=int, default=8)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--max-dim", type=_count_flag, default=8)
+    p.add_argument("--trials", type=_count_flag, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_proptest)
 

@@ -14,7 +14,11 @@ Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout, the
 single hypothesis checker :func:`check_hypotheses`, the witness, and
 :func:`adapted_block`, the change to (scalar | complement | image) block
-coordinates.
+coordinates.  The checker also reads whether ``alpha`` is an isomorphism
+on homology, in the homology coordinates of that analysis, which decides
+whether the cone contracts without analyzing the cone;
+:func:`is_contractible` analyzes a complex of its own and builds the
+contraction witness.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ from .complexes import (
     validate_chain_map,
     zero_map,
 )
-from .decompose import Decomposition, _require_valid
+from .decompose import Decomposition
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
-from .linalg import _rank_mod, factor
+from .linalg import factor
 from .matrix import Matrix, block_diag, hstack, vstack
-from .rings import Integers, PrimeField
 
 RANK_MISMATCH = "RankMismatch"
 TORSION = "Torsion"
@@ -205,11 +208,15 @@ class HypothesisCheck:
     with torsion yields the single NotSaturated failure of its lowest such
     degree.  ``alpha_inverse`` solves ``alpha_n x = cycles`` wherever every
     hypothesis holds: the witness inverts the eigenmap with it.
+    ``homology_iso`` says whether ``alpha`` induces an isomorphism on
+    homology, which for bounded free complexes is exactly when its cone
+    contracts.
     """
 
     injective: dict[int, bool]
     failures: list[FailureReason]
     alpha_inverse: dict[int, Matrix]
+    homology_iso: bool
 
 
 def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
@@ -220,6 +227,14 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     (automatic over a field once ranks match; a genuine extra condition
     over Z).  Each block of ``alpha`` is factored once, for its
     injectivity and its solve.
+
+    Every failure but AlphaNotIntoG already shows that ``alpha`` is no
+    isomorphism on homology: ranks differ, a kernel vector maps to class
+    zero, ``alpha`` is cycles times a non-unimodular matrix, or homology
+    has torsion that a free ``lambda`` cannot match.  A cycle is a
+    complement cycle plus a boundary, so at an AlphaNotIntoG degree
+    ``to_cycle_coords @ alpha`` is the square matrix of ``alpha`` on
+    homology, an isomorphism exactly when it is invertible.
     """
     lam, f = alpha.source, alpha.target
     factored = {n: factor(alpha.block(n)) for n in lam.degrees()}
@@ -227,7 +242,7 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     bad = dec.unsaturated()
     if bad is not None:
         failure = FailureReason(NOT_SATURATED, degree=bad.degree, factors=tuple(bad.factors))
-        return HypothesisCheck(injective, [failure], {})
+        return HypothesisCheck(injective, [failure], {}, False)
     failures = []
     inverses = {}
     for n in sorted(set(lam.ranks) | set(f.ranks)):
@@ -247,7 +262,11 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
                 failures.append(FailureReason(ALPHA_NOT_SURJECTIVE, degree=n))
             else:
                 inverses[n] = inverse
-    return HypothesisCheck(injective, failures, inverses)
+    on_homology = (factor(dec.at(r.degree).to_cycle_coords @ alpha.block(r.degree)) for r in failures)
+    iso = all(r.kind == ALPHA_NOT_INTO_G for r in failures) and all(
+        h.rank == h.matrix.cols and not h.torsion for h in on_homology
+    )
+    return HypothesisCheck(injective, failures, inverses, iso)
 
 
 def construct_null_homotopy(
@@ -297,40 +316,15 @@ def construct_null_homotopy(
     return Homotopy(z, blocks)
 
 
-def _primes_to_try(ring) -> tuple[int, ...]:
-    """Primes whose residue fields can refute contractibility over ``ring``."""
-    if isinstance(ring, Integers):
-        return (2, 3)
-    if isinstance(ring, PrimeField):
-        return (ring.p,)
-    return ()
-
-
-def _exact_modulo(x: ChainComplex, p: int) -> bool:
-    """Whether ``x`` is exact modulo ``p``: at each degree the incoming and outgoing ranks add up to its rank."""
-    ranks = {n: _rank_mod(d.data, p) for n, d in x.diffs.items()}
-    return all(ranks.get(n - 1, 0) + ranks.get(n, 0) == r for n, r in x.ranks.items())
-
-
 def is_contractible(x: ChainComplex) -> tuple[bool, Optional[Homotopy]]:
     """Decide null-homotopy existence and produce a witness when it exists.
 
     For bounded complexes of free modules this holds exactly when all
-    homology vanishes (including torsion over Z).  Over Z and F_p the
-    differentials are first ranked modulo primes (2 and 3 over Z, p itself
-    over F_p): a complex that contracts over Z contracts over every F_p,
-    and over a field exactness is contractibility, so a complex that is
-    not exact modulo some prime is refused without an analysis.  Over Z
-    exactness modulo one prime already implies exactness over Q, so the
-    second prime can only refuse a cone whose homology has 3-torsion.
-    Only a complex exact modulo every prime tried (and every complex over
-    Q) is analyzed exactly; that one analysis serves both the decision,
-    which catches torsion at primes not tried, and the witness, built by
-    splitting with the cone construction and an empty scalar part.
+    homology vanishes (including torsion over Z).  One exact analysis of
+    ``x`` serves both the decision, read off its Betti numbers and
+    torsion, and the witness, built by splitting with the cone
+    construction and an empty scalar part.
     """
-    _require_valid(x)
-    if not all(_exact_modulo(x, p) for p in _primes_to_try(x.ring)):
-        return False, None
     dec = Decomposition(x)
     if any(dec.betti(n) or dec.torsion(n) for n in dec):
         return False, None

@@ -423,33 +423,6 @@ def factor(a: Matrix) -> Factorization:
     return Factorization(a, snf=smith_normal_form(a))
 
 
-def _rank_mod(rows, p: int) -> int:
-    """Rank over F_p of the matrix whose rows are the ``int`` sequences ``rows``.
-
-    Row reduction of the residues alone: no transform is kept and nothing
-    leaves ``int``.  Rows above each pivot are left as they are, since only
-    the count of pivots is read.
-    """
-    work = [r for r in ([v % p for v in row] for row in rows) if any(r)]
-    rank = 0
-    for c in range(len(work[0]) if work else 0):
-        if rank == len(work):
-            break
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        top = [(j, y * inv % p) for j, y in enumerate(work[rank]) if y]
-        for row in work[rank + 1 :]:
-            f = row[c]
-            if f:
-                for j, y in top:
-                    row[j] = (row[j] - f * y) % p
-        rank += 1
-    return rank
-
-
 def rank(a: Matrix) -> int:
     """Rank over the fraction field (equals nonzero invariant factors over Z)."""
     return factor(a).rank

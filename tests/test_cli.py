@@ -224,6 +224,15 @@ def test_usage_errors_exit_64(capsys):
     code, _, err = run(capsys, "certify", "whatever.json", "--lambda", "x.json")
     assert code == 64
     assert "--alpha" in err
+    for ring in ("f4", "f1", "f0"):
+        code, _, err = run(capsys, "homology", "whatever.json", "--ring", ring)
+        assert code == 64
+        assert "not prime" in err and "Traceback" not in err
+    for flag in ("--max-dim", "--trials"):
+        for value in ("-1", "-3", "x"):
+            code, out, err = run(capsys, "proptest", flag, value)
+            assert code == 64
+            assert "non-negative integer" in err and out == ""
 
 
 def test_proptest_reproducible(capsys):

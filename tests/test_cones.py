@@ -25,7 +25,7 @@ from eigenchain import (
 from eigenchain import cones
 from eigenchain.certify import decide_eigenvalue
 from eigenchain.complexes import COCHAIN, convert_convention
-from eigenchain.cones import Homotopy, _assemble_cone, adapted_block
+from eigenchain.cones import Homotopy, adapted_block, check_hypotheses
 from eigenchain.decompose import Decomposition
 from eigenchain.errors import HypothesisFailure, NotScalarSource, RingMismatch, ValidationError
 from eigenchain.formats import canonical_dumps, homotopy_to_payload
@@ -252,62 +252,63 @@ def rp2_with_a_vertex():
     return f, lam, GradedMap(lam, f, 0, {0: vertex})
 
 
-class TestModularArbitration:
-    """Z and F_p complexes are ranked modulo primes before any exact analysis."""
+class TestArbitration:
+    """A failed hypothesis is arbitrated by alpha's matrix on homology; a cone is analyzed only for its witness."""
 
-    def test_two_torsion_is_refused_modulo_two(self, analyses):
+    def test_rp2_cone_is_not_contractible(self):
         f, lam, alpha = rp2_with_a_vertex()
-        cone = mapping_cone(alpha).underlying
-        analyses.clear()
-        for x in (cone, one_differential(ZZ, 2)):
-            assert not cones._exact_modulo(x, 2)
-            assert is_contractible(x) == (False, None)
-        assert analyses == []
+        assert is_contractible(mapping_cone(alpha).underlying) == (False, None)
         cert = decide_eigenvalue(f, lam, alpha)
         assert cert.verdict == "NotEigenvalue"
         assert [r.kind for r in cert.failure_reasons] == ["NotSaturated"]
 
-    def test_three_torsion_is_refused_modulo_three(self, analyses):
-        x = one_differential(ZZ, 3)
-        assert cones._primes_to_try(ZZ) == (2, 3)
-        assert cones._exact_modulo(x, 2) and not cones._exact_modulo(x, 3)
-        assert is_contractible(x) == (False, None)
-        assert analyses == []
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_prime_torsion_is_not_contractible(self, p):
+        assert is_contractible(one_differential(ZZ, p)) == (False, None)
 
-    def test_five_torsion_falls_back_to_the_exact_analysis(self, analyses):
-        x = one_differential(ZZ, 5)
-        assert all(cones._exact_modulo(x, p) for p in cones._primes_to_try(ZZ))
-        assert is_contractible(x) == (False, None)
-        assert analyses == [x]
-
-    def test_invalid_complex_raises_before_ranking(self, analyses):
-        # Not exact modulo 2 either, so skipping the check would answer False.
+    def test_invalid_complex_raises(self, analyses):
         one = Matrix(ZZ, [[1]])
         x = ChainComplex(ZZ, "cochain", {0: 1, 1: 1, 2: 1}, {0: one, 1: one})
         with pytest.raises(ValidationError, match="d∘d"):
             is_contractible(x)
-        assert analyses == []
+        assert analyses == [x]
 
-    def test_flag_and_witness_match_the_exact_analysis(self, analyses):
-        paths = set()
-        for ring, seed in ((ZZ, 3), (F2, 4), (GF(5), 5)):
+    def test_a_doubled_class_off_the_complement_is_an_isomorphism_over_q_only(self, analyses):
+        # H^1 = Z e2 with e1 a boundary; alpha = e1 + 2 e2 leaves the complement
+        # and is twice the generator on homology: invertible over Q, not over Z.
+        verdicts = {}
+        for ring in (ZZ, QQ):
+            f = ChainComplex(ring, "cochain", {0: 1, 1: 2}, {0: Matrix(ring, [[1], [0]])})
+            lam = scalar_object(ring, {1: 1})
+            alpha = GradedMap(lam, f, 0, {1: Matrix(ring, [[1], [2]])})
+            cert = decide_eigenvalue(f, lam, alpha)
+            assert [r.kind for r in check_hypotheses(alpha, Decomposition(f)).failures] == ["AlphaNotIntoG"]
+            verdicts[ring] = cert.verdict
+        assert verdicts == {ZZ: "NotEigenvalue", QQ: "Eigenvalue"}
+        assert len(analyses) == 1
+
+    def test_verdict_matches_the_contractibility_of_the_cone(self, analyses):
+        seen = set()
+        for ring, seed in ((ZZ, 2), (QQ, 6), (F2, 4), (GF(5), 5)):
             rng = random.Random(seed)
             for _ in range(15):
                 f = random_complex(ring, rng, max_len=3, max_rank=3)
-                for _tag, _lam, alpha in alpha_variants(f, rng):
-                    x = mapping_cone(alpha).underlying
+                for tag, lam, alpha in alpha_variants(f, rng):
                     analyses.clear()
-                    flag, psi = is_contractible(x)
-                    exact = all(cones._exact_modulo(x, p) for p in cones._primes_to_try(ring))
-                    assert analyses == ([x] if exact else [])
-                    dec = Decomposition(x)
-                    assert flag == (not any(dec.betti(n) or dec.torsion(n) for n in dec))
-                    if flag:
-                        expected = construct_null_homotopy(_assemble_cone(zero_map(scalar_object(ring, {}), x), dec), dec)
-                        assert canonical_dumps(homotopy_to_payload(psi, COCHAIN)) == canonical_dumps(
-                            homotopy_to_payload(Homotopy(x, dict(expected.blocks)), COCHAIN)
+                    cert = decide_eigenvalue(f, lam, alpha)
+                    failures = check_hypotheses(alpha, Decomposition(f)).failures
+                    arbitrated = cert.is_eigenvalue() and bool(failures)
+                    # No cone is analyzed on a negative, one on a positive arbitration.
+                    assert analyses == ([cert.cone.underlying] if arbitrated else [])
+                    contractible, psi = is_contractible(mapping_cone(alpha).underlying)
+                    assert cert.is_eigenvalue() == contractible
+                    if arbitrated:
+                        assert canonical_dumps(homotopy_to_payload(cert.witness, COCHAIN)) == canonical_dumps(
+                            homotopy_to_payload(psi, COCHAIN)
                         )
-                    paths.add((ring, flag, exact))
-        # Both verdicts on every ring, and a Z cone exact modulo both primes but not contractible.
-        assert {(r, v) for r, v, _ in paths} == {(r, v) for r in (ZZ, F2, GF(5)) for v in (True, False)}
-        assert (ZZ, False, True) in paths
+                    if failures and failures[0].kind == "AlphaNotIntoG":
+                        seen.add((ring, tag, cert.verdict))
+        # Both outcomes of the homology test at an AlphaNotIntoG degree, on every ring.
+        for ring in (ZZ, QQ, F2, GF(5)):
+            assert (ring, "boundary_shifted", "Eigenvalue") in seen
+            assert (ring, "boundary_column", "NotEigenvalue") in seen
