@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from .certify import certify_homology_eigenvalue, decide_eigenvalue
 from .complexes import identity_map, validate_complex, zero_map
 from .cones import is_contractible, mapping_cone, verify_homotopy
-from .decompose import decompose, homology
+from .decompose import Decomposition, decompose, homology
 from .errors import EigenchainError, ValidationError
 from .formats import (
     ComplexDoc,
@@ -74,21 +75,13 @@ def _group_label(ring, betti: int, torsion) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _homology_lines(doc: ComplexDoc) -> list[str]:
-    hom = homology(doc.complex)
-    sym = "H_" if doc.convention == "chain" else "H^"
-    lines = []
-    degrees = sorted(hom.by_degree, key=doc.user_degree)
-    for n in degrees:
-        h = hom.by_degree[n]
-        lines.append(f"{sym}{doc.user_degree(n)}: {_group_label(doc.complex.ring, h.betti, h.torsion)}")
-    return lines
-
-
 def _cmd_homology(args) -> int:
+    # Ranks and torsion read off the factored differentials; no degree is split.
     doc = load_complex(args.complex, ring=args.ring)
-    for line in _homology_lines(doc):
-        print(line)
+    dec = Decomposition(doc.complex)
+    sym = "H_" if doc.convention == "chain" else "H^"
+    for n in sorted(dec, key=doc.user_degree):
+        print(f"{sym}{doc.user_degree(n)}: {_group_label(dec.ring, dec.betti(n), dec.torsion(n))}")
     return 0
 
 
@@ -220,7 +213,9 @@ def _cmd_proptest(args) -> int:
     return 0 if disagreements == 0 else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="eigenchain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

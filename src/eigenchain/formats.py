@@ -114,11 +114,14 @@ def _write_json(value, newline: str, out: list):
 
 
 def _load_json(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, nested past the recursion limit, or an integer past
+        # Python's digit limit for int().
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return payload

@@ -6,12 +6,16 @@ than their nonzeros.  Over Z nothing leaves the integers: Smith forms
 and complement splits (which pivot fraction-free, after Bareiss) work on
 ``int``s, and only Q computes with ``Fraction``s.
 
-``rref`` and ``smith_normal_form`` update only their working matrix and
-log each elementary operation they apply.  Their transforms (the rref's
-left transform; a Smith form's ``U``, ``U^-1`` and ``V``) are built by
-replaying that log onto an identity the first time something reads them,
-so a rank or an invariant factor costs one elimination and no transform,
-and a transform that is read costs no more than updating it inline did.
+There are three eliminations: ``rref`` over a field, ``smith_normal_form``
+over Z, and the fraction-free ``_fraction_free_rref`` over Z behind
+complement splits and ``det``.  ``rref`` and ``smith_normal_form`` update
+only their working matrix and log each elementary row operation they
+apply (swap, subtract a multiple, scale) in one vocabulary.  Their
+transforms (the rref's left transform; a Smith form's ``U``, ``U^-1`` and
+``V``) are built by the one :func:`_replay` of that log onto an identity
+the first time something reads them, so a rank or an invariant factor
+costs one elimination and no transform.  ``det`` reads the rref's log over
+a field and the fraction-free elimination's last pivot over Z.
 
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
@@ -44,22 +48,20 @@ class RrefResult:
     """``transform @ input == echelon`` with ``transform`` invertible.
 
     The elimination keeps only ``echelon`` and ``pivots`` and logs its row
-    operations in ``steps``, one ``(row, pivot_row, inverse, eliminations)``
-    per pivot: the swap of ``row`` with ``pivot_row``, the scaling of the
-    pivot row by ``inverse`` (``None`` when the pivot is already one), and
-    the ``(i, f)`` pairs that subtract ``f`` times the pivot row from row
-    ``i``.  ``transform`` replays that log onto the identity the first time
-    it is read, and is kept from then on.
+    operations in ``ops`` (see :func:`_replay`): a swap only when the rows
+    differ, a scaling only for a pivot other than one.  ``transform``
+    replays that log onto the identity the first time it is read, and is
+    kept from then on.
     """
 
     echelon: Matrix
     pivots: tuple[int, ...]
-    steps: list = field(repr=False)
+    ops: list = field(repr=False)
 
     @cached_property
     def transform(self) -> Matrix:
-        m = self.echelon.rows
-        return Matrix._raw(self.echelon.ring, m, m, _replay_rref(self.echelon.ring, m, self.steps))
+        ring, m = self.echelon.ring, self.echelon.rows
+        return Matrix._raw(ring, m, m, _replay(self.ops, Matrix.identity(ring, m).grid(), ring))
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,18 @@ class SnfResult:
 
     @cached_property
     def u(self) -> Matrix:
-        m = self.s.rows
-        return Matrix._raw(self.s.ring, m, m, _replay(self.row_ops, m))
+        ring, m = self.s.ring, self.s.rows
+        return Matrix._raw(ring, m, m, _replay(self.row_ops, Matrix.identity(ring, m).grid()))
 
     @cached_property
     def u_inv(self) -> Matrix:
-        m = self.s.rows
-        return Matrix._raw(self.s.ring, m, m, zip(*_replay(self.row_ops, m, inverse=True)))
+        ring, m = self.s.ring, self.s.rows
+        return Matrix._raw(ring, m, m, zip(*_replay(self.row_ops, Matrix.identity(ring, m).grid(), inverse=True)))
 
     @cached_property
     def v(self) -> Matrix:
-        n = self.s.cols
-        return Matrix._raw(self.s.ring, n, n, zip(*_replay(self.col_ops, n)))
+        ring, n = self.s.ring, self.s.cols
+        return Matrix._raw(ring, n, n, zip(*_replay(self.col_ops, Matrix.identity(ring, n).grid())))
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,9 @@ def rref(a: Matrix) -> RrefResult:
     if not ring.is_field:
         raise NotAField(f"rref needs a field, got {ring}")
     m, n = a.rows, a.cols
-    red = ring.reduce if ring.needs_reduction else (lambda v: v)
+    red = ring.reduce
     work = a.grid()
-    steps = []
+    ops = []
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -133,74 +135,57 @@ def rref(a: Matrix) -> RrefResult:
         pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = None
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            ops.append((r, pivot_row))
         if work[r][c] != 1:
             inv = ring.inv(work[r][c])
             work[r] = [red(v * inv) if v else v for v in work[r]]
+            ops.append((r, None, inv))
         wnz = [(j, y) for j, y in enumerate(work[r]) if y]
-        eliminations = []
         for i in range(m):
             f = work[i][c]
             if i != r and f != 0:
                 wi = work[i]
                 for j, y in wnz:
                     wi[j] = red(wi[j] - f * y)
-                eliminations.append((i, f))
-        steps.append((r, pivot_row, inv, eliminations))
+                ops.append((i, r, f))
         pivots.append(c)
         r += 1
-    return RrefResult(Matrix._raw(ring, m, n, work), tuple(pivots), steps)
+    return RrefResult(Matrix._raw(ring, m, n, work), tuple(pivots), ops)
 
 
-def _replay_rref(ring, m: int, steps) -> list[list]:
-    """The ``m``-by-``m`` identity after the row operations :func:`rref` logged in ``steps``."""
-    red = ring.reduce if ring.needs_reduction else (lambda v: v)
-    trans = Matrix.identity(ring, m).grid()
-    for r, pivot_row, inv, eliminations in steps:
-        trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
-        if inv is not None:
-            trans[r] = [red(v * inv) if v else v for v in trans[r]]
-        tnz = [(j, y) for j, y in enumerate(trans[r]) if y]
-        for i, f in eliminations:
-            ti = trans[i]
-            for j, y in tnz:
-                ti[j] = red(ti[j] - f * y)
-    return trans
+def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[list]:
+    """``rows`` (updated in place) after the row operations ``ops``, in order.
 
-
-def _eye(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _replay(ops, k: int, inverse: bool = False) -> list[list[int]]:
-    """The ``k``-by-``k`` integer identity after the row operations ``ops``, in order.
-
-    ``(i, t, q)`` subtracts ``q`` times row ``t`` from row ``i``, ``(i, t)``
-    swaps the two rows and ``(i,)`` negates row ``i``.  A column operation
-    on a transform is the same operation on the rows of its transpose, so
+    ``(i, t)`` swaps rows ``i`` and ``t``, ``(i, t, q)`` subtracts ``q``
+    times row ``t`` from row ``i`` and ``(i, None, c)`` scales row ``i`` by
+    ``c``.  With ``ring`` each updated entry goes through ``ring.reduce``,
+    which changes it only over F_p.  A column operation on a transform is
+    the same operation on the rows of its transpose, so
     :func:`smith_normal_form` logs ``V``'s column operations in this form
     too.  With ``inverse`` each subtraction is undone on the other side,
     which builds the transpose of the inverse: row ``t`` gains ``q`` times
-    row ``i`` (swaps and negations are their own inverse transposes).
+    row ``i``.  Swaps are their own inverse transposes, and so are the
+    scalings by -1 that are the only ones a Smith form logs.
     """
-    g = _eye(k)
+    red = None if ring is None else ring.reduce
     for op in ops:
-        if len(op) == 3:
-            i, t, q = op
-            if inverse:
-                i, t, q = t, i, -q
-            dst = g[i]
-            for j, y in enumerate(g[t]):
-                if y:
-                    dst[j] -= q * y
-        elif len(op) == 2:
+        if len(op) == 2:
             i, t = op
-            g[i], g[t] = g[t], g[i]
-        else:
-            (i,) = op
-            g[i] = [-x for x in g[i]]
-    return g
+            rows[i], rows[t] = rows[t], rows[i]
+            continue
+        i, t, q = op
+        if t is None:
+            rows[i] = [(q * v if red is None else red(q * v)) if v else v for v in rows[i]]
+            continue
+        if inverse:
+            i, t, q = t, i, -q
+        dst = rows[i]
+        for j, y in enumerate(rows[t]):
+            if y:
+                dst[j] = dst[j] - q * y if red is None else red(dst[j] - q * y)
+    return rows
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
@@ -230,7 +215,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 
     def row_neg(i):
         w[i] = [-x for x in w[i]]
-        row_ops.append((i,))
+        row_ops.append((i, None, -1))
 
     def col_sub(j, t, q):
         # col_j -= q * col_t
@@ -357,7 +342,7 @@ class Factorization:
                 vec = [ring.normalize(0)] * n
                 vec[j] = ring.normalize(1)
                 for row, col in enumerate(pivots):
-                    vec[col] = ring.reduce(-echelon[row][j]) if ring.needs_reduction else -echelon[row][j]
+                    vec[col] = ring.reduce(-echelon[row][j])
                 cols.append(vec)
             basis = Matrix._raw(ring, n, len(cols), zip(*cols)) if cols else Matrix.zeros(ring, n, 0)
         else:
@@ -429,48 +414,30 @@ def rank(a: Matrix) -> int:
 
 
 def det(a: Matrix):
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix.
+
+    Over a field it reads :func:`rref`'s log: the echelon form of a
+    nonsingular matrix is the identity, so each swap flips the sign and
+    each scaling by ``c`` divides by ``c``.  Over Z it is the signed last
+    pivot of :func:`_fraction_free_rref`; no Smith form is run, so ``det``
+    can check Smith transforms independently.
+    """
     if a.rows != a.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return a.ring.normalize(1)
-    if a.ring.is_field:
-        ring = a.ring
-        red = ring.reduce if ring.needs_reduction else (lambda v: v)
-        w = a.grid()
-        result = ring.normalize(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if w[i][c] != 0), None)
-            if piv is None:
-                return ring.normalize(0)
-            if piv != c:
-                w[c], w[piv] = w[piv], w[c]
-                result = red(-result)
-            result = red(result * w[c][c])
-            inv = ring.inv(w[c][c])
-            for i in range(c + 1, n):
-                f = red(w[i][c] * inv)
-                if f != 0:
-                    w[i] = [red(x - f * y) for x, y in zip(w[i], w[c])]
-        return result
-    # Bareiss fraction-free elimination over Z.
-    w = a.grid()
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if w[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            w[c], w[piv] = w[piv], w[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                w[i][j] = (w[i][j] * w[c][c] - w[i][c] * w[c][j]) // prev
-            w[i][c] = 0
-        prev = w[c][c]
-    return sign * w[n - 1][n - 1]
+    ring = a.ring
+    if not ring.is_field:
+        pivots, minor, _ = _fraction_free_rref(a)
+        return minor if len(pivots) == a.rows else 0
+    res = rref(a)
+    if len(res.pivots) < a.rows:
+        return ring.normalize(0)
+    result = ring.normalize(1)
+    for op in res.ops:
+        if len(op) == 2:
+            result = ring.reduce(-result)
+        elif op[1] is None:
+            result = ring.reduce(result * ring.inv(op[2]))
+    return result
 
 
 def solve_matrix(a: Matrix, b: Matrix):
@@ -519,8 +486,7 @@ def _sign_normalize(basis: Matrix) -> Matrix:
             if ring.is_field:
                 if lead != 1:
                     inv = ring.inv(lead)
-                    red = ring.reduce if ring.needs_reduction else (lambda v: v)
-                    col = [red(v * inv) for v in col]
+                    col = [ring.reduce(v * inv) for v in col]
             elif lead < 0:
                 col = [-v for v in col]
         cols.append(col)
@@ -529,19 +495,22 @@ def _sign_normalize(basis: Matrix) -> Matrix:
     return Matrix._raw(ring, basis.rows, basis.cols, zip(*cols))
 
 
-def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], Optional[Matrix]]:
-    """Pivot columns of integer ``a`` over Q, and its rref transform if integral (else ``None``).
+def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matrix]]:
+    """Pivot columns of integer ``a`` over Q, the signed pivot minor, and the rref transform if integral.
 
     Fraction-free Gauss-Jordan (Bareiss 1968) on ``[a | I]`` with the pivot
     rule of :func:`rref`: each row stays the latest pivot times its rational
-    counterpart, so every division is exact and the pivots match.  At full
-    row rank the transform is integral exactly when the last pivot ``d`` is
-    ±1, and is then ``d`` times the augmented block.
+    counterpart, so every division is exact and the pivots match.  The last
+    pivot ``d`` is the minor of ``a`` on the pivot rows and columns, up to
+    the parity of the row swaps; that signed minor is returned, and is the
+    determinant of a nonsingular square ``a``.  At full row rank the
+    transform is integral exactly when ``d`` is ±1, and is then ``d`` times
+    the augmented block; otherwise it is ``None``.
     """
     m, n = a.rows, a.cols
-    work = [list(row) + e for row, e in zip(a.data, _eye(m))]
+    work = [list(row) + e for row, e in zip(a.data, Matrix.identity(a.ring, m).grid())]
     pivots: list[int] = []
-    prev = 1
+    prev, sign = 1, 1
     for c in range(n):
         r = len(pivots)
         if r == m:
@@ -549,7 +518,9 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], Optional[Matrix]]:
         pivot_row = next((i for i in range(r, m) if work[i][c]), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
         top = work[r]
         piv = top[c]
         nz = [(j, y) for j, y in enumerate(top) if y]
@@ -565,8 +536,8 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], Optional[Matrix]]:
         pivots.append(c)
         prev = piv
     if len(pivots) < m or abs(prev) != 1:
-        return tuple(pivots), None
-    return tuple(pivots), Matrix._raw(a.ring, m, m, [[prev * x for x in row[n:]] for row in work])
+        return tuple(pivots), sign * prev, None
+    return tuple(pivots), sign * prev, Matrix._raw(a.ring, m, m, [[prev * x for x in row[n:]] for row in work])
 
 
 def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
@@ -586,7 +557,7 @@ def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
         res = rref(reversed_rows)
         pivots, transform = res.pivots, res.transform
     else:
-        pivots, transform = _fraction_free_rref(reversed_rows)
+        pivots, _, transform = _fraction_free_rref(reversed_rows)
     if len(pivots) != sub.cols:
         raise ValidationError("basis columns are not independent")
     return [m - 1 - p for p in pivots], None if transform is None else transform.transpose()

@@ -97,7 +97,7 @@ class Matrix:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("matrix sizes differ")
-        reduce = self.ring.reduce if self.ring.needs_reduction else (lambda v: v)
+        reduce = self.ring.reduce
         data = [
             [reduce(op(a, b)) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
@@ -111,12 +111,12 @@ class Matrix:
         return self._entrywise(other, lambda a, b: a - b)
 
     def __neg__(self) -> "Matrix":
-        reduce = self.ring.reduce if self.ring.needs_reduction else (lambda v: v)
+        reduce = self.ring.reduce
         return Matrix._raw(self.ring, self.rows, self.cols, [[reduce(-v) for v in row] for row in self.data])
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
-        reduce = self.ring.reduce if self.ring.needs_reduction else (lambda v: v)
+        reduce = self.ring.reduce
         return Matrix._raw(self.ring, self.rows, self.cols, [[reduce(c * v) for v in row] for row in self.data])
 
     def transpose(self) -> "Matrix":

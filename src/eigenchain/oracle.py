@@ -128,7 +128,7 @@ def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> Ora
                         coeff = d_out.data[l][j]
                         if coeff != 0:
                             idx = base + i * rn_p1 + l
-                            row[idx] = ring.reduce(row[idx] + coeff) if ring.needs_reduction else row[idx] + coeff
+                            row[idx] = ring.reduce(row[idx] + coeff)
                 equations.append(row)
                 rhs.append(target.data[i][j])
     if not equations:

@@ -8,8 +8,10 @@ from time import perf_counter
 import pytest
 
 from eigenchain.cli import main
+from eigenchain.decompose import Decomposition
 from eigenchain.errors import ParseError
 from eigenchain.formats import bundled_path, canonical_dumps, load_complex, reverify_certificate
+from test_golden_analysis import RP2, _klein_bottle
 
 
 @pytest.fixture
@@ -41,6 +43,23 @@ def test_homology_accepts_simplicial_input(workdir, capsys):
     code, out, _ = run(capsys, "homology", workdir / "s1_simplicial.json")
     assert code == 0
     assert out.splitlines() == ["H_0: Z", "H_1: Z"]
+
+
+@pytest.mark.parametrize(
+    "vertices, facets, h1",
+    [(6, RP2, "H_1: Z/2"), (9, _klein_bottle(), "H_1: Z + Z/2")],
+    ids=["rp2", "klein"],
+)
+def test_homology_prints_torsion_without_splitting_a_degree(tmp_path, capsys, monkeypatch, vertices, facets, h1):
+    splits = []
+    split = Decomposition._split
+    monkeypatch.setattr(Decomposition, "_split", lambda self, n: splits.append(n) or split(self, n))
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"vertices": vertices, "facets": facets}))
+    code, out, err = run(capsys, "homology", path)
+    assert code == 0, err
+    assert out.splitlines() == ["H_0: Z", h1, "H_2: 0"]
+    assert splits == []
 
 
 def test_decompose_command(workdir, capsys):
@@ -216,6 +235,19 @@ def test_structural_error_exit_code(workdir, capsys):
 def test_missing_file_is_structural(workdir, capsys):
     code, _, err = run(capsys, "homology", workdir / "nope.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b'{"degrees": [' + b"1" * 5000 + b"]}"],
+    ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+)
+def test_unreadable_files_exit_two_with_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "homology", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_64(capsys):

@@ -116,22 +116,17 @@ def replays(monkeypatch):
     """Each transform built from an elimination's log, as (log, inverse), in call order.
 
     Smith forms log row operations (replayed for U, and with ``inverse``
-    for U^-1) and column operations (for V); rref logs its pivot steps
-    (``inverse`` is ``None``).  Holding the logs keeps their ids distinct.
+    for U^-1) and column operations (for V); rref logs its row operations
+    (replayed for its transform).  Holding the logs keeps their ids distinct.
     """
     calls = []
-    replay, replay_rref = linalg._replay, linalg._replay_rref
+    replay = linalg._replay
 
-    def counted(ops, k, inverse=False):
+    def counted(ops, rows, ring=None, inverse=False):
         calls.append((ops, inverse))
-        return replay(ops, k, inverse)
-
-    def counted_rref(ring, m, steps):
-        calls.append((steps, None))
-        return replay_rref(ring, m, steps)
+        return replay(ops, rows, ring, inverse)
 
     monkeypatch.setattr(linalg, "_replay", counted)
-    monkeypatch.setattr(linalg, "_replay_rref", counted_rref)
     return calls
 
 

@@ -1,6 +1,9 @@
 """Elimination, Smith normal form, solves, and basis constructions."""
 
 import random
+from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -211,6 +214,49 @@ class TestComplement:
             comp = complement_basis(sub)
             stacked = hstack([sub.vectors, comp.vectors])
             assert len(rref(stacked).pivots) == 4
+
+
+def leibniz(ring, entries):
+    """The determinant as a signed sum over permutations, reduced in ``ring`` at the end."""
+    n = len(entries)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(entries[i][perm[i]] for i in range(n))
+    return ring.normalize(total)
+
+
+class TestDet:
+    @pytest.mark.parametrize("ring", [QQ, ZZ, F2, GF(5)], ids=str)
+    def test_agrees_with_leibniz(self, ring):
+        rng = random.Random(71)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            entries = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:  # a repeated row: singular over every ring
+                entries[-1] = list(entries[0])
+            a = Matrix(ring, entries)
+            assert det(a) == leibniz(ring, a.data)
+
+    @pytest.mark.parametrize("ring", [QQ, ZZ, GF(5)], ids=str)
+    def test_signs_of_permutations(self, ring):
+        # A permutation matrix has the sign of its permutation; scaling
+        # one row by 2 doubles it.
+        for perm in permutations(range(4)):
+            entries = [[1 if j == perm[i] else 0 for j in range(4)] for i in range(4)]
+            sign = leibniz(ring, entries)
+            assert det(Matrix(ring, entries)) == sign
+            entries[2] = [2 * v for v in entries[2]]
+            assert det(Matrix(ring, entries)) == ring.normalize(2 * sign)
+
+    @pytest.mark.parametrize("ring", [QQ, ZZ, F2, GF(5)], ids=str)
+    def test_empty_matrix_has_determinant_one(self, ring):
+        assert det(Matrix.identity(ring, 0)) == ring.normalize(1)
+
+    def test_rational_entries(self):
+        a = Matrix(QQ, [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 7)]])
+        assert det(a) == Fraction(1, 2) * Fraction(5, 7) + 2
+        assert isinstance(det(a), Fraction)
 
 
 def test_rank_agrees_between_elimination_and_invariant_factors():
