@@ -73,14 +73,6 @@ class EigenCertificate:
         return self.verdict == EIGENVALUE
 
 
-def _verified(cone: ConeComplex, witness: Homotopy, what: str) -> Homotopy:
-    z = cone.underlying
-    report = verify_homotopy(z, zero_map(z, z), identity_map(z), witness)
-    if not report.ok:
-        raise ValidationError(f"{what} failed verification: {report.message}")
-    return witness
-
-
 def _certificate(dec: Decomposition, verdict: str, **fields) -> EigenCertificate:
     """A certificate carrying the ring and the homology that ``dec`` read off F."""
     return EigenCertificate(
@@ -96,17 +88,17 @@ def _decide(alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
     cone = _assemble_cone(alpha, dec)
     check = check_hypotheses(alpha, dec)
     base = dict(lambda_ranks=dict(alpha.source.ranks), alpha_injective=check.injective, cone=cone)
-    if not check.failures:
-        witness = _verified(cone, construct_null_homotopy(cone, dec, check), "constructed witness")
-        return _certificate(dec, EIGENVALUE, witness=witness, **base)
-
     # Hypotheses are stated relative to our complement choice; the verdict
     # reads alpha in homology coordinates instead, so it is choice-free.
-    # Only a positive arbitration analyzes the cone, for its witness.
-    if check.homology_iso:
-        _, witness = is_contractible(cone.underlying)
-        return _certificate(dec, EIGENVALUE, witness=_verified(cone, witness, "contraction witness"), **base)
-    return _certificate(dec, NOT_EIGENVALUE, failure_reasons=check.failures, **base)
+    if not check.homology_iso:
+        return _certificate(dec, NOT_EIGENVALUE, failure_reasons=check.failures, **base)
+    # Only a positive arbitration analyzes the cone, for its contraction.
+    z = cone.underlying
+    witness = is_contractible(z)[1] if check.failures else construct_null_homotopy(cone, dec, check)
+    report = verify_homotopy(z, zero_map(z, z), identity_map(z), witness)
+    if not report.ok:
+        raise ValidationError(f"witness failed verification: {report.message}")
+    return _certificate(dec, EIGENVALUE, witness=witness, **base)
 
 
 def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> EigenCertificate:

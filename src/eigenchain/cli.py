@@ -19,7 +19,7 @@ from pathlib import Path
 from .certify import certify_homology_eigenvalue, decide_eigenvalue
 from .complexes import identity_map, validate_complex, zero_map
 from .cones import is_contractible, mapping_cone, verify_homotopy
-from .decompose import Decomposition, decompose, homology
+from .decompose import Decomposition, decompose
 from .errors import EigenchainError, ValidationError
 from .formats import (
     ComplexDoc,
@@ -179,7 +179,8 @@ def _cmd_proptest(args) -> int:
             raise AssertionError("generator produced an invalid complex")
         if is_f2 and f.total_dim() <= args.max_dim:
             brute = brute_homology_f2(f, max_total_dim=args.max_dim).ranks
-            main = {n: h.betti for n, h in homology(f).by_degree.items()}
+            dec = Decomposition(f)
+            main = {n: dec.betti(n) for n in dec}
             homology_checked += 1
             if brute != main:
                 disagreements += 1

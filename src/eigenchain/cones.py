@@ -17,8 +17,8 @@ single hypothesis checker :func:`check_hypotheses`, the witness, and
 coordinates.  The checker also reads whether ``alpha`` is an isomorphism
 on homology, in the homology coordinates of that analysis, which decides
 whether the cone contracts without analyzing the cone;
-:func:`is_contractible` analyzes a complex of its own and builds the
-contraction witness.
+:func:`is_contractible` analyzes a complex of its own.  Both witnesses
+share one contraction formula, :func:`_contraction_block`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from .complexes import (
     ChainComplex,
     CheckReport,
     GradedMap,
-    scalar_object,
     validate_chain_map,
-    zero_map,
 )
 from .decompose import Decomposition
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
@@ -269,6 +267,19 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     return HypothesisCheck(injective, failures, inverses, iso)
 
 
+def _contraction_block(dec: Decomposition, n: int) -> Matrix:
+    """The ``F_n -> F_{n-1}`` block of the witness, zero where no image arrives at ``n``.
+
+    It lifts image coordinates at ``n`` to the transversal at ``n - 1`` and negates them.
+    """
+    f_src = dec.source.rank(n)
+    if not dec.image_rank(n):
+        return Matrix.zeros(dec.ring, dec.source.rank(n - 1), f_src)
+    part, prev = dec.at(n), dec.at(n - 1)
+    image_coords = part.to_block_coords.submatrix(range(part.complement.dim, f_src), range(f_src))
+    return -(prev.complement.vectors @ (prev.right_inverse @ image_coords))
+
+
 def construct_null_homotopy(
     cone: ConeComplex, dec: Decomposition, check: Optional[HypothesisCheck] = None
 ) -> Homotopy:
@@ -276,9 +287,9 @@ def construct_null_homotopy(
 
     On the complement the witness inverts the eigenmap on cycles and kills
     the transversal; on the image it inverts the restricted differential
-    back through the transversal.  Both inverses are read off the
-    decomposition and ``check`` (run here when not given); a failed
-    hypothesis raises :class:`HypothesisFailure`.
+    back through the transversal (:func:`_contraction_block`).  Both
+    inverses are read off the decomposition and ``check`` (run here when
+    not given); a failed hypothesis raises :class:`HypothesisFailure`.
     """
     alpha = cone.source_alpha
     if check is None:
@@ -293,25 +304,14 @@ def construct_null_homotopy(
     for n in z.degrees():
         if z.rank(n - 1) == 0:
             continue
-        lam_src = lam.rank(n + 1)
-        f_src = f.rank(n)
-        lam_tgt = lam.rank(n)
-        f_tgt = f.rank(n - 1)
-        part = dec.at(n)
-        prev = dec.at(n - 1)
+        lam_src, lam_tgt, f_src = lam.rank(n + 1), lam.rank(n), f.rank(n)
         # Scalar-part output: invert the eigenmap on the cycle component.
         if lam_tgt and f_src:
-            top_f = -(check.alpha_inverse[n] @ part.to_cycle_coords)
+            top_f = -(check.alpha_inverse[n] @ dec.at(n).to_cycle_coords)
         else:
             top_f = Matrix.zeros(ring, lam_tgt, f_src)
-        # F-part output: invert the restricted differential through the transversal.
-        if f_tgt and part.incoming_image.dim:
-            image_coords = part.to_block_coords.submatrix(range(part.complement.dim, f_src), range(f_src))
-            bottom_f = -(prev.complement.vectors @ (prev.right_inverse @ image_coords))
-        else:
-            bottom_f = Matrix.zeros(ring, f_tgt, f_src)
         top = hstack([Matrix.zeros(ring, lam_tgt, lam_src), top_f])
-        bottom = hstack([Matrix.zeros(ring, f_tgt, lam_src), bottom_f])
+        bottom = hstack([Matrix.zeros(ring, f.rank(n - 1), lam_src), _contraction_block(dec, n)])
         blocks[n] = vstack([top, bottom])
     return Homotopy(z, blocks)
 
@@ -322,12 +322,10 @@ def is_contractible(x: ChainComplex) -> tuple[bool, Optional[Homotopy]]:
     For bounded complexes of free modules this holds exactly when all
     homology vanishes (including torsion over Z).  One exact analysis of
     ``x`` serves both the decision, read off its Betti numbers and
-    torsion, and the witness, built by splitting with the cone
-    construction and an empty scalar part.
+    torsion, and the witness, whose every block is the
+    :func:`_contraction_block` of that analysis.
     """
     dec = Decomposition(x)
     if any(dec.betti(n) or dec.torsion(n) for n in dec):
         return False, None
-    cone = _assemble_cone(zero_map(scalar_object(x.ring, {}), x), dec)
-    witness = construct_null_homotopy(cone, dec)
-    return True, Homotopy(x, dict(witness.blocks))
+    return True, Homotopy(x, {n: _contraction_block(dec, n) for n in dec})

@@ -366,18 +366,29 @@ def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
     return payload
 
 
+def _object_field(payload: dict, key: str, what: str) -> dict:
+    """``payload[key]`` as a JSON object."""
+    value = payload.get(key)
+    if not isinstance(value, dict):
+        problem = f"must be a JSON object, got {value!r}" if key in payload else "is missing"
+        raise ParseError(f"{what}: {key!r} {problem}")
+    return value
+
+
 def reverify_certificate(payload: dict) -> bool:
-    """Re-check a positive certificate from its serialized data alone."""
-    if payload.get("verdict") != "Eigenvalue":
+    """Re-check a positive certificate from its serialized data alone.
+
+    A field it reads that is missing or mistyped raises :class:`ParseError` naming it.
+    """
+    if payload.get("verdict") != "Eigenvalue" or not payload.get("witness"):
         return False
-    witness = payload.get("witness")
-    if not witness:
-        return False
-    cone_doc = complex_from_payload(witness["cone"])
-    psi = homotopy_from_payload(
-        {**witness["homotopy"], "ring": payload["ring"], "convention": payload["convention"]},
-        cone_doc,
-    )
+    witness = _object_field(payload, "witness", "certificate")
+    for key in ("ring", "convention"):
+        if key not in payload:
+            raise ParseError(f"certificate: {key!r} is missing")
+    cone_doc = complex_from_payload(_object_field(witness, "cone", "certificate witness"))
+    homotopy = _object_field(witness, "homotopy", "certificate witness")
+    psi = homotopy_from_payload({**homotopy, "ring": payload["ring"], "convention": payload["convention"]}, cone_doc)
     z = cone_doc.complex
     report = verify_homotopy(z, zero_map(z, z), identity_map(z), psi)
     return report.ok

@@ -17,6 +17,11 @@ the first time something reads them, so a rank or an invariant factor
 costs one elimination and no transform.  ``det`` reads the rref's log over
 a field and the fraction-free elimination's last pivot over Z.
 
+:func:`factor` is the rref over a field and the Smith form over Z; either
+result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
+``kernel()``, ``image()``, ``image_coords()`` and ``solve()`` itself, so a
+matrix used in several ways is eliminated once.
+
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
 Smith reduction picks the smallest-absolute-value nonzero entry of the
@@ -45,7 +50,7 @@ from .rings import Integers
 
 @dataclass(frozen=True)
 class RrefResult:
-    """``transform @ input == echelon`` with ``transform`` invertible.
+    """``transform @ matrix == echelon`` with ``transform`` invertible.
 
     The elimination keeps only ``echelon`` and ``pivots`` and logs its row
     operations in ``ops`` (see :func:`_replay`): a swap only when the rows
@@ -54,19 +59,60 @@ class RrefResult:
     kept from then on.
     """
 
+    matrix: Matrix
     echelon: Matrix
     pivots: tuple[int, ...]
     ops: list = field(repr=False)
+    torsion = ()  # a field has none
 
     @cached_property
     def transform(self) -> Matrix:
         ring, m = self.echelon.ring, self.echelon.rows
         return Matrix._raw(ring, m, m, _replay(self.ops, Matrix.identity(ring, m).grid(), ring))
 
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self) -> SubspaceBasis:
+        """Basis of ``{x : matrix @ x = 0}``, each column's topmost nonzero entry one."""
+        ring, n = self.matrix.ring, self.matrix.cols
+        echelon = self.echelon.data
+        cols = []
+        for j in range(n):
+            if j in self.pivots:
+                continue
+            vec = [ring.normalize(0)] * n
+            vec[j] = ring.normalize(1)
+            for row, col in enumerate(self.pivots):
+                vec[col] = ring.reduce(-echelon[row][j])
+            cols.append(vec)
+        basis = Matrix._raw(ring, n, len(cols), zip(*cols)) if cols else Matrix.zeros(ring, n, 0)
+        return SubspaceBasis(n, _sign_normalize(basis))
+
+    def image(self) -> SubspaceBasis:
+        """Basis of the column space: the pivot columns of ``matrix``."""
+        return SubspaceBasis(self.matrix.rows, self.matrix.cols_at(list(self.pivots)))
+
+    def image_coords(self, v: Matrix) -> Matrix:
+        """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
+        return self.transform.submatrix(range(self.rank), range(self.matrix.rows)) @ v
+
+    def solve(self, b: Matrix):
+        """One exact solution ``x`` of ``matrix @ x = b``, or ``None``."""
+        a, ring = self.matrix, self.matrix.ring
+        c = self.transform @ b
+        if any(v != 0 for row in c.data[self.rank:] for v in row):
+            return None
+        x = [[ring.normalize(0)] * b.cols for _ in range(a.cols)]
+        for row, col in enumerate(self.pivots):
+            x[col] = c.data[row]
+        return Matrix._raw(ring, a.cols, b.cols, x)
+
 
 @dataclass(frozen=True)
 class SnfResult:
-    """``u @ input @ v == s`` with ``u``, ``v`` unimodular.
+    """``u @ matrix @ v == s`` with ``u``, ``v`` unimodular.
 
     ``s`` is diagonal, entries nonnegative, each dividing the next, zeros
     trailing.  ``invariant_factors`` is the full diagonal of ``s`` (length
@@ -81,6 +127,7 @@ class SnfResult:
     factors never builds a transform.
     """
 
+    matrix: Matrix
     s: Matrix
     invariant_factors: tuple[int, ...]
     row_ops: list = field(repr=False)
@@ -100,6 +147,47 @@ class SnfResult:
     def v(self) -> Matrix:
         ring, n = self.s.ring, self.s.cols
         return Matrix._raw(ring, n, n, zip(*_replay(self.col_ops, Matrix.identity(ring, n).grid())))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.invariant_factors if d != 0)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """Invariant factors above one: the torsion of the cokernel."""
+        return tuple(d for d in self.invariant_factors if d > 1)
+
+    def kernel(self) -> SubspaceBasis:
+        """Generators of the (saturated) submodule ``{x : matrix @ x = 0}``, each topmost nonzero positive."""
+        n, factors = self.matrix.cols, self.invariant_factors
+        basis = self.v.cols_at([j for j in range(n) if j >= len(factors) or factors[j] == 0])
+        return SubspaceBasis(n, _sign_normalize(basis))
+
+    def image(self) -> SubspaceBasis:
+        """Generators of the image submodule."""
+        a = self.matrix
+        cols = [self.u_inv.col(i).scale(d) for i, d in enumerate(self.invariant_factors) if d != 0]
+        return SubspaceBasis(a.rows, hstack(cols) if cols else Matrix.zeros(a.ring, a.rows, 0))
+
+    def image_coords(self, v: Matrix) -> Matrix:
+        """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
+        r, d = self.rank, self.invariant_factors
+        uv = self.u.submatrix(range(r), range(self.matrix.rows)) @ v
+        return Matrix._raw(v.ring, r, v.cols, [[x // d[i] for x in row] for i, row in enumerate(uv.data)])
+
+    def solve(self, b: Matrix):
+        """One integral solution ``x`` of ``matrix @ x = b``, or ``None``, also when only Q has one."""
+        a = self.matrix
+        factors = self.invariant_factors
+        c = self.u @ b
+        y = [[0] * b.cols for _ in range(a.cols)]
+        for i, row in enumerate(c.data):
+            d = factors[i] if i < len(factors) else 0
+            if any(ci % d if d else ci for ci in row):
+                return None
+            if d:
+                y[i] = [ci // d for ci in row]
+        return self.v @ Matrix._raw(a.ring, a.cols, b.cols, y)
 
 
 @dataclass(frozen=True)
@@ -152,7 +240,7 @@ def rref(a: Matrix) -> RrefResult:
                 ops.append((i, r, f))
         pivots.append(c)
         r += 1
-    return RrefResult(Matrix._raw(ring, m, n, work), tuple(pivots), ops)
+    return RrefResult(a, Matrix._raw(ring, m, n, work), tuple(pivots), ops)
 
 
 def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[list]:
@@ -294,118 +382,12 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             pos = (t, t)
 
     factors = tuple(w[i][i] for i in range(min(m, n)))
-    return SnfResult(Matrix._raw(a.ring, m, n, w), factors, row_ops, col_ops)
+    return SnfResult(a, Matrix._raw(a.ring, m, n, w), factors, row_ops, col_ops)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """One elimination of ``matrix``: its rref over a field, its Smith form over Z.
-
-    Rank, invariant factors, kernel and image bases and solves all read off
-    this one result, so a matrix that is used in several ways is
-    eliminated once.
-    """
-
-    matrix: Matrix
-    reduced: Optional[RrefResult] = None
-    snf: Optional[SnfResult] = None
-
-    @property
-    def rank(self) -> int:
-        if self.reduced is not None:
-            return len(self.reduced.pivots)
-        return sum(1 for d in self.snf.invariant_factors if d != 0)
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        """Invariant factors above one: the torsion of the cokernel (none over a field)."""
-        if self.snf is None:
-            return ()
-        return tuple(d for d in self.snf.invariant_factors if d > 1)
-
-    def kernel(self) -> SubspaceBasis:
-        """Basis of ``{x : matrix @ x = 0}``.
-
-        Over Z the returned columns generate the full kernel submodule (which
-        is automatically saturated).  Columns are sign-normalized so that the
-        topmost nonzero entry is positive (fields: equal to one).
-        """
-        a = self.matrix
-        ring, n = a.ring, a.cols
-        if self.reduced is not None:
-            pivots = list(self.reduced.pivots)
-            echelon = self.reduced.echelon.data
-            cols = []
-            for j in range(n):
-                if j in pivots:
-                    continue
-                vec = [ring.normalize(0)] * n
-                vec[j] = ring.normalize(1)
-                for row, col in enumerate(pivots):
-                    vec[col] = ring.reduce(-echelon[row][j])
-                cols.append(vec)
-            basis = Matrix._raw(ring, n, len(cols), zip(*cols)) if cols else Matrix.zeros(ring, n, 0)
-        else:
-            factors = self.snf.invariant_factors
-            basis = self.snf.v.cols_at([j for j in range(n) if j >= len(factors) or factors[j] == 0])
-        return SubspaceBasis(n, _sign_normalize(basis))
-
-    def image(self) -> SubspaceBasis:
-        """Basis of the column space; over Z it generates the image submodule."""
-        a = self.matrix
-        if self.reduced is not None:
-            return SubspaceBasis(a.rows, a.cols_at(list(self.reduced.pivots)))
-        snf = self.snf
-        cols = [snf.u_inv.col(i).scale(d) for i, d in enumerate(snf.invariant_factors) if d != 0]
-        return SubspaceBasis(a.rows, hstack(cols) if cols else Matrix.zeros(a.ring, a.rows, 0))
-
-    def image_coords(self, v: Matrix) -> Matrix:
-        """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
-        r = self.rank
-        if self.reduced is not None:
-            return self.reduced.transform.submatrix(range(r), range(self.matrix.rows)) @ v
-        d = self.snf.invariant_factors
-        uv = self.snf.u.submatrix(range(r), range(self.matrix.rows)) @ v
-        return Matrix._raw(v.ring, r, v.cols, [[x // d[i] for x in row] for i, row in enumerate(uv.data)])
-
-    def solve(self, b: Matrix):
-        """One exact solution ``x`` of ``matrix @ x = b``, or ``None``.
-
-        Over Z the solution, when returned, is integral; ``None`` also covers
-        systems solvable over Q but not over Z.
-        """
-        a = self.matrix
-        ring = a.ring
-        if self.reduced is not None:
-            c = self.reduced.transform @ b
-            pivots = self.reduced.pivots
-            if any(v != 0 for row in c.data[len(pivots):] for v in row):
-                return None
-            x = [[ring.normalize(0)] * b.cols for _ in range(a.cols)]
-            for row, col in enumerate(pivots):
-                x[col] = c.data[row]
-            return Matrix._raw(ring, a.cols, b.cols, x)
-        factors = self.snf.invariant_factors
-        c = self.snf.u @ b
-        y = [[0] * b.cols for _ in range(a.cols)]
-        for i, row in enumerate(c.data):
-            d = factors[i] if i < len(factors) else 0
-            for j, ci in enumerate(row):
-                if d == 0:
-                    if ci != 0:
-                        return None
-                elif ci % d != 0:
-                    return None
-                else:
-                    y[i][j] = ci // d
-        return self.snf.v @ Matrix._raw(ring, a.cols, b.cols, y)
-
-
-def factor(a: Matrix) -> Factorization:
-    """Eliminate ``a`` once: rref over a field, Smith normal form over Z."""
-    if a.ring.is_field:
-        return Factorization(a, reduced=rref(a))
-    return Factorization(a, snf=smith_normal_form(a))
+def factor(a: Matrix) -> RrefResult | SnfResult:
+    """Eliminate ``a`` once: :func:`rref` over a field, :func:`smith_normal_form` over Z."""
+    return rref(a) if a.ring.is_field else smith_normal_form(a)
 
 
 def rank(a: Matrix) -> int:
@@ -443,7 +425,8 @@ def det(a: Matrix):
 def solve_matrix(a: Matrix, b: Matrix):
     """Solve ``a @ x = b`` column by column; ``None`` if any column fails.
 
-    See :meth:`Factorization.solve`: over Z a returned solution is integral.
+    See :meth:`RrefResult.solve` and :meth:`SnfResult.solve`: over Z a
+    returned solution is integral.
     """
     if b.rows != a.rows:
         raise ShapeMismatch(f"rhs {b.rows}x{b.cols} against {a.rows}x{a.cols}")
@@ -466,7 +449,7 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def kernel_basis(a: Matrix) -> SubspaceBasis:
-    """Basis of ``{x : a @ x = 0}``; see :meth:`Factorization.kernel`."""
+    """Basis of ``{x : a @ x = 0}``; see :meth:`RrefResult.kernel` and :meth:`SnfResult.kernel`."""
     return factor(a).kernel()
 
 
