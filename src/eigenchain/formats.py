@@ -378,8 +378,11 @@ def _object_field(payload: dict, key: str, what: str) -> dict:
 def reverify_certificate(payload: dict) -> bool:
     """Re-check a positive certificate from its serialized data alone.
 
-    A field it reads that is missing or mistyped raises :class:`ParseError` naming it.
+    A payload that is not a JSON object, or a field it reads that is
+    missing or mistyped, raises :class:`ParseError` (naming the field).
     """
+    if not isinstance(payload, dict):
+        raise ParseError("certificate: expected a JSON object")
     if payload.get("verdict") != "Eigenvalue" or not payload.get("witness"):
         return False
     witness = _object_field(payload, "witness", "certificate")

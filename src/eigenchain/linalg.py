@@ -28,6 +28,14 @@ Smith reduction picks the smallest-absolute-value nonzero entry of the
 remaining submatrix, breaking ties row-major.  Determinism matters
 because downstream basis choices (complements, kernel generators) feed
 golden tests and reproducible certificates.
+
+Pivots of ±1, the common case over Z (simplicial boundaries, most random
+complexes), cost only the rows they change, under the same pivot rules:
+the fraction-free elimination negates the pivot row of a pivot equal to
+minus the previous one and flips its sign, instead of negating every
+other row; the Smith pivot search returns at the first entry of absolute
+value one, which is the one the rule picks; and a pivot of one skips the
+divisibility scan, since one divides everything.
 """
 
 from __future__ import annotations
@@ -277,7 +285,14 @@ def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[lis
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
-    """Smith normal form over Z; its unimodular transforms are built on first read."""
+    """Smith normal form over Z; its unimodular transforms are built on first read.
+
+    Each pivot is the smallest-absolute-value nonzero entry of the
+    remaining submatrix, ties row-major, so the search returns at the
+    first entry of absolute value one.  A pivot that does not divide the
+    rest of the submatrix folds an offending row in and shrinks; a pivot
+    of one divides everything, and the scan for offenders is skipped.
+    """
     if not isinstance(a.ring, Integers):
         raise NotIntegerRing(f"Smith normal form needs Z, got {a.ring}")
     m, n = a.rows, a.cols
@@ -328,6 +343,8 @@ def smith_normal_form(a: Matrix) -> SnfResult:
                 val = row[j]
                 if val != 0:
                     av = -val if val < 0 else val
+                    if av == 1:
+                        return i, j  # no smaller entry exists, none earlier ties
                     if best is None or av < best:
                         best = av
                         pos = (i, j)
@@ -364,9 +381,11 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             if restart or any(w[i][t] != 0 for i in range(t + 1, m)):
                 pos = (t, t)
                 continue
-            # Enforce divisibility into the remaining submatrix.
-            offender = None
+            # Enforce divisibility into the remaining submatrix; 1 divides everything.
             d = w[t][t]
+            if d == 1:
+                break
+            offender = None
             for i in range(t + 1, m):
                 row = w[i]
                 for j in range(t + 1, n):
@@ -489,6 +508,15 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matri
     determinant of a nonsingular square ``a``.  At full row rank the
     transform is integral exactly when ``d`` is ±1, and is then ``d`` times
     the augmented block; otherwise it is ``None``.
+
+    A step whose pivot is minus the previous one (a rational pivot of -1,
+    as at each sign change along a simplicial boundary) would negate every
+    row.  The pivot row is negated instead and the swap parity flipped, so
+    the step is one with an equal pivot and touches only the rows with a
+    nonzero in the pivot column.  Every row after it is the negative of
+    what it would have been, with the same zeros, and so is ``d`` from then
+    on; the pivots, the signed minor and ``d`` times the augmented block
+    are the same.
     """
     m, n = a.rows, a.cols
     work = [list(row) + e for row, e in zip(a.data, Matrix.identity(a.ring, m).grid())]
@@ -506,6 +534,11 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matri
             sign = -sign
         top = work[r]
         piv = top[c]
+        if piv == -prev:
+            # Negated, the pivot row makes this a piv == prev step, which
+            # leaves the rows with a zero in column c alone.
+            top = work[r] = [-x for x in top]
+            piv, sign = prev, -sign
         nz = [(j, y) for j, y in enumerate(top) if y]
         for i, row in enumerate(work):
             f = row[c]

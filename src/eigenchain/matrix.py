@@ -46,7 +46,7 @@ class Matrix:
         m.ring = ring
         m.rows = rows
         m.cols = cols
-        m.data = tuple(tuple(row) for row in data)
+        m.data = tuple(map(tuple, data))
         return m
 
     @classmethod

@@ -60,3 +60,9 @@ def test_homotopy_that_is_a_list(payload):
     payload["witness"]["homotopy"] = []
     with pytest.raises(ParseError, match="certificate witness: 'homotopy' must be a JSON object, got \\[\\]"):
         reverify_certificate(payload)
+
+
+@pytest.mark.parametrize("document", [[], "x", 3, None], ids=repr)
+def test_payload_that_is_not_an_object(document):
+    with pytest.raises(ParseError, match="^certificate: expected a JSON object$"):
+        reverify_certificate(document)

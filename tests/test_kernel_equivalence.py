@@ -14,6 +14,9 @@ from itertools import permutations
 import pytest
 
 from eigenchain import GF, QQ, ZZ, Matrix, rref, smith_normal_form
+from eigenchain.simplicial import simplicial_to_chain
+
+from test_golden_simplicial import CORPUS as SIMPLICIAL
 
 FIELDS = [QQ, GF(2), GF(5)]
 RINGS = FIELDS + [ZZ]
@@ -231,6 +234,7 @@ def test_smith_form_matches_dense_reduction(seed):
     rng = random.Random(seed)
     for m, n, _ in _shapes(rng):
         _assert_snf_matches(sparse_matrix(ZZ, rng, m, n))
+        _assert_snf_matches(Matrix(ZZ, [[rng.choice((1, -1)) for _ in range(n)] for _ in range(m)], cols=n))
     # Dense inputs stay small: their transforms grow fast.
     _assert_snf_matches(dense_matrix(ZZ, rng, rng.randint(1, 7), rng.randint(1, 7)))
 
@@ -242,6 +246,15 @@ def test_smith_form_matches_dense_reduction(seed):
 def test_smith_form_folds_rows_for_divisibility(entries):
     # The pivot divides its row and column but not the rest, so a row is folded in.
     _assert_snf_matches(Matrix(ZZ, entries))
+
+
+@pytest.mark.parametrize("name, vertices, facets", SIMPLICIAL, ids=[c[0] for c in SIMPLICIAL])
+def test_smith_form_of_simplicial_boundaries_matches_dense_reduction(name, vertices, facets):
+    # ±1 entries: the pivot search stops at the first unit and a unit pivot skips the divisibility scan.
+    chain, _ = simplicial_to_chain(vertices, facets, ZZ)
+    for d in chain.diffs.values():
+        _assert_snf_matches(d)
+        _assert_snf_matches(d.transpose())
 
 
 @pytest.mark.parametrize("m, n", EMPTY_SHAPES)
