@@ -170,7 +170,9 @@ def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) 
     """Exact degreewise check of the homotopy identity.
 
     ``composites`` records ``d∘psi + psi∘d`` at every supported degree so
-    callers can inspect the witnessed products.
+    callers can inspect the witnessed products.  Each is computed as the
+    one product ``[d_{n-1} | psi_{n+1}] @ [psi_n ; d_n]``, which adds only
+    nonzero terms, rather than as a sum of two matrices.
     """
     if psi.on != x:
         raise ValidationError("homotopy is attached to a different complex")
@@ -180,9 +182,10 @@ def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) 
     composites = {}
     failure = None
     for n in x.degrees():
-        lhs = x.diff(n - 1) @ psi.block(n) + psi.block(n + 1) @ x.diff(n)
+        lhs = hstack([x.diff(n - 1), psi.block(n + 1)]) @ vstack([psi.block(n), x.diff(n)])
         composites[n] = lhs
-        target = f.block(n) - g.block(n)
+        # With no block of f here (the zero map), f - g is -g.
+        target = f.block(n) - g.block(n) if n in f.blocks else -g.block(n)
         if failure is None and lhs != target:
             failure = (n, (lhs - target).first_nonzero())
     if failure is None:

@@ -174,10 +174,15 @@ def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matri
     if not _ENTRY_TYPES.issuperset(map(type, chain.from_iterable(entries))):
         bad = next(v for r in entries for v in r if type(v) not in _ENTRY_TYPES)
         raise ParseError(f"{what}: 'entries' must hold strings or JSON integers, got {bad!r}")
-    try:  # the constructor's normalize parses string entries
-        return Matrix(ring, entries, cols=cols)
+    # Each distinct entry is normalized once, in row-major order of first
+    # use, so the first bad entry is the one named; past that, an entry
+    # costs one table lookup.  Entries repeat: mostly 0 and ±1.
+    distinct = dict.fromkeys(chain.from_iterable(entries))
+    try:
+        value = dict(zip(distinct, map(ring.normalize, distinct)))
     except ParseError as exc:
         raise ParseError(f"{what}: {exc}") from None
+    return Matrix._raw(ring, rows, cols, tuple(tuple(map(value.__getitem__, row)) for row in entries))
 
 
 def _by_user_degree(degrees, sign: int) -> list[int]:

@@ -76,7 +76,7 @@ class RrefResult:
     @cached_property
     def transform(self) -> Matrix:
         ring, m = self.echelon.ring, self.echelon.rows
-        return Matrix._raw(ring, m, m, _replay(self.ops, Matrix.identity(ring, m).grid(), ring))
+        return Matrix._raw(ring, m, m, tuple(map(tuple, _replay(self.ops, Matrix.identity(ring, m).grid(), ring))))
 
     @property
     def rank(self) -> int:
@@ -95,7 +95,7 @@ class RrefResult:
             for row, col in enumerate(self.pivots):
                 vec[col] = ring.reduce(-echelon[row][j])
             cols.append(vec)
-        basis = Matrix._raw(ring, n, len(cols), zip(*cols)) if cols else Matrix.zeros(ring, n, 0)
+        basis = Matrix._raw(ring, n, len(cols), tuple(zip(*cols))) if cols else Matrix.zeros(ring, n, 0)
         return SubspaceBasis(n, _sign_normalize(basis))
 
     def image(self) -> SubspaceBasis:
@@ -112,10 +112,10 @@ class RrefResult:
         c = self.transform @ b
         if any(v != 0 for row in c.data[self.rank:] for v in row):
             return None
-        x = [[ring.normalize(0)] * b.cols for _ in range(a.cols)]
+        x = [(ring.normalize(0),) * b.cols] * a.cols
         for row, col in enumerate(self.pivots):
             x[col] = c.data[row]
-        return Matrix._raw(ring, a.cols, b.cols, x)
+        return Matrix._raw(ring, a.cols, b.cols, tuple(x))
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,17 @@ class SnfResult:
     @cached_property
     def u(self) -> Matrix:
         ring, m = self.s.ring, self.s.rows
-        return Matrix._raw(ring, m, m, _replay(self.row_ops, Matrix.identity(ring, m).grid()))
+        return Matrix._raw(ring, m, m, tuple(map(tuple, _replay(self.row_ops, Matrix.identity(ring, m).grid()))))
 
     @cached_property
     def u_inv(self) -> Matrix:
         ring, m = self.s.ring, self.s.rows
-        return Matrix._raw(ring, m, m, zip(*_replay(self.row_ops, Matrix.identity(ring, m).grid(), inverse=True)))
+        return Matrix._raw(ring, m, m, tuple(zip(*_replay(self.row_ops, Matrix.identity(ring, m).grid(), inverse=True))))
 
     @cached_property
     def v(self) -> Matrix:
         ring, n = self.s.ring, self.s.cols
-        return Matrix._raw(ring, n, n, zip(*_replay(self.col_ops, Matrix.identity(ring, n).grid())))
+        return Matrix._raw(ring, n, n, tuple(zip(*_replay(self.col_ops, Matrix.identity(ring, n).grid()))))
 
     @property
     def rank(self) -> int:
@@ -181,21 +181,21 @@ class SnfResult:
         """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
         r, d = self.rank, self.invariant_factors
         uv = self.u.submatrix(range(r), range(self.matrix.rows)) @ v
-        return Matrix._raw(v.ring, r, v.cols, [[x // d[i] for x in row] for i, row in enumerate(uv.data)])
+        return Matrix._raw(v.ring, r, v.cols, tuple(tuple(x // d[i] for x in row) for i, row in enumerate(uv.data)))
 
     def solve(self, b: Matrix):
         """One integral solution ``x`` of ``matrix @ x = b``, or ``None``, also when only Q has one."""
         a = self.matrix
         factors = self.invariant_factors
         c = self.u @ b
-        y = [[0] * b.cols for _ in range(a.cols)]
+        y = [(0,) * b.cols] * a.cols
         for i, row in enumerate(c.data):
             d = factors[i] if i < len(factors) else 0
             if any(ci % d if d else ci for ci in row):
                 return None
             if d:
-                y[i] = [ci // d for ci in row]
-        return self.v @ Matrix._raw(a.ring, a.cols, b.cols, y)
+                y[i] = tuple(ci // d for ci in row)
+        return self.v @ Matrix._raw(a.ring, a.cols, b.cols, tuple(y))
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def rref(a: Matrix) -> RrefResult:
                 ops.append((i, r, f))
         pivots.append(c)
         r += 1
-    return RrefResult(a, Matrix._raw(ring, m, n, work), tuple(pivots), ops)
+    return RrefResult(a, Matrix._raw(ring, m, n, tuple(map(tuple, work))), tuple(pivots), ops)
 
 
 def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[list]:
@@ -401,7 +401,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             pos = (t, t)
 
     factors = tuple(w[i][i] for i in range(min(m, n)))
-    return SnfResult(a, Matrix._raw(a.ring, m, n, w), factors, row_ops, col_ops)
+    return SnfResult(a, Matrix._raw(a.ring, m, n, tuple(map(tuple, w))), factors, row_ops, col_ops)
 
 
 def factor(a: Matrix) -> RrefResult | SnfResult:
@@ -494,7 +494,7 @@ def _sign_normalize(basis: Matrix) -> Matrix:
         cols.append(col)
     if not cols:
         return basis
-    return Matrix._raw(ring, basis.rows, basis.cols, zip(*cols))
+    return Matrix._raw(ring, basis.rows, basis.cols, tuple(zip(*cols)))
 
 
 def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matrix]]:
@@ -553,7 +553,7 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matri
         prev = piv
     if len(pivots) < m or abs(prev) != 1:
         return tuple(pivots), sign * prev, None
-    return tuple(pivots), sign * prev, Matrix._raw(a.ring, m, m, [[prev * x for x in row[n:]] for row in work])
+    return tuple(pivots), sign * prev, Matrix._raw(a.ring, m, m, tuple(tuple(prev * x for x in row[n:]) for row in work))
 
 
 def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
@@ -568,7 +568,7 @@ def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
     inverse is ``None`` when it is not integral.
     """
     m = sub.rows
-    reversed_rows = Matrix._raw(sub.ring, sub.cols, m, [[row[j] for row in reversed(sub.data)] for j in range(sub.cols)])
+    reversed_rows = Matrix._raw(sub.ring, sub.cols, m, tuple(tuple(row[j] for row in reversed(sub.data)) for j in range(sub.cols)))
     if sub.ring.is_field:
         res = rref(reversed_rows)
         pivots, transform = res.pivots, res.transform
@@ -616,7 +616,7 @@ def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
         for j, r in enumerate(rows):
             for i in range(k):
                 to_sub[i][r] = rows_inv.data[i][j]
-        to_sub = Matrix._raw(ring, k, m, to_sub)
+        to_sub = Matrix._raw(ring, k, m, tuple(map(tuple, to_sub)))
         to_comp = eye.submatrix(free, range(m)) - sub.vectors.submatrix(free, range(k)) @ to_sub
         return SubspaceBasis(m, eye.cols_at(free)), vstack([to_comp, to_sub])
     snf = smith_normal_form(sub.vectors)

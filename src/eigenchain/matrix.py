@@ -1,8 +1,12 @@
 """Exact matrices over the supported rings, stored dense.
 
 Entries are raw ring values (``Fraction`` or ``int``); the ring travels
-with the matrix.  Storage is dense row-major, but products touch only
-nonzero entries: boundary and witness matrices are mostly zeros.
+with the matrix.  Storage is dense row-major, a tuple of tuple rows that
+no one mutates, so matrices share rows freely (every row of a zero matrix
+is one tuple) and wrap new rows without copying them.  Products touch
+only nonzero entries: boundary and witness matrices are mostly zeros.
+Sums, differences, negation and scaling map the operator over each row,
+so an entry costs its arithmetic and, over F_p only, one ``ring.reduce``.
 Zero-row and zero-column matrices are legal and stand for maps to or
 from the zero module, which keeps degree-window edges of chain complexes
 uniform.
@@ -10,6 +14,8 @@ uniform.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ShapeMismatch
@@ -37,27 +43,27 @@ class Matrix:
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(norm(v) for v in row) for row in entries)
+        self.data = tuple(tuple(map(norm, row)) for row in entries)
 
     @classmethod
-    def _raw(cls, ring: Ring, rows: int, cols: int, data) -> "Matrix":
-        # Internal: entries already canonical for the ring.
+    def _raw(cls, ring: Ring, rows: int, cols: int, data: tuple) -> "Matrix":
+        # Internal: ``data`` is a tuple of tuple rows, entries already
+        # canonical for the ring; it is kept as given, without a copy.
         m = object.__new__(cls)
         m.ring = ring
         m.rows = rows
         m.cols = cols
-        m.data = tuple(map(tuple, data))
+        m.data = data
         return m
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        zero = ring.normalize(0)
-        return cls._raw(ring, rows, cols, [[zero] * cols for _ in range(rows)])
+        return cls._raw(ring, rows, cols, ((ring.normalize(0),) * cols,) * rows)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         zero, one = ring.normalize(0), ring.normalize(1)
-        return cls._raw(ring, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._raw(ring, n, n, tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def column(cls, ring: Ring, values: Iterable) -> "Matrix":
@@ -90,48 +96,50 @@ class Matrix:
                 if x:
                     for j, y in brow:
                         acc[j] += x * y
-            out.append(acc if reduce is None else [reduce(v) for v in acc])
-        return Matrix._raw(self.ring, self.rows, other.cols, out)
+            out.append(tuple(acc) if reduce is None else tuple(map(reduce, acc)))
+        return Matrix._raw(self.ring, self.rows, other.cols, tuple(out))
+
+    def _with_rows(self, rows: Iterable[Iterable]) -> "Matrix":
+        """A matrix of this ring and shape with entries ``rows``, reduced over F_p only."""
+        if self.ring.needs_reduction:
+            reduce = self.ring.reduce
+            data = tuple(tuple(map(reduce, row)) for row in rows)
+        else:
+            data = tuple(map(tuple, rows))
+        return Matrix._raw(self.ring, self.rows, self.cols, data)
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("matrix sizes differ")
-        reduce = self.ring.reduce
-        data = [
-            [reduce(op(a, b)) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return Matrix._raw(self.ring, self.rows, self.cols, data)
+        return self._with_rows(map(op, ra, rb) for ra, rb in zip(self.data, other.data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, lambda a, b: a + b)
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, lambda a, b: a - b)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "Matrix":
-        reduce = self.ring.reduce
-        return Matrix._raw(self.ring, self.rows, self.cols, [[reduce(-v) for v in row] for row in self.data])
+        return self._with_rows(map(neg, row) for row in self.data)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
-        reduce = self.ring.reduce
-        return Matrix._raw(self.ring, self.rows, self.cols, [[reduce(c * v) for v in row] for row in self.data])
+        return self._with_rows(map(mul, repeat(c), row) for row in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(self.ring, self.cols, self.rows, zip(*self.data) if self.rows else [() for _ in range(self.cols)])
+        return Matrix._raw(self.ring, self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     def col(self, j: int) -> "Matrix":
-        return Matrix._raw(self.ring, self.rows, 1, [(row[j],) for row in self.data])
+        return Matrix._raw(self.ring, self.rows, 1, tuple((row[j],) for row in self.data))
 
     def cols_at(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix._raw(self.ring, self.rows, len(indices), [tuple(row[j] for j in indices) for row in self.data])
+        return Matrix._raw(self.ring, self.rows, len(indices), tuple(tuple(row[j] for j in indices) for row in self.data))
 
     def submatrix(self, row_range, col_range) -> "Matrix":
         ri = list(row_range)
         ci = list(col_range)
-        return Matrix._raw(self.ring, len(ri), len(ci), [tuple(self.data[i][j] for j in ci) for i in ri])
+        return Matrix._raw(self.ring, len(ri), len(ci), tuple(tuple(self.data[i][j] for j in ci) for i in ri))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
@@ -174,7 +182,7 @@ def hstack(matrices: Sequence[Matrix]) -> Matrix:
             raise RingMismatch("hstack over mixed rings")
         if m.rows != rows:
             raise ShapeMismatch("hstack with differing row counts")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
+    data = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*(m.data for m in mats)))
     return Matrix._raw(ring, rows, sum(m.cols for m in mats), data)
 
 
@@ -189,7 +197,7 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
             raise RingMismatch("vstack over mixed rings")
         if m.cols != cols:
             raise ShapeMismatch("vstack with differing column counts")
-    data = [row for m in mats for row in m.data]
+    data = tuple(chain.from_iterable(m.data for m in mats))
     return Matrix._raw(ring, sum(m.rows for m in mats), cols, data)
 
 
@@ -202,13 +210,12 @@ def block_diag(matrices: Sequence[Matrix]) -> Matrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
     zero = ring.normalize(0)
-    out = [[zero] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for m in mats:
         if m.ring != ring:
             raise RingMismatch("block_diag over mixed rings")
-        for i, row in enumerate(m.data):
-            out[r0 + i][c0 : c0 + m.cols] = row
-        r0 += m.rows
+        left, right = (zero,) * c0, (zero,) * (cols - c0 - m.cols)
+        out.extend(left + row + right for row in m.data)
         c0 += m.cols
-    return Matrix._raw(ring, rows, cols, out)
+    return Matrix._raw(ring, rows, cols, tuple(out))

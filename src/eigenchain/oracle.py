@@ -134,7 +134,7 @@ def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> Ora
     if not equations:
         solvable = all(v == 0 for v in rhs)
         return OracleReport(solvable=solvable, homotopy=Homotopy(x, {}) if solvable else None)
-    system = Matrix._raw(ring, len(equations), total, equations)
+    system = Matrix._raw(ring, len(equations), total, tuple(map(tuple, equations)))
     solution = solve_matrix(system, Matrix.column(ring, rhs))
     if solution is None:
         return OracleReport(solvable=False)

@@ -151,6 +151,41 @@ class TestVerifyHomotopy:
         assert report.degree == -2
         assert report.composites[-2] == Matrix(ZZ, [[1]])
 
+    def test_opposite_sign_convention(self, circle_with_pair):
+        # d(-psi) + (-psi)d = id = f - g for f = id and g = 0, the f - g branch.
+        f, lam, alpha = circle_with_pair
+        cone = mapping_cone(alpha)
+        z, psi = cone.underlying, construct_null_homotopy(cone, decompose(f))
+        negated = Homotopy(z, {n: -m for n, m in psi.blocks.items()})
+        report = verify_homotopy(z, identity_map(z), zero_map(z, z), negated)
+        assert report.ok
+        assert report.composites == {n: -m for n, m in null_check(z, psi).composites.items()}
+        assert report.composites[-1] == Matrix.identity(ZZ, 4)
+        # The tampered witness of test_sign_flip_is_caught, negated, fails at the same spot.
+        blocks = dict(negated.blocks)
+        blocks[-1] = Matrix(ZZ, [[0, 0, 0, -1]])
+        report = verify_homotopy(z, identity_map(z), zero_map(z, z), Homotopy(z, blocks))
+        assert not report.ok
+        assert (report.degree, report.entry) == (-2, (0, 0))
+        assert report.composites[-2] == Matrix(ZZ, [[-1]])
+        assert report.message == "homotopy identity fails at degree -2, entry (0, 0)"
+
+    def test_both_conventions_agree_on_random_cones(self):
+        rng = random.Random(5)
+        for ring in (QQ, GF(3)):
+            for _ in range(10):
+                f = random_complex(ring, rng, max_len=5, max_rank=4, total_cap=16)
+                cone = mapping_cone(canonical_alpha(f)[1])
+                z, psi = cone.underlying, construct_null_homotopy(cone, decompose(f))
+                negated = Homotopy(z, {n: -m for n, m in psi.blocks.items()})
+                zero_first = null_check(z, psi)
+                id_first = verify_homotopy(z, identity_map(z), zero_map(z, z), negated)
+                assert zero_first.ok and id_first.ok
+                assert id_first.composites == {n: -m for n, m in zero_first.composites.items()}
+                # A nonzero f and g at once: f - g = 2 id - id.
+                twice = GradedMap(z, z, 0, {n: Matrix.identity(ring, r).scale(2) for n, r in z.ranks.items()})
+                assert verify_homotopy(z, twice, identity_map(z), negated).ok
+
     def test_wrong_shape_rejected(self, circle):
         with pytest.raises(ValidationError):
             Homotopy(circle, {0: Matrix.identity(ZZ, 2)})
