@@ -4,7 +4,10 @@ Matrices are stored dense; eliminations update only the entries where
 the pivot row (or column) is nonzero, so sparse inputs cost little more
 than their nonzeros.  Over Z nothing leaves the integers: Smith forms
 and complement splits (which pivot fraction-free, after Bareiss) work on
-``int``s, and only Q computes with ``Fraction``s.
+``int``s.  Over Q an integral value is an ``int`` too (see
+:class:`~eigenchain.rings.Rationals`), so only entries that are not
+integral cost ``Fraction`` arithmetic, and an rref whose pivots are ±1
+stays in ``int``s; inverses go through ``ring.inv``, never ``/``.
 
 There are three eliminations: ``rref`` over a field, ``smith_normal_form``
 over Z, and the fraction-free ``_fraction_free_rref`` over Z behind
@@ -220,7 +223,7 @@ def rref(a: Matrix) -> RrefResult:
     if not ring.is_field:
         raise NotAField(f"rref needs a field, got {ring}")
     m, n = a.rows, a.cols
-    red = ring.reduce
+    red, norm = ring.reduce, ring.normalize
     work = a.grid()
     ops = []
     pivots: list[int] = []
@@ -236,7 +239,7 @@ def rref(a: Matrix) -> RrefResult:
             ops.append((r, pivot_row))
         if work[r][c] != 1:
             inv = ring.inv(work[r][c])
-            work[r] = [red(v * inv) if v else v for v in work[r]]
+            work[r] = [norm(v * inv) if v else v for v in work[r]]
             ops.append((r, None, inv))
         wnz = [(j, y) for j, y in enumerate(work[r]) if y]
         for i in range(m):
@@ -257,15 +260,17 @@ def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[lis
     ``(i, t)`` swaps rows ``i`` and ``t``, ``(i, t, q)`` subtracts ``q``
     times row ``t`` from row ``i`` and ``(i, None, c)`` scales row ``i`` by
     ``c``.  With ``ring`` each updated entry goes through ``ring.reduce``,
-    which changes it only over F_p.  A column operation on a transform is
-    the same operation on the rows of its transpose, so
-    :func:`smith_normal_form` logs ``V``'s column operations in this form
-    too.  With ``inverse`` each subtraction is undone on the other side,
-    which builds the transpose of the inverse: row ``t`` gains ``q`` times
-    row ``i``.  Swaps are their own inverse transposes, and so are the
-    scalings by -1 that are the only ones a Smith form logs.
+    which changes it only over F_p, and each scaled one through
+    ``ring.normalize``, which also turns an integral ``Fraction`` into an
+    ``int`` over Q.  A column operation on a transform is the same
+    operation on the rows of its transpose, so :func:`smith_normal_form`
+    logs ``V``'s column operations in this form too.  With ``inverse``
+    each subtraction is undone on the other side, which builds the
+    transpose of the inverse: row ``t`` gains ``q`` times row ``i``.  Swaps
+    are their own inverse transposes, and so are the scalings by -1 that
+    are the only ones a Smith form logs.
     """
-    red = None if ring is None else ring.reduce
+    red, norm = (None, None) if ring is None else (ring.reduce, ring.normalize)
     for op in ops:
         if len(op) == 2:
             i, t = op
@@ -273,7 +278,7 @@ def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[lis
             continue
         i, t, q = op
         if t is None:
-            rows[i] = [(q * v if red is None else red(q * v)) if v else v for v in rows[i]]
+            rows[i] = [(q * v if norm is None else norm(q * v)) if v else v for v in rows[i]]
             continue
         if inverse:
             i, t, q = t, i, -q
@@ -488,7 +493,7 @@ def _sign_normalize(basis: Matrix) -> Matrix:
             if ring.is_field:
                 if lead != 1:
                     inv = ring.inv(lead)
-                    col = [ring.reduce(v * inv) for v in col]
+                    col = [ring.normalize(v * inv) for v in col]
             elif lead < 0:
                 col = [-v for v in col]
         cols.append(col)

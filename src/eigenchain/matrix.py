@@ -1,21 +1,23 @@
 """Exact matrices over the supported rings, stored dense.
 
-Entries are raw ring values (``Fraction`` or ``int``); the ring travels
-with the matrix.  Storage is dense row-major, a tuple of tuple rows that
-no one mutates, so matrices share rows freely (every row of a zero matrix
-is one tuple) and wrap new rows without copying them.  Products touch
-only nonzero entries: boundary and witness matrices are mostly zeros.
-Sums, differences, negation and scaling map the operator over each row,
-so an entry costs its arithmetic and, over F_p only, one ``ring.reduce``.
-Zero-row and zero-column matrices are legal and stand for maps to or
-from the zero module, which keeps degree-window edges of chain complexes
-uniform.
+Entries are raw ring values, the ring traveling with the matrix: ``int``
+over Z and F_p, and over Q an ``int`` or a ``Fraction`` (see
+:class:`~eigenchain.rings.Rationals`), so integral data over Q computes
+with ``int`` arithmetic through the same code.  Storage is dense
+row-major, a tuple of tuple rows that no one mutates, so matrices share
+rows freely (every row of a zero matrix is one tuple) and wrap new rows
+without copying them.  Products touch only nonzero entries: boundary and
+witness matrices are mostly zeros.  Sums, differences, negation and
+scaling map the operator over each row, so an entry costs its arithmetic
+and, over F_p only, one ``%``.  Zero-row and zero-column matrices are
+legal and stand for maps to or from the zero module, which keeps
+degree-window edges of chain complexes uniform.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import add, mul, neg, sub
+from operator import add, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ShapeMismatch
@@ -86,7 +88,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
         zero = self.ring.normalize(0)
-        reduce = self.ring.reduce if self.ring.needs_reduction else None
+        p = repeat(self.ring.p) if self.ring.needs_reduction else None
         # Nonzero (col, value) pairs of each row of the right operand.
         brows = [[(j, y) for j, y in enumerate(row) if y] for row in other.data]
         out = []
@@ -96,14 +98,14 @@ class Matrix:
                 if x:
                     for j, y in brow:
                         acc[j] += x * y
-            out.append(tuple(acc) if reduce is None else tuple(map(reduce, acc)))
+            out.append(tuple(acc) if p is None else tuple(map(mod, acc, p)))
         return Matrix._raw(self.ring, self.rows, other.cols, tuple(out))
 
     def _with_rows(self, rows: Iterable[Iterable]) -> "Matrix":
         """A matrix of this ring and shape with entries ``rows``, reduced over F_p only."""
         if self.ring.needs_reduction:
-            reduce = self.ring.reduce
-            data = tuple(tuple(map(reduce, row)) for row in rows)
+            p = repeat(self.ring.p)
+            data = tuple(tuple(map(mod, row, p)) for row in rows)
         else:
             data = tuple(map(tuple, rows))
         return Matrix._raw(self.ring, self.rows, self.cols, data)

@@ -1,12 +1,14 @@
 """Exact coefficient rings.
 
 Three rings are supported: the rationals, prime fields F_p, and the
-integers.  Values are stored as plain Python objects (``Fraction`` for Q,
-``int`` for Z and for F_p residues in ``[0, p)``), so all arithmetic is
-exact and arbitrary precision.  Matrix code operates on these raw values
-directly with Python's operators and calls ``ring.reduce`` after
-accumulating; a ring supplies only coercion (``normalize``), reduction,
-inversion and the text form of its values (``parse``, ``render``).
+integers.  Values are stored as plain Python objects (``int`` for Z and
+for F_p residues in ``[0, p)``; for Q an ``int`` when the value is
+integral and a ``Fraction`` otherwise), so all arithmetic is exact and
+arbitrary precision, and integral data computes at ``int`` speed in every
+ring.  Matrix code operates on these raw values directly with Python's
+operators and reduces after accumulating over F_p only; a ring supplies
+only coercion (``normalize``), reduction, inversion and the text form of
+its values (``parse``, ``render``).  No ring accepts a ``bool``.
 """
 
 from __future__ import annotations
@@ -46,16 +48,27 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Rationals:
-    """The field Q; values are ``fractions.Fraction`` in lowest terms."""
+    """The field Q; a value is an ``int`` if integral, else a ``Fraction`` in lowest terms.
+
+    Equal values are interchangeable: ``int`` and ``Fraction`` compare,
+    hash and render alike and mix exactly in ``+``, ``-`` and ``*``, so the
+    same matrix code runs integer arithmetic wherever the data are
+    integral.  Arithmetic may still leave an integral ``Fraction``; it is
+    a valid value, and ``normalize`` turns it into an ``int``.  Never
+    apply ``/`` to two values (two ``int``s give a ``float``): invert
+    through :meth:`inv`.
+    """
 
     is_field = True
     needs_reduction = False
 
-    def normalize(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
+    def normalize(self, x):
+        if isinstance(x, bool):
+            raise ParseError("booleans are not integers")
         if isinstance(x, int):
-            return Fraction(x)
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, str):
             return self.parse(x)
         raise ParseError(f"cannot coerce {x!r} into Q")
@@ -64,18 +77,20 @@ class Rationals:
         return x
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise NotInvertible("zero has no inverse in Q")
-        return 1 / Fraction(a)
+        return self.normalize(1 / Fraction(a))
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str):
         try:
-            return Fraction(text.strip())
+            return self.normalize(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
 
     def render(self, x) -> str:
-        return str(Fraction(x))
+        return str(x)
 
     @property
     def json_tag(self):
@@ -101,6 +116,8 @@ class PrimeField:
     def normalize(self, x) -> int:
         if isinstance(x, str):
             return self.parse(x)
+        if isinstance(x, bool):
+            raise ParseError("booleans are not integers")
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ParseError(f"cannot coerce non-integer {x} into F_{self.p}")

@@ -45,7 +45,9 @@ def assert_canonical(m: Matrix):
     for row in m.data:
         for v in row:
             if m.ring == QQ:
-                assert type(v) is Fraction
+                # A Q value is an int or a Fraction, never a bool or a float;
+                # arithmetic may leave an integral Fraction.
+                assert type(v) in (int, Fraction)
             else:
                 assert type(v) is int
                 if m.ring.needs_reduction:

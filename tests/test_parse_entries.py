@@ -78,8 +78,12 @@ def test_mixed_ints_strings_and_spaces_parse_to_the_same_values():
     assert m.data == ((1, 1), (2, 2))
     assert all(type(v) is int for row in m.data for v in row)
     q = d1("Q", [[1, "1"], [" 1/2 ", "2/4"]])
-    assert q.data == ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 2)))
-    assert all(type(v) is Fraction for row in q.data for v in row)
+    assert q.data == ((1, 1), (Fraction(1, 2), Fraction(1, 2)))
+    # A parsed Q entry is an int exactly when it is integral, else a Fraction.
+    assert all(type(v) is (int if v.denominator == 1 else Fraction) for row in q.data for v in row)
+    whole = d1("Q", [[" 4/2 ", "-6/3"], ["2/1", 0]])
+    assert whole.data == ((2, -2), (2, 0))
+    assert all(type(v) is int for row in whole.data for v in row)
     assert q.ring == QQ
 
 
