@@ -2,23 +2,24 @@
 
 A certificate records, for a triple (complex F, zero-differential complex
 lambda, chain map alpha), whether the mapping cone of alpha is
-null-homotopic.  A positive verdict always ships a witness homotopy that
-re-verifies from scratch; a negative verdict names the first violated
-hypothesis per degree.  The verdict does not depend on the chosen
-complement: it is negative exactly when alpha induces no isomorphism on
-homology, read in F's homology coordinates.  So a complement-dependent
-hypothesis failure can never mask a valid pair; if the cone contracts
-anyway, the verdict is positive with the contraction as witness.
+null-homotopic.  A positive verdict ships the cone with a witness
+homotopy on it that re-verifies from scratch; a negative verdict builds
+no cone and names the first violated hypothesis per degree.  The verdict
+does not depend on the chosen complement: it is negative exactly when
+alpha induces no isomorphism on homology, read in F's homology
+coordinates.  So a complement-dependent hypothesis failure can never mask
+a valid pair; if the cone contracts anyway, the verdict is positive with
+the contraction as witness.
 
 One :class:`~eigenchain.decompose.Decomposition` of F per call feeds every
 stage: homology ranks and torsion, the canonical pair, the cone layout,
 the hypothesis check and the witness.  The verdict comes from ranks
 first: a rank mismatch or a non-injective eigenmap is read off the
 factorizations, and a degree of F is split only for the checks and the
-witness that need the split.  The cone itself is analyzed, by
-:func:`~eigenchain.cones.is_contractible`, only for the contraction
-witness of a pair whose hypotheses fail although alpha is an
-isomorphism on homology.
+witness that need the split.  The cone is assembled only on a positive
+verdict, and analyzed, by :func:`~eigenchain.cones.is_contractible`,
+only for the contraction witness of a pair whose hypotheses fail
+although alpha is an isomorphism on homology.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ NOT_EIGENVALUE = "NotEigenvalue"
 
 @dataclass
 class EigenCertificate:
-    """Verdict plus either a verified witness or structured failure reasons."""
+    """Verdict plus either a verified witness or structured failure reasons.
+
+    ``cone`` and ``witness`` are set together, on a positive verdict only;
+    a negative verdict is read off ranks and hypotheses and carries neither.
+    """
 
     verdict: str
     ring: object
@@ -85,20 +90,20 @@ def _certificate(dec: Decomposition, verdict: str, **fields) -> EigenCertificate
 
 
 def _decide(alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
-    cone = _assemble_cone(alpha, dec)
     check = check_hypotheses(alpha, dec)
-    base = dict(lambda_ranks=dict(alpha.source.ranks), alpha_injective=check.injective, cone=cone)
+    base = dict(lambda_ranks=dict(alpha.source.ranks), alpha_injective=check.injective)
     # Hypotheses are stated relative to our complement choice; the verdict
     # reads alpha in homology coordinates instead, so it is choice-free.
     if not check.homology_iso:
         return _certificate(dec, NOT_EIGENVALUE, failure_reasons=check.failures, **base)
-    # Only a positive arbitration analyzes the cone, for its contraction.
+    # The cone is built for a positive verdict only; only an arbitration analyzes it.
+    cone = _assemble_cone(alpha, dec)
     z = cone.underlying
     witness = is_contractible(z)[1] if check.failures else construct_null_homotopy(cone, dec, check)
     report = verify_homotopy(z, zero_map(z, z), identity_map(z), witness)
     if not report.ok:
         raise ValidationError(f"witness failed verification: {report.message}")
-    return _certificate(dec, EIGENVALUE, witness=witness, **base)
+    return _certificate(dec, EIGENVALUE, witness=witness, cone=cone, **base)
 
 
 def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> EigenCertificate:

@@ -188,7 +188,7 @@ def _cmd_proptest(args) -> int:
         for tag, lam, alpha in alpha_variants(f, rng):
             cert = decide_eigenvalue(f, lam, alpha)
             certified += 1
-            cone = cert.cone
+            cone = mapping_cone(alpha)
             oracle = homotopy_system_solvable(
                 cone.underlying,
                 zero_map(cone.underlying, cone.underlying),

@@ -233,8 +233,12 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
         raise ParseError(f"bad convention {convention!r}")
     sign = convention_sign(convention)
     ranks = {}
+    seen = set()
     for item in _list_field(payload, "degrees", "complex"):
         deg = _int_field(item, "degree", "degrees entry")
+        if deg in seen:
+            raise ParseError(f"complex: 'degree' {deg} appears twice in 'degrees'")
+        seen.add(deg)
         rank = _int_field(item, "rank", f"degree {deg}")
         if rank < 0:
             raise ValidationError(f"negative rank at degree {deg}")
@@ -360,7 +364,7 @@ def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
             key=lambda r: (sign * r.degree if r.degree is not None else 0),
         )
         payload["failure_reason"] = _failure_to_payload(primary, sign)
-    if cert.witness is not None and cert.cone is not None:
+    if cert.witness is not None:
         payload["witness"] = {
             "cone": cone_to_payload(cert.cone, convention),
             "alpha": graded_map_to_payload(cert.cone.source_alpha, convention),
@@ -408,10 +412,17 @@ def load_document(path) -> tuple[str, dict]:
 
 
 def load_complex(path, ring: Ring | None = None) -> ComplexDoc:
-    """Read a complex file; simplicial files are converted on the fly."""
+    """Read a complex file; simplicial files are converted on the fly.
+
+    ``ring`` is the ring of simplicial input (default Z); a complex file
+    carries its own, which ``ring``, when given, must equal.
+    """
     kind, payload = load_document(path)
     if kind == "complex":
-        return complex_from_payload(payload)
+        doc = complex_from_payload(payload)
+        if ring is not None and ring != doc.complex.ring:
+            raise ValidationError(f"{path}: ring {ring} differs from the file's ring {doc.complex.ring}")
+        return doc
     if kind == "simplicial":
         use_ring = ring if ring is not None else ZZ
         vertices = payload.get("vertices")

@@ -19,11 +19,14 @@ from typing import Union
 
 from .errors import NotInvertible, ParseError, ValidationError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
+# (Sorenson & Webster 2017); primality is decided only below it.
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the witness set covers all n < 3.3e24.
+    # Miller-Rabin on the bases 2..41, deterministic for n < _MR_BOUND.
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -110,6 +113,8 @@ class PrimeField:
     needs_reduction = True
 
     def __post_init__(self):
+        if self.p >= _MR_BOUND:
+            raise ValidationError(f"{self.p} is not below {_MR_BOUND}, the bound under which primality is decided")
         if not _is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
 

@@ -59,7 +59,7 @@ class TestDecide:
         assert not cert.is_eigenvalue()
         assert cert.failure_reason.kind == "RankMismatch"
         assert cert.failure_reason.degree == 0
-        assert not is_contractible(cert.cone.underlying)[0]
+        assert not is_contractible(mapping_cone(alpha).underlying)[0]
 
     def test_failure_reason_is_the_first_of_the_failure_reasons(self, circle_with_pair):
         f, lam, alpha = circle_with_pair
@@ -100,7 +100,7 @@ class TestDecide:
         assert not cert.is_eigenvalue()
         assert cert.failure_reason.kind == "AlphaNotSurjective"
         # The cone is the doubling map, whose homology is the 2-torsion group.
-        assert not is_contractible(cert.cone.underlying)[0]
+        assert not is_contractible(mapping_cone(alpha).underlying)[0]
 
     def test_complement_miss_with_contractible_cone_is_still_positive(self):
         # The map lands outside the chosen complement yet induces the same
@@ -119,6 +119,25 @@ class TestDecide:
         assert not cert.is_eigenvalue()
         assert cert.failure_reason.kind == "NotSaturated"
         assert cert.failure_reason.factors == (2,)
+
+    def test_only_a_positive_verdict_carries_the_cone_and_its_witness(self):
+        # A negative is decided from ranks and hypotheses; the cone is the
+        # proof object of a positive verdict, and the witness lives on it.
+        seen = set()
+        for ring, seed in ((QQ, 11), (F2, 12), (GF(3), 13), (ZZ, 14)):
+            rng = random.Random(seed)
+            for _ in range(15):
+                f = random_complex(ring, rng, max_len=4, max_rank=3, total_cap=8)
+                certs = [certify_homology_eigenvalue(f)]
+                certs += [decide_eigenvalue(f, lam, alpha) for _, lam, alpha in alpha_variants(f, rng)]
+                for cert in certs:
+                    assert (cert.cone is None) == (cert.witness is None) == (not cert.is_eigenvalue())
+                    if cert.is_eigenvalue():
+                        assert cert.witness.on is cert.cone.underlying
+                    seen.add((ring, cert.failure_reason.kind if cert.failure_reason else None))
+        assert {ring for ring, kind in seen if kind is None} == {QQ, F2, GF(3), ZZ}
+        assert {ring for ring, kind in seen if kind is not None} == {QQ, F2, GF(3), ZZ}
+        assert (ZZ, "Torsion") in seen
 
 
 class TestCertifyHomology:

@@ -267,6 +267,37 @@ def test_usage_errors_exit_64(capsys):
             assert "non-negative integer" in err and out == ""
 
 
+@pytest.mark.parametrize("p", ["318665857834031151167461", "3317044064679887385961981"], ids=["psi12", "psi13"])
+def test_strong_pseudoprimes_are_refused_as_rings(workdir, capsys, p):
+    code, out, err = run(capsys, "homology", workdir / "s1_simplicial.json", "--ring", f"f{p}")
+    assert code == 64
+    assert out == "" and p in err and "Traceback" not in err
+    _edit(workdir, "s1_complex.json", _set(("ring",), {"Fp": int(p)}))
+    code, out, err = run(capsys, "homology", workdir / "s1_complex.json")
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {p} ")
+
+
+RING_ARGV = {
+    "homology": ["homology", "s1_complex.json"],
+    "decompose": ["decompose", "s1_complex.json"],
+    "cone": ["cone", "s1_complex.json", "s1_lambda.json", "s1_alpha.json", "-o", "out.json"],
+    "certify": ["certify", "s1_complex.json", "-o", "out.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RING_ARGV))
+def test_ring_flag_must_match_a_complex_file(workdir, capsys, command):
+    # --ring chooses the ring of simplicial input; a complex file names its own.
+    argv = [workdir / a if a.endswith(".json") else a for a in RING_ARGV[command]]
+    code, out, err = run(capsys, *argv, "--ring", "f2")
+    assert code == 2
+    assert out == "" and "ring F2 differs from the file's ring Z" in err
+    assert not (workdir / "out.json").exists()
+    code, _, err = run(capsys, *argv, "--ring", "z")
+    assert code == 0, err
+
+
 def test_proptest_reproducible(capsys):
     code1, out1, _ = run(capsys, "proptest", "--ring", "f2", "--max-dim", "6", "--trials", "8", "--seed", "5")
     code2, out2, _ = run(capsys, "proptest", "--ring", "f2", "--max-dim", "6", "--trials", "8", "--seed", "5")

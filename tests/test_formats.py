@@ -215,6 +215,15 @@ def test_complex_ranks_past_the_size_cap_are_parse_errors():
         complex_from_payload(payload(MAX_RANK + 1))
 
 
+@pytest.mark.parametrize("ranks", [(1, 2), (0, 2), (2, 0), (0, 0)])
+def test_a_degree_listed_twice_in_degrees_is_a_parse_error(ranks):
+    # A rank-0 entry names its degree too, so it is a repeat all the same.
+    degrees = [{"degree": 0, "rank": r} for r in ranks]
+    payload = {"ring": "Z", "convention": "cochain", "degrees": degrees, "diffs": []}
+    with pytest.raises(ParseError, match="^complex: 'degree' 0 appears twice in 'degrees'$"):
+        complex_from_payload(payload)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(max_value=-(2**80)) | st.text(),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),

@@ -58,6 +58,26 @@ def test_json_tag_round_trips(ring):
     assert ring_from_tag(ring.json_tag) == ring
 
 
+# The least strong pseudoprimes to the bases 2..37 and 2..41.
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+@pytest.mark.parametrize("n", [PSI_12, PSI_13], ids=["psi12", "psi13"])
+def test_strong_pseudoprimes_are_not_fields(n):
+    with pytest.raises(ValidationError):
+        GF(n)
+    with pytest.raises(ValidationError):
+        ring_from_tag({"Fp": n})
+
+
+def test_moduli_past_the_decided_range_are_refused_naming_the_bound():
+    with pytest.raises(ValidationError, match=f"not below {PSI_13}"):
+        GF(PSI_13 + 2)
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert ring_from_tag({"Fp": 2**61 - 1}) == GF(2**61 - 1)
+
+
 @pytest.mark.parametrize("tag", ["R", {"Fp": "7"}, {"Fp": 7.0}, {"Fp": True}, {"Fp": 7, "x": 1}, None])
 def test_bad_ring_tags_are_parse_errors(tag):
     with pytest.raises(ParseError):
