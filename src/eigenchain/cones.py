@@ -23,7 +23,7 @@ share one contraction formula, :func:`_contraction_block`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .complexes import (
@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .decompose import Decomposition
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
-from .linalg import factor
+from .linalg import RrefResult, SnfResult, factor
 from .matrix import Matrix, block_diag, hstack, vstack
 
 RANK_MISMATCH = "RankMismatch"
@@ -207,27 +207,42 @@ class HypothesisCheck:
     ``injective`` covers every degree of the scalar object.  ``failures``
     holds the first violated hypothesis per degree, ascending; a complex
     with torsion yields the single NotSaturated failure of its lowest such
-    degree.  ``alpha_inverse`` solves ``alpha_n x = cycles`` wherever every
-    hypothesis holds: the witness inverts the eigenmap with it.
-    ``homology_iso`` says whether ``alpha`` induces an isomorphism on
-    homology, which for bounded free complexes is exactly when its cone
-    contracts.
+    degree.  ``homology_iso`` says whether ``alpha`` induces an
+    isomorphism on homology, which for bounded free complexes is exactly
+    when its cone contracts.  ``factored`` holds the factorization of each
+    block of ``alpha``.  ``alpha_inverse`` holds the solution of
+    ``alpha_n x = cycles`` at each degree where every hypothesis holds;
+    the witness inverts the eigenmap with it, read by :meth:`inverse`.
+    Over Z the check solves it, since solvability is a hypothesis there.
+    Over a field the solve cannot fail, so the check leaves
+    ``alpha_inverse`` empty and :meth:`inverse` solves when the witness
+    reads it.
     """
 
     injective: dict[int, bool]
     failures: list[FailureReason]
-    alpha_inverse: dict[int, Matrix]
     homology_iso: bool
+    factored: dict[int, RrefResult | SnfResult] = field(repr=False)
+    alpha_inverse: dict[int, Matrix] = field(default_factory=dict)
+
+    def inverse(self, dec: Decomposition, n: int) -> Matrix:
+        """``alpha_inverse[n]`` where the check solved it, else a solve against the cycles of ``dec``."""
+        if n in self.alpha_inverse:
+            return self.alpha_inverse[n]
+        return self.factored[n].solve(dec.at(n).cycles_in_ambient)
 
 
 def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     """Check the hypotheses of the explicit null-homotopy of ``alpha``'s cone.
 
     Per degree: the scalar rank matches the homology rank, the map is
-    injective, lands in the chosen complement, and hits every cycle in it
-    (automatic over a field once ranks match; a genuine extra condition
-    over Z).  Each block of ``alpha`` is factored once, for its
-    injectivity and its solve.
+    injective, lands in the chosen complement, and hits every cycle in it.
+    Over a field the last is automatic once the others hold: a chain map
+    from ``lambda`` lands in cycles, so an injective ``alpha`` into the
+    complement spans its cycles, whose dimension is the homology rank.
+    Over Z it is a genuine extra condition, and the check solves for it.
+    Each block of ``alpha`` is factored once, for its injectivity and its
+    solve.
 
     Every failure but AlphaNotIntoG already shows that ``alpha`` is no
     isomorphism on homology: ranks differ, a kernel vector maps to class
@@ -243,7 +258,7 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     bad = dec.unsaturated()
     if bad is not None:
         failure = FailureReason(NOT_SATURATED, degree=bad.degree, factors=tuple(bad.factors))
-        return HypothesisCheck(injective, [failure], {}, False)
+        return HypothesisCheck(injective, [failure], False, factored)
     failures = []
     inverses = {}
     for n in sorted(set(lam.ranks) | set(f.ranks)):
@@ -257,7 +272,7 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
             failures.append(FailureReason(ALPHA_NOT_INJECTIVE, degree=n))
         elif (part := dec.at(n)).complement_coords(alpha.block(n)) is None:
             failures.append(FailureReason(ALPHA_NOT_INTO_G, degree=n))
-        else:
+        elif not dec.ring.is_field:
             inverse = factored[n].solve(part.cycles_in_ambient)
             if inverse is None:
                 failures.append(FailureReason(ALPHA_NOT_SURJECTIVE, degree=n))
@@ -267,7 +282,7 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     iso = all(r.kind == ALPHA_NOT_INTO_G for r in failures) and all(
         h.rank == h.matrix.cols and not h.torsion for h in on_homology
     )
-    return HypothesisCheck(injective, failures, inverses, iso)
+    return HypothesisCheck(injective, failures, iso, factored, inverses)
 
 
 def _contraction_block(dec: Decomposition, n: int) -> Matrix:
@@ -292,7 +307,8 @@ def construct_null_homotopy(
     the transversal; on the image it inverts the restricted differential
     back through the transversal (:func:`_contraction_block`).  Both
     inverses are read off the decomposition and ``check`` (run here when
-    not given); a failed hypothesis raises :class:`HypothesisFailure`.
+    not given), the eigenmap's by :meth:`HypothesisCheck.inverse`, once
+    per degree; a failed hypothesis raises :class:`HypothesisFailure`.
     """
     alpha = cone.source_alpha
     if check is None:
@@ -310,7 +326,7 @@ def construct_null_homotopy(
         lam_src, lam_tgt, f_src = lam.rank(n + 1), lam.rank(n), f.rank(n)
         # Scalar-part output: invert the eigenmap on the cycle component.
         if lam_tgt and f_src:
-            top_f = -(check.alpha_inverse[n] @ dec.at(n).to_cycle_coords)
+            top_f = -(check.inverse(dec, n) @ dec.at(n).to_cycle_coords)
         else:
             top_f = Matrix.zeros(ring, lam_tgt, f_src)
         top = hstack([Matrix.zeros(ring, lam_tgt, lam_src), top_f])

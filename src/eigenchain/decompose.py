@@ -8,10 +8,15 @@ image and kernel bases all read off that one result.
 At each degree the module splits as (complement) ⊕ (image of the incoming
 differential), and the complement splits further into the cycles it
 contains plus a transversal that the differential carries isomorphically
-onto the outgoing image.  A degree's split is built the first time it is
-asked for and kept for the rest of the call.  Homology ranks, torsion,
-canonical cycle representatives, the canonical eigenmap, the hypothesis
-checks and the witness homotopy all read off these pieces.
+onto the outgoing image.  A degree's split has two levels, each built
+the first time it is asked for and kept for the rest of the call: the
+first (image, complement, block coordinates) when the degree is indexed,
+the second (cycles, transversal, their coordinates and the right
+inverse) field by field, when one is read.  So a check that only asks
+whether a map lands in the complement eliminates nothing on cycles.
+Homology ranks, torsion, canonical cycle representatives, the canonical
+eigenmap, the hypothesis checks and the witness homotopy all read off
+these pieces.
 
 Over Z the first split exists exactly when the incoming image is a pure
 (saturated) submodule, which is also exactly when homology at that degree
@@ -22,12 +27,13 @@ only when that degree's split is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .complexes import COCHAIN, ChainComplex, GradedMap, scalar_object, validate_complex
 from .errors import ConventionMismatch, NotSaturated, TorsionHomology, ValidationError
-from .linalg import SubspaceBasis, complement_and_inverse, factor, smith_normal_form
+from .linalg import RrefResult, SnfResult, SubspaceBasis, complement_and_inverse, factor, smith_normal_form
 from .matrix import Matrix
 
 
@@ -44,39 +50,83 @@ def _require_valid(f: ChainComplex):
 class DegreeDecomposition:
     """The two-level split of one degree.
 
-    ``incoming_image`` and ``complement`` live in ambient coordinates;
-    ``complement_cycles`` (cycles inside the complement) and
-    ``complement_transversal`` live in complement coordinates, and
-    ``cycles_in_ambient`` and ``transversal_in_ambient`` are the same
-    bases in ambient coordinates.  ``restricted_diff`` is the differential
+    The first level is built with the split: ``incoming_image`` and
+    ``complement`` in ambient coordinates, and ``to_block_coords``, the
+    inverse of ``[complement | incoming_image]``, which converts ambient
+    coordinates to block coordinates.  ``outgoing`` is the factorization
+    of the differential leaving the degree.
+
+    The second level is built the first time it is read, each field from
+    the pieces it needs.  ``restricted_diff`` is the differential
     restricted to the complement, written from complement coordinates to
-    the basis of the outgoing image.  ``to_block_coords`` inverts
-    ``[complement | incoming_image]``, i.e. converts ambient coordinates to
-    block coordinates.  ``to_cycle_coords`` takes ambient coordinates to
-    coefficients on ``cycles_in_ambient`` (along the transversal and the
-    image), and ``right_inverse`` lifts each outgoing image basis vector
-    to the transversal, in complement coordinates.
+    the basis of the outgoing image.  ``complement_cycles`` (cycles inside
+    the complement) and ``complement_transversal`` live in complement
+    coordinates, and ``cycles_in_ambient`` and ``transversal_in_ambient``
+    are the same bases in ambient coordinates.  ``to_cycle_coords`` takes
+    ambient coordinates to coefficients on ``cycles_in_ambient`` (along
+    the transversal and the image), and ``right_inverse`` lifts each
+    outgoing image basis vector to the transversal, in complement
+    coordinates.
     """
 
     degree: int
     incoming_image: SubspaceBasis
     complement: SubspaceBasis
-    complement_cycles: SubspaceBasis
-    complement_transversal: SubspaceBasis
-    restricted_diff: Matrix
     to_block_coords: Matrix
-    cycles_in_ambient: Matrix
-    transversal_in_ambient: Matrix
-    to_cycle_coords: Matrix
-    right_inverse: Matrix
+    outgoing: RrefResult | SnfResult = field(repr=False, compare=False)
 
     def complement_coords(self, vectors: Matrix) -> Optional[Matrix]:
         """Complement coordinates of ``vectors``, or ``None`` if they leave the complement."""
         coords = self.to_block_coords @ vectors
         g = self.complement.dim
-        if any(v != 0 for row in coords.data[g:] for v in row):
+        if any(map(any, coords.data[g:])):
             return None
         return coords.submatrix(range(g), range(vectors.cols))
+
+    @cached_property
+    def restricted_diff(self) -> Matrix:
+        d_n = self.outgoing
+        return d_n.image_coords(d_n.matrix @ self.complement.vectors)
+
+    @cached_property
+    def _restricted_factored(self) -> RrefResult | SnfResult:
+        return factor(self.restricted_diff)
+
+    @cached_property
+    def complement_cycles(self) -> SubspaceBasis:
+        return self._restricted_factored.kernel()
+
+    @cached_property
+    def _cycle_split(self) -> tuple[SubspaceBasis, Matrix]:
+        # The transversal, and the inverse of [transversal | cycles].
+        return complement_and_inverse(self.complement_cycles)
+
+    @cached_property
+    def complement_transversal(self) -> SubspaceBasis:
+        return self._cycle_split[0]
+
+    @cached_property
+    def cycles_in_ambient(self) -> Matrix:
+        return self.complement.vectors @ self.complement_cycles.vectors
+
+    @cached_property
+    def transversal_in_ambient(self) -> Matrix:
+        return self.complement.vectors @ self.complement_transversal.vectors
+
+    @cached_property
+    def to_cycle_coords(self) -> Matrix:
+        g, t = self.complement.dim, self.complement_transversal.dim
+        to_cycles = self._cycle_split[1].submatrix(range(t, g), range(g))
+        return to_cycles @ self.to_block_coords.submatrix(range(g), range(self.complement.ambient_dim))
+
+    @cached_property
+    def right_inverse(self) -> Matrix:
+        g, t = self.complement.dim, self.complement_transversal.dim
+        to_transversal = self._cycle_split[1].submatrix(range(t), range(g))
+        # Any preimage of the outgoing basis, projected onto the transversal.
+        delta = self.restricted_diff
+        lift = to_transversal @ self._restricted_factored.solve(Matrix.identity(delta.ring, delta.rows))
+        return self.complement_transversal.vectors @ lift
 
 
 @dataclass(frozen=True)
@@ -161,40 +211,12 @@ class Decomposition:
         return part
 
     def _split(self, n: int) -> DegreeDecomposition:
-        ring = self.ring
-        ambient = self.ranks.get(n, 0)
-        if not ambient:
-            empty = Matrix.zeros(ring, 0, 0)
-            basis = SubspaceBasis(0, empty)
-            return DegreeDecomposition(n, basis, basis, basis, basis, empty, empty, empty, empty, empty, empty)
         if self.torsion(n):
             raise NotSaturated(self.torsion(n), degree=n)
         incoming = self.image(n)
         comp, to_blocks = complement_and_inverse(incoming)
-        # Differential restricted to the complement, in outgoing-image coordinates.
-        d_n = self.factored[n]
-        delta = d_n.image_coords(d_n.matrix @ comp.vectors)
-        delta_n = factor(delta)
-        cycles = delta_n.kernel()
-        transversal, to_split = complement_and_inverse(cycles)
-        g, t = comp.dim, transversal.dim
-        to_transversal = to_split.submatrix(range(t), range(g))
-        to_cycles = to_split.submatrix(range(t, g), range(g))
-        # Any preimage of the outgoing basis, projected onto the transversal.
-        lift = to_transversal @ delta_n.solve(Matrix.identity(ring, delta.rows))
-        return DegreeDecomposition(
-            degree=n,
-            incoming_image=incoming,
-            complement=comp,
-            complement_cycles=cycles,
-            complement_transversal=transversal,
-            restricted_diff=delta,
-            to_block_coords=to_blocks,
-            cycles_in_ambient=comp.vectors @ cycles.vectors,
-            transversal_in_ambient=comp.vectors @ transversal.vectors,
-            to_cycle_coords=to_cycles @ to_blocks.submatrix(range(g), range(ambient)),
-            right_inverse=transversal.vectors @ lift,
-        )
+        outgoing = self.factored[n] if n in self.factored else factor(self.source.diff(n))
+        return DegreeDecomposition(n, incoming, comp, to_blocks, outgoing)
 
     def _fallback_representatives(self, n: int) -> SubspaceBasis:
         # Free-part generators of ker/im when the degree carries torsion:
@@ -204,7 +226,7 @@ class Decomposition:
         ker = self.factored[n].kernel()
         comp, to_blocks = complement_and_inverse(ker)
         split = to_blocks @ self.image(n).vectors
-        if any(v != 0 for row in split.data[: comp.dim] for v in row):
+        if any(map(any, split.data[: comp.dim])):
             raise ValidationError(f"image at degree {n} is not contained in the kernel")
         coords = split.submatrix(range(comp.dim, split.rows), range(split.cols))
         snf = smith_normal_form(coords)

@@ -113,7 +113,7 @@ class RrefResult:
         """One exact solution ``x`` of ``matrix @ x = b``, or ``None``."""
         a, ring = self.matrix, self.matrix.ring
         c = self.transform @ b
-        if any(v != 0 for row in c.data[self.rank:] for v in row):
+        if any(map(any, c.data[self.rank:])):
             return None
         x = [(ring.normalize(0),) * b.cols] * a.cols
         for row, col in enumerate(self.pivots):

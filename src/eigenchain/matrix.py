@@ -144,7 +144,7 @@ class Matrix:
         return Matrix._raw(self.ring, len(ri), len(ci), tuple(tuple(self.data[i][j] for j in ci) for i in ri))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not any(map(any, self.data))
 
     def first_nonzero(self):
         """Row-major position ``(i, j)`` of the first nonzero entry, or ``None``."""

@@ -121,3 +121,52 @@ def test_validated_outputs_of_constructions():
         assert validate_complex(x).ok
         y = random_complex(GF(3), rng, max_len=3, max_rank=2)
         assert validate_complex(block_diag_sum(x, y)).ok
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The operands of every ``Matrix.__matmul__``, in call order."""
+    calls = []
+    original = Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return calls
+
+
+def test_pruned_differentials_compose_with_no_product(products):
+    # d_1 is zero and pruned, so neither composite has a nonzero factor.
+    x = ChainComplex(QQ, "cochain", {0: 1, 1: 2, 2: 1}, {0: Matrix(QQ, [[1], [2]]), 1: Matrix.zeros(QQ, 1, 2)})
+    assert list(x.diffs) == [0]
+    assert validate_complex(x).ok
+    assert products == []
+
+
+def _pair(alpha_0):
+    """A scalar object into ``F = (Q^2 --[1 1]--> Q)``, degree 0 by ``alpha_0`` and degree 1 by one."""
+    f = ChainComplex(QQ, "cochain", {0: 2, 1: 1}, {0: Matrix(QQ, [[1, 1]])})
+    lam = scalar_object(QQ, {0: 1, 1: 1})
+    return GradedMap(lam, f, 0, {0: Matrix(QQ, alpha_0), 1: Matrix(QQ, [[1]])})
+
+
+def test_a_chain_map_multiplies_no_pruned_block(products):
+    # lambda's differentials are pruned and F has none leaving degree 1:
+    # the only product is d_0 @ alpha_0.
+    alpha = _pair([[1], [-1]])
+    assert validate_chain_map(alpha).ok
+    assert products == [(alpha.target.diffs[0], alpha.blocks[0])]
+
+
+def test_a_broken_square_reports_where_it_fails(products):
+    report = validate_chain_map(_pair([[1], [0]]))
+    assert (report.ok, report.degree, report.entry) == (False, 0, (0, 0))
+    assert report.message == "square at degree 0 fails at entry (0, 0)"
+    # Only the right-hand side is nonzero: a map out of a complex whose differential is not zero.
+    x = ChainComplex(GF(3), "cochain", {0: 1, 1: 2}, {0: Matrix(GF(3), [[0], [1]])})
+    y = scalar_object(GF(3), {0: 1, 1: 2})
+    report = validate_chain_map(GradedMap(x, y, 0, {1: Matrix.identity(GF(3), 2)}))
+    assert (report.ok, report.degree, report.entry) == (False, 0, (1, 0))
+    assert report.message == "square at degree 0 fails at entry (1, 0)"

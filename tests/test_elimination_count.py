@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 import pytest
 
-from eigenchain import QQ, ZZ, GradedMap, Matrix, linalg, scalar_object
+from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, linalg, scalar_object
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
 from eigenchain.complexes import COCHAIN, ChainComplex, convert_convention
-from eigenchain.cones import RANK_MISMATCH, FailureReason
-from eigenchain.decompose import Decomposition, homology
+from eigenchain.cones import ALPHA_NOT_INJECTIVE, RANK_MISMATCH, FailureReason
+from eigenchain.decompose import Decomposition, canonical_alpha, homology
 from eigenchain.randgen import alpha_variants, random_complex
 from eigenchain.simplicial import simplicial_to_chain
 from test_golden_analysis import RP2
@@ -109,6 +109,64 @@ def test_rank_mismatch_everywhere_builds_no_split(monkeypatch, ring):
     assert cert.verdict == "NotEigenvalue"
     assert cert.failure_reasons == [FailureReason(RANK_MISMATCH, degree=n) for n in (-2, -1, 0)]
     assert splits == []
+
+
+@pytest.fixture
+def complemented(monkeypatch):
+    """The subspaces handed to ``complement_and_inverse``, in call order."""
+    calls = []
+    original = linalg.complement_and_inverse
+
+    def counted(sub):
+        calls.append(sub)
+        return original(sub)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("eigenchain")]:
+        if getattr(module, "complement_and_inverse", None) is original:
+            monkeypatch.setattr(module, "complement_and_inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2)], ids=str)
+def test_a_field_negative_splits_no_cycles(eliminated, complemented, ring):
+    # Degree 0 keeps its rank but maps to zero, so it is not injective;
+    # degree -2 passes rank, injectivity and into-G.  Over a field that
+    # leaves nothing to solve, so no degree's cycles are split off.
+    f = skeleton(ring)
+    lam, alpha = canonical_alpha(f)
+    blocks = {n: b for n, b in alpha.blocks.items() if n != 0}
+    pair = GradedMap(lam, f, 0, blocks)
+    eliminated.clear()
+    complemented.clear()
+    cert = decide_eigenvalue(f, lam, pair)
+    assert cert.failure_reasons == [FailureReason(ALPHA_NOT_INJECTIVE, degree=0)]
+    assert cert.alpha_injective == {-2: True, 0: False}
+    seen, split = list(eliminated), list(complemented)
+    assert split  # degree -2 was split to its first level
+    dec = Decomposition(f)
+    restricted = [dec[n].restricted_diff for n in dec]
+    cycles = [dec[n].complement_cycles for n in dec]
+    assert not [e for e in seen if e.matrix in restricted]
+    assert not [sub for sub in split if sub in cycles]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_a_positive_certificate_solves_each_eigenmap_inverse_once(monkeypatch, ring):
+    solved = []
+    for result in (linalg.RrefResult, linalg.SnfResult):
+        original = result.solve
+
+        def counted(self, b, _original=original):
+            solved.append(self.matrix)
+            return _original(self, b)
+
+        monkeypatch.setattr(result, "solve", counted)
+    cert = certify_homology_eigenvalue(skeleton(ring))
+    assert cert.is_eigenvalue()
+    blocks = cert.cone.source_alpha.blocks
+    assert sorted(blocks) == [-2, 0]
+    for block in blocks.values():
+        assert sum(1 for m in solved if m is block) == 1
 
 
 @pytest.fixture

@@ -5,6 +5,11 @@ Witnesses and certificates must stay bit-identical across kernel changes
 complexes over Q, Z, F2 and F5, every ``alpha_variants`` pair of each, and
 the bundled circle.  If a change moves this digest, some certificate byte
 moved: find it with ``corpus_certificates`` before touching the pin.
+
+The bytes carry only the primary failure reason of a negative, so a
+second digest pins every certificate's whole ``failure_reasons`` list
+(kind, degree, factors) and its ``alpha_injective`` map over the same
+corpus.
 """
 
 import hashlib
@@ -26,6 +31,7 @@ CORPUS = (
     (ZZ, (105, 129, 130), 3, 12),
 )
 
+FAILURES_SHA256 = "4a33ffcfbe7486c9020a2ea34a58e9d01f3606efbbfef2a1df250e9eba4b8f61"
 GOLDEN_SHA256 = "178367a41c94500a5fb1242e9cc64910b9d68cb9fc552ae5dc2d56abf985a4d0"
 
 
@@ -33,17 +39,29 @@ def _bytes(cert, convention=COCHAIN) -> bytes:
     return canonical_dumps(certificate_to_payload(cert, convention)).encode()
 
 
-def corpus_certificates():
-    """Yield ``(label, canonical certificate bytes)`` in a fixed order."""
+def corpus():
+    """Yield ``(label, certificate, convention)`` in a fixed order."""
     doc = load_complex(bundled_path("s1_complex.json"))
-    yield "circle", _bytes(certify_homology_eigenvalue(doc.complex), doc.convention)
+    yield "circle", certify_homology_eigenvalue(doc.complex), doc.convention
     for ring, seeds, max_len, max_rank in CORPUS:
         for seed in seeds:
             f = random_complex(ring, random.Random(seed), max_len=max_len, max_rank=max_rank)
             label = f"{ring}/{seed}"
-            yield label, _bytes(certify_homology_eigenvalue(f))
+            yield label, certify_homology_eigenvalue(f), COCHAIN
             for tag, lam, alpha in alpha_variants(f, random.Random(f"variants-{seed}")):
-                yield f"{label}/{tag}", _bytes(decide_eigenvalue(f, lam, alpha))
+                yield f"{label}/{tag}", decide_eigenvalue(f, lam, alpha), COCHAIN
+
+
+def corpus_certificates():
+    """Yield ``(label, canonical certificate bytes)`` in a fixed order."""
+    for label, cert, convention in corpus():
+        yield label, _bytes(cert, convention)
+
+
+def _failures(cert) -> bytes:
+    """Every failure reason and the injectivity of every block, in a fixed text form."""
+    reasons = [(r.kind, r.degree, r.factors) for r in cert.failure_reasons]
+    return repr((reasons, sorted(cert.alpha_injective.items()))).encode()
 
 
 def test_certificate_bytes_match_the_golden_digest():
@@ -51,3 +69,11 @@ def test_certificate_bytes_match_the_golden_digest():
     for label, data in corpus_certificates():
         digest.update(label.encode() + b"\0" + data + b"\0")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_full_failure_lists_match_their_digest():
+    # The bytes carry only the first failure reason; this pins the rest.
+    digest = hashlib.sha256()
+    for label, cert, _ in corpus():
+        digest.update(label.encode() + b"\0" + _failures(cert) + b"\0")
+    assert digest.hexdigest() == FAILURES_SHA256
