@@ -201,11 +201,16 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
     def sizes(n):
         return cone.layout.get(n, ConeLayout(0, 0, 0))
 
+    bars = {}
+
     def bar_alpha(n):
-        sol = dec.at(n).complement_coords(alpha.block(n))
-        if sol is None:
-            raise LayoutMismatch(f"eigenmap image leaves the complement block at degree {n}")
-        return sol
+        # Alpha's block in complement coordinates, solved once per degree.
+        if n not in bars:
+            sol = dec.at(n).complement_coords(alpha.block(n))
+            if sol is None:
+                raise LayoutMismatch(f"eigenmap image leaves the complement block at degree {n}")
+            bars[n] = sol
+        return bars[n]
 
     # The two off-diagonal blocks of psi^n in (scalar | complement | image) coordinates.
     psi12 = {}

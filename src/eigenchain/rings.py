@@ -56,10 +56,11 @@ class Rationals:
     Equal values are interchangeable: ``int`` and ``Fraction`` compare,
     hash and render alike and mix exactly in ``+``, ``-`` and ``*``, so the
     same matrix code runs integer arithmetic wherever the data are
-    integral.  Arithmetic may still leave an integral ``Fraction``; it is
-    a valid value, and ``normalize`` turns it into an ``int``.  Never
-    apply ``/`` to two values (two ``int``s give a ``float``): invert
-    through :meth:`inv`.
+    integral.  Matrix products run on integer numerators and return an
+    ``int`` for every integral entry; sums and eliminations may still
+    leave an integral ``Fraction``.  It is a valid value, and
+    ``normalize`` turns it into an ``int``.  Never apply ``/`` to two
+    values (two ``int``s give a ``float``): invert through :meth:`inv`.
     """
 
     is_field = True

@@ -1,6 +1,7 @@
 """Certificates: both verdicts, every failure reason, block analysis."""
 
 import random
+from collections import Counter
 
 from eigenchain import (
     GF,
@@ -23,8 +24,10 @@ from eigenchain import (
     zero_map,
 )
 from eigenchain.cones import Homotopy
+from eigenchain.decompose import DegreeDecomposition
 from eigenchain.oracle import homotopy_system_solvable
 from eigenchain.randgen import alpha_variants, random_complex
+from test_elimination_count import skeleton
 
 F2 = GF(2)
 
@@ -266,3 +269,21 @@ class TestBlockAnalysis:
             cert = certify_homology_eigenvalue(f)
             assert cert.is_eigenvalue()
             assert reverified(cert)
+
+    def test_each_degree_puts_alpha_in_complement_coordinates_once(self, monkeypatch):
+        f = skeleton(QQ)
+        cert = certify_homology_eigenvalue(f)
+        assert cert.is_eigenvalue()
+        dec = decompose(f)
+        solved = Counter()
+        original = DegreeDecomposition.complement_coords
+
+        def counted(part, m):
+            solved[part.degree] += 1
+            return original(part, m)
+
+        monkeypatch.setattr(DegreeDecomposition, "complement_coords", counted)
+        analysis = analyze_homotopy_blocks(cert.cone, cert.witness, dec)
+        assert analysis.all_equations_hold() and analysis.all_conclusions_hold()
+        assert len(solved) == 5
+        assert set(solved.values()) == {1}

@@ -4,7 +4,9 @@
 loops below are the definitions they must reproduce exactly: the same
 entries, pivots and transforms, with every entry canonical for its ring.
 The transforms are replayed from the elimination's log when first read,
-so they must match whichever of them is read first.
+so they must match whichever of them is read first.  Over Q, ``@`` also
+multiplies non-integral rationals, on integer numerators, and must
+return an ``int`` for every integral entry.
 """
 
 import random
@@ -39,6 +41,29 @@ def sparse_matrix(ring, rng, rows, cols):
 
 def dense_matrix(ring, rng, rows, cols):
     return Matrix(ring, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def rational_matrix(ring, rng, rows, cols):
+    """Seeded ``int`` and ``Fraction`` entries over Q.
+
+    About a third of the rows and of the columns hold no ``Fraction``, and
+    some rows hold only integral ones, which sums and eliminations may
+    leave in a matrix.  The non-integral fractions are odd numerators over
+    2, 4 or 6, so sums of their products often cancel to 0 or to an
+    integer.
+    """
+    kind = {i: rng.choices(("int", "integral", "mixed"), (3, 2, 5))[0] for i in range(rows)}
+    int_cols = {j for j in range(cols) if rng.random() < 0.3}
+
+    def entry(i, j):
+        if kind[i] == "int" or j in int_cols or rng.random() < 0.3:
+            return rng.choice((0, 0, 1, -1, 2))
+        if kind[i] == "integral" or rng.random() < 0.1:
+            return Fraction(rng.choice((0, 1, -2)))
+        return Fraction(rng.choice((-3, -1, 1, 3, 5)), rng.choice((2, 4, 6)))
+
+    entries = tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
+    return Matrix._raw(ring, rows, cols, entries)
 
 
 def assert_canonical(m: Matrix):
@@ -174,14 +199,33 @@ def _shapes(rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_matmul_matches_the_dense_product(ring, seed):
     rng = random.Random(seed)
+    generators = (sparse_matrix, dense_matrix) + ((rational_matrix,) if ring == QQ else ())
+    cancelled = set()
     for m, k, n in _shapes(rng):
-        for left in (sparse_matrix, dense_matrix):
-            for right in (sparse_matrix, dense_matrix):
+        for left in generators:
+            for right in generators:
                 a, b = left(ring, rng, m, k), right(ring, rng, k, n)
                 prod = a @ b
                 assert (prod.rows, prod.cols) == (m, n)
                 assert prod.data == as_tuples(dense_matmul(a, b))
                 assert_canonical(prod)
+                if ring == QQ:
+                    # A Q product holds an int for every integral entry.
+                    assert not any(type(v) is Fraction and v.denominator == 1 for row in prod.data for v in row)
+                    cancelled |= _cancellations(a, b)
+    if ring == QQ:
+        assert cancelled == {"to 0", "to an integer"}
+
+
+def _cancellations(a: Matrix, b: Matrix) -> set:
+    """Which integral values, 0 or not, some entry of ``a @ b`` sums non-integral products to."""
+    found = set()
+    for i in range(a.rows):
+        for j in range(b.cols):
+            terms = [a[i, t] * b[t, j] for t in range(a.cols)]
+            if any(type(v) is Fraction and v.denominator != 1 for v in terms) and sum(terms) % 1 == 0:
+                found.add("to 0" if sum(terms) == 0 else "to an integer")
+    return found
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
