@@ -11,7 +11,8 @@ so the constructed witnesses match the decomposition blocks literally, and
 convention remains expressible.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
-of the target complex that its caller built: the cone's block layout, the
+of the target complex that its caller built: the cone's block layout
+(which :func:`mapping_cone` analyzes only when it is first read), the
 single hypothesis checker :func:`check_hypotheses`, the witness, and
 :func:`adapted_block`, the change to (scalar | complement | image) block
 coordinates.  The checker also reads whether ``alpha`` is an isomorphism
@@ -24,6 +25,7 @@ share one contraction formula, :func:`_contraction_block`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .complexes import (
@@ -75,12 +77,22 @@ class ConeComplex:
     """A mapping cone with its per-degree block layout."""
 
     underlying: ChainComplex
-    layout: dict[int, ConeLayout]
     source_alpha: GradedMap
+    analysis: Optional[Decomposition] = field(default=None, repr=False, compare=False)
 
     @property
     def ring(self):
         return self.underlying.ring
+
+    @cached_property
+    def layout(self) -> dict[int, ConeLayout]:
+        """Block sizes per cone degree, from ``analysis`` (of the target, if the cone was built with one) or a new one."""
+        lam, f = self.source_alpha.source, self.source_alpha.target
+        dec = Decomposition(f) if self.analysis is None else self.analysis
+        return {
+            n: ConeLayout(lam.rank(n + 1), f.rank(n) - dec.image_rank(n), dec.image_rank(n))
+            for n in sorted(self.underlying.ranks)
+        }
 
 
 class Homotopy(GradedMap):
@@ -111,8 +123,8 @@ def _require_cone_input(alpha: GradedMap):
         raise ValidationError(f"not a chain map: {check.message}")
 
 
-def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
-    """The cone of a checked ``alpha``; ``dec`` analyzes its (valid) target.
+def _assemble_cone(alpha: GradedMap, dec: Optional[Decomposition] = None) -> ConeComplex:
+    """The cone of a checked ``alpha``; ``dec``, if given, analyzes its (valid) target.
 
     A chain map into a complex has a cone that is again a complex, so the
     result needs no check of its own.
@@ -120,14 +132,7 @@ def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
     lam, f = alpha.source, alpha.target
     ring = f.ring
     degrees = sorted({n for n in f.ranks} | {n - 1 for n in lam.ranks})
-    ranks = {}
-    layout = {}
-    for n in degrees:
-        lam_rank = lam.rank(n + 1)
-        f_rank = f.rank(n)
-        ranks[n] = lam_rank + f_rank
-        im_rank = dec.image_rank(n)
-        layout[n] = ConeLayout(lam_rank, f_rank - im_rank, im_rank)
+    ranks = {n: lam.rank(n + 1) + f.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
         rows = ranks.get(n + 1, lam.rank(n + 2) + f.rank(n + 1))
@@ -137,13 +142,17 @@ def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
         top = Matrix.zeros(ring, lam.rank(n + 2), cols)
         bottom = hstack([alpha.block(n + 1), f.diff(n)])
         diffs[n] = vstack([top, bottom])
-    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), layout, alpha)
+    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), alpha, dec)
 
 
 def mapping_cone(alpha: GradedMap) -> ConeComplex:
-    """Cone of a chain map whose source has zero differentials."""
+    """Cone of a chain map whose source has zero differentials.
+
+    Its ``layout`` analyzes the target on first read, so a caller that
+    reads only ``underlying`` factors nothing.
+    """
     _require_cone_input(alpha)
-    return _assemble_cone(alpha, Decomposition(alpha.target))
+    return _assemble_cone(alpha)
 
 
 def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tgt: int) -> Matrix:

@@ -7,17 +7,16 @@ with ``int`` arithmetic through the same code.  Storage is dense
 row-major, a tuple of tuple rows that no one mutates, so matrices share
 rows freely (every row of a zero matrix is one tuple) and wrap new rows
 without copying them.  Products touch only nonzero entries: boundary and
-witness matrices are mostly zeros.  Over Q a product whose operands hold
-a ``Fraction`` runs on integer numerators: each left row is scaled by the
-lcm of its denominators and each right column by the lcm of its own, the
-same loop multiplies ``int``s, and each scaled output entry is divided
-once (one ``gcd``), so a product returns an ``int`` for every integral
-entry; all-``int`` operands cost one type scan of their nonzero entries
-each.  Sums, differences, negation and scaling map the operator over
-each row, so an entry costs its arithmetic and, over F_p only, one
-``%``.  Zero-row and zero-column matrices are legal and stand for maps
-to or from the zero module, which keeps degree-window edges of chain
-complexes uniform.
+witness matrices are mostly zeros.  Over Q a product is an integer
+product: ``A @ B = (a*A @ b*B) / (a*b)``, with ``a`` and ``b`` the lcms
+of each operand's denominators, so the same loop multiplies ``int``s and
+each output entry is divided once, an ``int`` where it is integral.  An
+operand is scaled when a type scan of its nonzero entries finds a
+``Fraction``, integral or not.  Sums, differences, negation and
+scaling map the operator over each row, so an entry costs its arithmetic
+and, over F_p only, one ``%``.  Zero-row and zero-column matrices are
+legal and stand for maps to or from the zero module, which keeps
+degree-window edges of chain complexes uniform.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from operator import add, attrgetter, itemgetter, mod, mul, neg, sub
+from operator import add, attrgetter, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ShapeMismatch
@@ -97,24 +96,15 @@ class Matrix:
             raise ShapeMismatch(f"({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
         zero = self.ring.normalize(0)
         p = repeat(self.ring.p) if self.ring.needs_reduction else None
+        adata, bdata, den = self.data, other.data, 1
+        if isinstance(self.ring, Rationals):
+            # A @ B = (a*A @ b*B) / (a*b): the loop below multiplies and
+            # adds only ints, and each output entry is divided once.
+            adata, a = _numerators(adata)
+            bdata, b = _numerators(bdata)
+            den = a * b
         # Nonzero (col, value) pairs of each row of the right operand.
-        brows = [[(j, y) for j, y in enumerate(row) if y] for row in other.data]
-        adata = self.data
-        row_dens = col_dens = None
-        if isinstance(self.ring, Rationals) and self.rows:
-            # Clear denominators: each left row times the lcm of its
-            # denominators, each right column times the lcm of its own, so
-            # the loop below multiplies and adds only ints.  Zeros never
-            # enter the loop, so only nonzero entries are scanned.
-            if _holds_fraction(filter(None, chain.from_iterable(adata))):
-                row_dens = [lcm(*map(_denominator, row)) for row in adata]
-                adata = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(adata, row_dens)]
-            if _holds_fraction(map(_value, chain.from_iterable(brows))):
-                col_dens = [1] * other.cols
-                for j, y in chain.from_iterable(brows):
-                    if type(y) is Fraction:
-                        col_dens[j] = lcm(col_dens[j], y.denominator)
-                brows = [[(j, y.numerator * (col_dens[j] // y.denominator)) for j, y in brow] for brow in brows]
+        brows = [[(j, y) for j, y in enumerate(row) if y] for row in bdata]
         out = []
         for arow in adata:
             acc = [zero] * other.cols
@@ -123,8 +113,8 @@ class Matrix:
                     for j, y in brow:
                         acc[j] += x * y
             out.append(tuple(acc) if p is None else tuple(map(mod, acc, p)))
-        if row_dens or col_dens:
-            out = _divided(out, row_dens or repeat(1), col_dens)
+        if den != 1:
+            out = [tuple([x // den if not x % den else Fraction(x, den) for x in row]) for row in out]
         return Matrix._raw(self.ring, self.rows, other.cols, tuple(out))
 
     def _with_rows(self, rows: Iterable[Iterable]) -> "Matrix":
@@ -200,29 +190,18 @@ class Matrix:
 
 
 _denominator = attrgetter("denominator")
-_value = itemgetter(1)
 
 
-def _holds_fraction(values: Iterable) -> bool:
-    return Fraction in set(map(type, values))
+def _numerators(data: Sequence[Sequence]) -> tuple:
+    """Q entries ``data`` times the lcm ``d`` of their denominators, as ``int`` rows, and ``d``.
 
-
-def _divided(rows: list, row_dens: Iterable[int], col_dens: Sequence[int] | None) -> list:
-    """Entry ``(i, j)`` of ``rows`` over ``row_dens[i] * col_dens[j]``, an ``int`` where integral."""
-    scaled_cols = [(j, d) for j, d in enumerate(col_dens) if d != 1] if col_dens else ()
-    out = []
-    for row, r in zip(rows, row_dens):
-        if r != 1:
-            dens = repeat(r) if col_dens is None else [r * d for d in col_dens]
-            row = tuple([x // d if not x % d else Fraction(x, d) for x, d in zip(row, dens)])
-        elif scaled_cols:
-            row = list(row)
-            for j, d in scaled_cols:
-                x = row[j]
-                row[j] = x // d if not x % d else Fraction(x, d)
-            row = tuple(row)
-        out.append(row)
-    return out
+    Data whose nonzero entries are all ``int``s come back as given, with
+    ``d = 1``; integral ``Fraction``s are converted all the same.
+    """
+    if Fraction not in set(map(type, filter(None, chain.from_iterable(data)))):
+        return data, 1
+    d = lcm(*set(map(_denominator, chain.from_iterable(data))))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in data], d
 
 
 def hstack(matrices: Sequence[Matrix]) -> Matrix:

@@ -56,9 +56,10 @@ class Rationals:
     Equal values are interchangeable: ``int`` and ``Fraction`` compare,
     hash and render alike and mix exactly in ``+``, ``-`` and ``*``, so the
     same matrix code runs integer arithmetic wherever the data are
-    integral.  Matrix products run on integer numerators and return an
-    ``int`` for every integral entry; sums and eliminations may still
-    leave an integral ``Fraction``.  It is a valid value, and
+    integral.  A matrix product clears each operand's denominators with
+    one lcm, multiplies ``int``s and divides each entry once, so it
+    returns an ``int`` for every integral entry; sums and eliminations
+    may still leave an integral ``Fraction``.  It is a valid value, and
     ``normalize`` turns it into an ``int``.  Never apply ``/`` to two
     values (two ``int``s give a ``float``): invert through :meth:`inv`.
     """

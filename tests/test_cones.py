@@ -25,7 +25,7 @@ from eigenchain import (
 from eigenchain import cones
 from eigenchain.certify import decide_eigenvalue
 from eigenchain.complexes import COCHAIN, convert_convention
-from eigenchain.cones import Homotopy, adapted_block, check_hypotheses
+from eigenchain.cones import ConeLayout, Homotopy, adapted_block, check_hypotheses
 from eigenchain.decompose import Decomposition
 from eigenchain.errors import HypothesisFailure, NotScalarSource, RingMismatch, ValidationError
 from eigenchain.formats import canonical_dumps, homotopy_to_payload
@@ -78,6 +78,18 @@ class TestMappingCone:
         cone = mapping_cone(alpha)
         assert (cone.layout[-1].lambda_rank, cone.layout[-1].complement_rank, cone.layout[-1].image_rank) == (1, 3, 0)
         assert (cone.layout[0].lambda_rank, cone.layout[0].complement_rank, cone.layout[0].image_rank) == (0, 1, 2)
+
+    def test_layout_is_analyzed_on_first_read_only(self, circle_with_pair, analyses):
+        f, lam, alpha = circle_with_pair
+        cone = mapping_cone(alpha)
+        assert analyses == []
+        assert cone.layout[0] == ConeLayout(0, 1, 2)
+        assert cone.layout[-1] == ConeLayout(1, 3, 0)
+        assert len(analyses) == 1 and analyses[0] is f
+        # A certificate's cone reads the analysis its verdict was decided with.
+        cert = decide_eigenvalue(f, lam, alpha)
+        assert cert.cone.layout == cone.layout
+        assert len(analyses) == 1
 
     def test_adapted_differential_has_the_block_shape(self, circle_with_pair):
         f, lam, alpha = circle_with_pair

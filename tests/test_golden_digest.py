@@ -10,6 +10,11 @@ The bytes carry only the primary failure reason of a negative, so a
 second digest pins every certificate's whole ``failure_reasons`` list
 (kind, degree, factors) and its ``alpha_injective`` map over the same
 corpus.
+
+The small Q complexes give certificates whose only denominators are 2,
+4, 7, 8 and 14, so a third digest pins the certificate bytes of wider Q
+complexes, which carry 55 distinct denominators, coprime ones among
+them.
 """
 
 import hashlib
@@ -30,6 +35,9 @@ CORPUS = (
     (ZZ, range(10), 4, 4),
     (ZZ, (105, 129, 130), 3, 12),
 )
+WIDE_Q = (QQ, range(16), 4, 8)
+
+WIDE_Q_SHA256 = "fa8d44e8534bc4955e5a38fbe5ac3b93d99ea22c5d5ee6277198f84f8d57a906"
 
 FAILURES_SHA256 = "4a33ffcfbe7486c9020a2ea34a58e9d01f3606efbbfef2a1df250e9eba4b8f61"
 GOLDEN_SHA256 = "178367a41c94500a5fb1242e9cc64910b9d68cb9fc552ae5dc2d56abf985a4d0"
@@ -43,13 +51,18 @@ def corpus():
     """Yield ``(label, certificate, convention)`` in a fixed order."""
     doc = load_complex(bundled_path("s1_complex.json"))
     yield "circle", certify_homology_eigenvalue(doc.complex), doc.convention
-    for ring, seeds, max_len, max_rank in CORPUS:
-        for seed in seeds:
-            f = random_complex(ring, random.Random(seed), max_len=max_len, max_rank=max_rank)
-            label = f"{ring}/{seed}"
-            yield label, certify_homology_eigenvalue(f), COCHAIN
-            for tag, lam, alpha in alpha_variants(f, random.Random(f"variants-{seed}")):
-                yield f"{label}/{tag}", decide_eigenvalue(f, lam, alpha), COCHAIN
+    for spec in CORPUS:
+        yield from random_corpus(*spec)
+
+
+def random_corpus(ring, seeds, max_len, max_rank):
+    """Yield ``(label, certificate, convention)`` for each seeded complex and its alpha variants."""
+    for seed in seeds:
+        f = random_complex(ring, random.Random(seed), max_len=max_len, max_rank=max_rank)
+        label = f"{ring}/{seed}"
+        yield label, certify_homology_eigenvalue(f), COCHAIN
+        for tag, lam, alpha in alpha_variants(f, random.Random(f"variants-{seed}")):
+            yield f"{label}/{tag}", decide_eigenvalue(f, lam, alpha), COCHAIN
 
 
 def corpus_certificates():
@@ -69,6 +82,13 @@ def test_certificate_bytes_match_the_golden_digest():
     for label, data in corpus_certificates():
         digest.update(label.encode() + b"\0" + data + b"\0")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_wide_q_certificate_bytes_match_their_digest():
+    digest = hashlib.sha256()
+    for label, cert, convention in random_corpus(*WIDE_Q):
+        digest.update(label.encode() + b"\0" + _bytes(cert, convention) + b"\0")
+    assert digest.hexdigest() == WIDE_Q_SHA256
 
 
 def test_full_failure_lists_match_their_digest():

@@ -6,7 +6,8 @@ entries, pivots and transforms, with every entry canonical for its ring.
 The transforms are replayed from the elimination's log when first read,
 so they must match whichever of them is read first.  Over Q, ``@`` also
 multiplies non-integral rationals, on integer numerators, and must
-return an ``int`` for every integral entry.
+return an ``int`` for every integral entry, also when an operand's only
+``Fraction``s are integral.
 """
 
 import random
@@ -64,6 +65,26 @@ def rational_matrix(ring, rng, rows, cols):
 
     entries = tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
     return Matrix._raw(ring, rows, cols, entries)
+
+
+def edge_matrix(ring, rng, rows, cols):
+    """Seeded Q operands at two edges of the product's rule.
+
+    Half are ``int``s mixed with integral ``Fraction``s only: the lcm of
+    their denominators is 1, yet a product with them must still return
+    ``int``s.  The other half hold non-integral entries over the coprime
+    3, 5 and 7, at most one per row and per column, so the operand's lcm
+    exceeds the lcm of every row and of every column.
+    """
+    if rng.random() < 0.5:
+        values = (0, 1, -2, Fraction(1), Fraction(-2), Fraction(3))
+        entries = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    else:
+        entries = [[rng.choice((0, 0, 1, -1)) for _ in range(cols)] for _ in range(rows)]
+        shift = rng.randrange(cols)
+        for i in range(min(rows, cols)):
+            entries[i][(i + shift) % cols] = Fraction(rng.choice((-2, -1, 1, 2, 4)), (3, 5, 7)[i % 3])
+    return Matrix._raw(ring, rows, cols, tuple(map(tuple, entries)))
 
 
 def assert_canonical(m: Matrix):
@@ -199,7 +220,7 @@ def _shapes(rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_matmul_matches_the_dense_product(ring, seed):
     rng = random.Random(seed)
-    generators = (sparse_matrix, dense_matrix) + ((rational_matrix,) if ring == QQ else ())
+    generators = (sparse_matrix, dense_matrix) + ((rational_matrix, edge_matrix) if ring == QQ else ())
     cancelled = set()
     for m, k, n in _shapes(rng):
         for left in generators:
