@@ -13,7 +13,13 @@ the contraction as witness.
 
 One :class:`~eigenchain.decompose.Decomposition` of F per call feeds every
 stage: homology ranks and torsion, the canonical pair, the cone layout,
-the hypothesis check and the witness.  The verdict comes from ranks
+the hypothesis check and the witness.  The canonical pair's check comes
+from its construction (every degree injective, no failure, eigenmap
+inverse I), so certify factors and solves nothing of alpha; a given
+pair's comes from :func:`~eigenchain.cones.check_hypotheses`.  Either
+way :func:`~eigenchain.cones.verify_homotopy` still checks the witness.
+A product with I returns the other factor as stored, so over Q an
+integral ``Fraction`` in it stays one.  The verdict comes from ranks
 first: a rank mismatch or a non-injective eigenmap is read off the
 factorizations, and a degree of F is split only for the checks and the
 witness that need the split.  The cone is assembled only on a positive
@@ -34,6 +40,7 @@ from .cones import (
     ConeLayout,
     FailureReason,
     Homotopy,
+    HypothesisCheck,
     _assemble_cone,
     _require_cone_input,
     adapted_block,
@@ -89,8 +96,7 @@ def _certificate(dec: Decomposition, verdict: str, **fields) -> EigenCertificate
     )
 
 
-def _decide(alpha: GradedMap, dec: Decomposition) -> EigenCertificate:
-    check = check_hypotheses(alpha, dec)
+def _decide(alpha: GradedMap, dec: Decomposition, check: HypothesisCheck) -> EigenCertificate:
     base = dict(lambda_ranks=dict(alpha.source.ranks), alpha_injective=check.injective)
     # Hypotheses are stated relative to our complement choice; the verdict
     # reads alpha in homology coordinates instead, so it is choice-free.
@@ -119,7 +125,8 @@ def decide_eigenvalue(f: ChainComplex, lam: ChainComplex, alpha: GradedMap) -> E
     if alpha.source != lam or alpha.target != f:
         raise ValidationError("alpha does not map the given scalar object into the given complex")
     _require_cone_input(alpha)
-    return _decide(alpha, Decomposition(f))
+    dec = Decomposition(f)
+    return _decide(alpha, dec, check_hypotheses(alpha, dec))
 
 
 def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
@@ -131,11 +138,15 @@ def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
     """
     dec = Decomposition(f)
     try:
-        _, alpha = dec.canonical_alpha()
+        lam, alpha = dec.canonical_alpha()
     except TorsionHomology as exc:
         reason = FailureReason(TORSION, degree=exc.degree, factors=tuple(exc.factors))
         return _certificate(dec, NOT_EIGENVALUE, lambda_ranks={}, alpha_injective={}, failure_reasons=[reason])
-    return _decide(alpha, dec)
+    # Each alpha_n is the cycle basis it must hit, so the pair meets every
+    # hypothesis by construction and alpha_n x = cycles has the one solution I.
+    inverses = {n: Matrix.identity(dec.ring, r) for n, r in lam.ranks.items()}
+    check = HypothesisCheck(dict.fromkeys(lam.ranks, True), [], True, {}, inverses)
+    return _decide(alpha, dec, check)
 
 
 @dataclass

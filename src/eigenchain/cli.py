@@ -16,13 +16,14 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .certify import certify_homology_eigenvalue, decide_eigenvalue
-from .complexes import identity_map, validate_complex, zero_map
-from .cones import is_contractible, mapping_cone, verify_homotopy
+from .certify import _decide, certify_homology_eigenvalue, decide_eigenvalue
+from .complexes import COCHAIN, identity_map, validate_complex, zero_map
+from .cones import _require_cone_input, check_hypotheses, is_contractible, mapping_cone, verify_homotopy
 from .decompose import Decomposition, decompose
 from .errors import EigenchainError, ValidationError
 from .formats import (
     ComplexDoc,
+    canonical_dumps,
     certificate_to_payload,
     cone_to_payload,
     graded_map_from_payload,
@@ -166,6 +167,10 @@ def _cmd_verify_homotopy(args) -> int:
     return 1
 
 
+def _rendered(cert) -> str:
+    return canonical_dumps(certificate_to_payload(cert, COCHAIN))
+
+
 def _cmd_proptest(args) -> int:
     rng = random.Random(args.seed)
     disagreements = 0
@@ -177,17 +182,22 @@ def _cmd_proptest(args) -> int:
         f = random_complex(args.ring, rng, max_len=4, max_rank=3, total_cap=args.max_dim)
         if validate_complex(f).ok is False:
             raise AssertionError("generator produced an invalid complex")
+        dec = Decomposition(f)  # one analysis of F for the oracle and every variant
         if is_f2 and f.total_dim() <= args.max_dim:
             brute = brute_homology_f2(f, max_total_dim=args.max_dim).ranks
-            dec = Decomposition(f)
             main = {n: dec.betti(n) for n in dec}
             homology_checked += 1
             if brute != main:
                 disagreements += 1
                 print(f"[trial {trial}] homology oracle disagreement: {main} vs {brute}")
         for tag, lam, alpha in alpha_variants(f, rng):
-            cert = decide_eigenvalue(f, lam, alpha)
+            _require_cone_input(alpha)
+            cert = _decide(alpha, dec, check_hypotheses(alpha, dec))
             certified += 1
+            # certify takes the canonical pair's check from its construction; decide re-derives it.
+            if tag == "canonical" and _rendered(certify_homology_eigenvalue(f)) != _rendered(cert):
+                disagreements += 1
+                print(f"[trial {trial}] certify and decide write different certificates for the canonical pair")
             cone = mapping_cone(alpha)
             oracle = homotopy_system_solvable(
                 cone.underlying,

@@ -18,7 +18,11 @@ single hypothesis checker :func:`check_hypotheses`, the witness, and
 coordinates.  The checker also reads whether ``alpha`` is an isomorphism
 on homology, in the homology coordinates of that analysis, which decides
 whether the cone contracts without analyzing the cone;
-:func:`is_contractible` analyzes a complex of its own.  Both witnesses
+:func:`is_contractible` analyzes a complex of its own.  The canonical
+pair's :class:`HypothesisCheck` comes from its construction instead,
+while :func:`verify_homotopy` still checks its witness.  A product with
+an identity returns the other factor as stored (over Q an integral
+``Fraction`` stays one), and ``-I`` is built directly.  Both witnesses
 share one contraction formula, :func:`_contraction_block`.
 """
 
@@ -225,7 +229,8 @@ class HypothesisCheck:
     Over Z the check solves it, since solvability is a hypothesis there.
     Over a field the solve cannot fail, so the check leaves
     ``alpha_inverse`` empty and :meth:`inverse` solves when the witness
-    reads it.
+    reads it.  A check built from the canonical pair's construction
+    factors nothing and holds I at every degree.
     """
 
     injective: dict[int, bool]

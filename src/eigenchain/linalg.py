@@ -17,7 +17,10 @@ apply (swap, subtract a multiple, scale) in one vocabulary.  Their
 transforms (the rref's left transform; a Smith form's ``U``, ``U^-1`` and
 ``V``) are built by the one :func:`_replay` of that log onto an identity
 the first time something reads them, so a rank or an invariant factor
-costs one elimination and no transform.  ``det`` reads the rref's log over
+costs one elimination and no transform.  A transform whose log is empty
+is :meth:`~eigenchain.matrix.Matrix.identity`, and a product with it
+returns the other factor as stored (over Q an integral ``Fraction``
+stays one).  ``det`` reads the rref's log over
 a field and the fraction-free elimination's last pivot over Z.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
@@ -78,8 +81,7 @@ class RrefResult:
 
     @cached_property
     def transform(self) -> Matrix:
-        ring, m = self.echelon.ring, self.echelon.rows
-        return Matrix._raw(ring, m, m, tuple(map(tuple, _replay(self.ops, Matrix.identity(ring, m).grid(), ring))))
+        return _transform(self.ops, self.echelon.ring, self.echelon.rows, reduce=True)
 
     @property
     def rank(self) -> int:
@@ -146,18 +148,15 @@ class SnfResult:
 
     @cached_property
     def u(self) -> Matrix:
-        ring, m = self.s.ring, self.s.rows
-        return Matrix._raw(ring, m, m, tuple(map(tuple, _replay(self.row_ops, Matrix.identity(ring, m).grid()))))
+        return _transform(self.row_ops, self.s.ring, self.s.rows)
 
     @cached_property
     def u_inv(self) -> Matrix:
-        ring, m = self.s.ring, self.s.rows
-        return Matrix._raw(ring, m, m, tuple(zip(*_replay(self.row_ops, Matrix.identity(ring, m).grid(), inverse=True))))
+        return _transform(self.row_ops, self.s.ring, self.s.rows, inverse=True, transposed=True)
 
     @cached_property
     def v(self) -> Matrix:
-        ring, n = self.s.ring, self.s.cols
-        return Matrix._raw(ring, n, n, tuple(zip(*_replay(self.col_ops, Matrix.identity(ring, n).grid()))))
+        return _transform(self.col_ops, self.s.ring, self.s.cols, transposed=True)
 
     @property
     def rank(self) -> int:
@@ -287,6 +286,14 @@ def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[lis
             if y:
                 dst[j] = dst[j] - q * y if red is None else red(dst[j] - q * y)
     return rows
+
+
+def _transform(ops, ring, m: int, reduce=False, inverse=False, transposed=False) -> Matrix:
+    """The ``m x m`` transform :func:`_replay` builds from ``ops``, transposed if asked; I when ``ops`` is empty."""
+    if not ops:
+        return Matrix.identity(ring, m)
+    rows = _replay(ops, Matrix.identity(ring, m).grid(), ring if reduce else None, inverse)
+    return Matrix._raw(ring, m, m, tuple(zip(*rows)) if transposed else tuple(map(tuple, rows)))
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:

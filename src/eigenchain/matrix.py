@@ -12,7 +12,10 @@ product: ``A @ B = (a*A @ b*B) / (a*b)``, with ``a`` and ``b`` the lcms
 of each operand's denominators, so the same loop multiplies ``int``s and
 each output entry is divided once, an ``int`` where it is integral.  An
 operand is scaled when a type scan of its nonzero entries finds a
-``Fraction``, integral or not.  Sums, differences, negation and
+``Fraction``, integral or not.  A product with :meth:`Matrix.identity`
+checks ring and shapes, then returns the other factor as stored, so
+over Q an integral ``Fraction`` it holds stays one; ``-I`` is built
+from one canonical ``-1``.  Sums, differences, negation and
 scaling map the operator over each row, so an entry costs its arithmetic
 and, over F_p only, one ``%``.  Zero-row and zero-column matrices are
 legal and stand for maps to or from the zero module, which keeps
@@ -71,8 +74,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        zero, one = ring.normalize(0), ring.normalize(1)
-        return cls._raw(ring, n, n, tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)))
+        """The ``n x n`` identity, marked so that a product with it returns the other factor."""
+        return _Identity._raw(ring, n, n, _diagonal(ring, n, ring.normalize(1)))
 
     @classmethod
     def column(cls, ring: Ring, values: Iterable) -> "Matrix":
@@ -94,6 +97,10 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
+        if type(self) is _Identity:
+            return other
+        if type(other) is _Identity:
+            return self
         zero = self.ring.normalize(0)
         p = repeat(self.ring.p) if self.ring.needs_reduction else None
         adata, bdata, den = self.data, other.data, 1
@@ -187,6 +194,20 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self.render_rows()})"
+
+
+class _Identity(Matrix):
+    """An identity matrix: a product with it is the other factor, as stored."""
+
+    __slots__ = ()
+
+    def __neg__(self) -> Matrix:
+        return Matrix._raw(self.ring, self.rows, self.cols, _diagonal(self.ring, self.rows, self.ring.normalize(-1)))
+
+
+def _diagonal(ring: Ring, n: int, c) -> tuple:
+    zero = ring.normalize(0)
+    return tuple((zero,) * i + (c,) + (zero,) * (n - 1 - i) for i in range(n))
 
 
 _denominator = attrgetter("denominator")

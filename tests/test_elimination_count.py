@@ -150,18 +150,39 @@ def test_a_field_negative_splits_no_cycles(eliminated, complemented, ring):
     assert not [sub for sub in split if sub in cycles]
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
-def test_a_positive_certificate_solves_each_eigenmap_inverse_once(monkeypatch, ring):
-    solved = []
+@pytest.fixture
+def solved(monkeypatch):
+    """The matrices of the elimination results whose ``solve`` is called, in call order."""
+    calls = []
     for result in (linalg.RrefResult, linalg.SnfResult):
         original = result.solve
 
         def counted(self, b, _original=original):
-            solved.append(self.matrix)
+            calls.append(self.matrix)
             return _original(self, b)
 
         monkeypatch.setattr(result, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_certify_factors_and_solves_no_eigenmap_block(eliminated, solved, ring):
+    # The canonical pair's alpha_n is the cycle basis itself, so its
+    # hypotheses hold by construction and its eigenmap inverse is I.
     cert = certify_homology_eigenvalue(skeleton(ring))
+    assert cert.is_eigenvalue()
+    blocks = cert.cone.source_alpha.blocks
+    assert sorted(blocks) == [-2, 0]
+    for block in blocks.values():
+        assert not [e for e in eliminated if e.matrix is block]
+        assert not [m for m in solved if m is block]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_deciding_the_canonical_pair_solves_each_eigenmap_inverse_once(solved, ring):
+    f = skeleton(ring)
+    lam, alpha = canonical_alpha(f)
+    cert = decide_eigenvalue(f, lam, alpha)
     assert cert.is_eigenvalue()
     blocks = cert.cone.source_alpha.blocks
     assert sorted(blocks) == [-2, 0]
