@@ -15,6 +15,10 @@ The small Q complexes give certificates whose only denominators are 2,
 4, 7, 8 and 14, so a third digest pins the certificate bytes of wider Q
 complexes, which carry 55 distinct denominators, coprime ones among
 them.
+
+A negative certificate holds neither lambda nor alpha, so a fourth
+digest pins every ``alpha_variants`` pair of the random corpus itself:
+its tag, its lambda ranks and the canonical bytes of its alpha.
 """
 
 import hashlib
@@ -23,7 +27,13 @@ import random
 from eigenchain import GF, QQ, ZZ
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
 from eigenchain.complexes import COCHAIN
-from eigenchain.formats import bundled_path, canonical_dumps, certificate_to_payload, load_complex
+from eigenchain.formats import (
+    bundled_path,
+    canonical_dumps,
+    certificate_to_payload,
+    graded_map_to_payload,
+    load_complex,
+)
 from eigenchain.randgen import alpha_variants, random_complex
 
 # (ring, seeds, max_len, max_rank): small complexes on every ring, plus
@@ -41,6 +51,7 @@ WIDE_Q_SHA256 = "fa8d44e8534bc4955e5a38fbe5ac3b93d99ea22c5d5ee6277198f84f8d57a90
 
 FAILURES_SHA256 = "4a33ffcfbe7486c9020a2ea34a58e9d01f3606efbbfef2a1df250e9eba4b8f61"
 GOLDEN_SHA256 = "178367a41c94500a5fb1242e9cc64910b9d68cb9fc552ae5dc2d56abf985a4d0"
+VARIANTS_SHA256 = "17ae5ea92a59cd15cfccf23cefb576377016691ab09f3f3d04204645cce90662"
 
 
 def _bytes(cert, convention=COCHAIN) -> bytes:
@@ -63,6 +74,16 @@ def random_corpus(ring, seeds, max_len, max_rank):
         yield label, certify_homology_eigenvalue(f), COCHAIN
         for tag, lam, alpha in alpha_variants(f, random.Random(f"variants-{seed}")):
             yield f"{label}/{tag}", decide_eigenvalue(f, lam, alpha), COCHAIN
+
+
+def variant_pairs():
+    """Yield ``(label, bytes)`` for every alpha variant of the random corpus: ranks of lambda, then alpha."""
+    for ring, seeds, max_len, max_rank in CORPUS:
+        for seed in seeds:
+            f = random_complex(ring, random.Random(seed), max_len=max_len, max_rank=max_rank)
+            for tag, lam, alpha in alpha_variants(f, random.Random(f"variants-{seed}")):
+                ranks = repr(sorted(lam.ranks.items())).encode()
+                yield f"{ring}/{seed}/{tag}", ranks + b"\0" + canonical_dumps(graded_map_to_payload(alpha, COCHAIN)).encode()
 
 
 def corpus_certificates():
@@ -97,3 +118,11 @@ def test_full_failure_lists_match_their_digest():
     for label, cert, _ in corpus():
         digest.update(label.encode() + b"\0" + _failures(cert) + b"\0")
     assert digest.hexdigest() == FAILURES_SHA256
+
+
+def test_alpha_variants_match_their_digest():
+    # A negative certificate does not hold alpha; this pins the variants themselves.
+    digest = hashlib.sha256()
+    for label, data in variant_pairs():
+        digest.update(label.encode() + b"\0" + data + b"\0")
+    assert digest.hexdigest() == VARIANTS_SHA256
