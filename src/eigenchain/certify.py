@@ -18,14 +18,13 @@ from its construction (every degree injective, no failure, eigenmap
 inverse I), so certify factors and solves nothing of alpha; a given
 pair's comes from :func:`~eigenchain.cones.check_hypotheses`.  Either
 way :func:`~eigenchain.cones.verify_homotopy` still checks the witness.
-A product with I returns the other factor as stored, so over Q an
-integral ``Fraction`` in it stays one.  The verdict comes from ranks
-first: a rank mismatch or a non-injective eigenmap is read off the
-factorizations, and a degree of F is split only for the checks and the
-witness that need the split.  The cone is assembled only on a positive
-verdict, and analyzed, by :func:`~eigenchain.cones.is_contractible`,
-only for the contraction witness of a pair whose hypotheses fail
-although alpha is an isomorphism on homology.
+The verdict comes from ranks first: a rank mismatch or a non-injective
+eigenmap is read off the factorizations, and a degree of F is split only
+for the checks and the witness that need the split.  The cone is
+assembled only on a positive verdict, and analyzed, by
+:func:`~eigenchain.cones.is_contractible`, only for the contraction
+witness of a pair whose hypotheses fail although alpha is an isomorphism
+on homology.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .complexes import ChainComplex, GradedMap, identity_map, zero_map
 from .cones import (
     TORSION,
     ConeComplex,
-    ConeLayout,
     FailureReason,
     Homotopy,
     HypothesisCheck,
@@ -208,10 +206,6 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
         raise LayoutMismatch("homotopy is not attached to this cone")
     alpha = cone.source_alpha
     ring = cone.ring
-
-    def sizes(n):
-        return cone.layout.get(n, ConeLayout(0, 0, 0))
-
     bars = {}
 
     def bar_alpha(n):
@@ -228,16 +222,16 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
     psi23 = {}
     for n in set(cone.layout) | {m + 1 for m in cone.layout}:
         ad = adapted_block(cone, dec, psi.block(n), n, n - 1)
-        _, g_at, im_at = sizes(n).offsets
-        _, tgt_g_at, tgt_im_at = sizes(n - 1).offsets
+        _, g_at, im_at = cone.sizes(n).offsets
+        _, tgt_g_at, tgt_im_at = cone.sizes(n - 1).offsets
         psi12[n] = ad.submatrix(range(tgt_g_at), range(g_at, im_at))
-        psi23[n] = ad.submatrix(range(tgt_g_at, tgt_im_at), range(im_at, sizes(n).total))
+        psi23[n] = ad.submatrix(range(tgt_g_at, tgt_im_at), range(im_at, cone.sizes(n).total))
 
     reports = {}
     for n in sorted(cone.layout):
         part = dec.at(n)
         prev = dec.at(n - 1)
-        size = sizes(n)
+        size = cone.sizes(n)
         delta_prev = prev.restricted_diff
         # Equations on the scalar, complement and image blocks of this cone degree.
         eq1 = psi12[n + 1] @ bar_alpha(n + 1) == -Matrix.identity(ring, size.lambda_rank)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .certify import _decide, certify_homology_eigenvalue, decide_eigenvalue
 from .complexes import COCHAIN, identity_map, validate_complex, zero_map
-from .cones import _require_cone_input, check_hypotheses, is_contractible, mapping_cone, verify_homotopy
+from .cones import check_hypotheses, is_contractible, mapping_cone, verify_homotopy
 from .decompose import Decomposition, decompose
 from .errors import EigenchainError, ValidationError
 from .formats import (
@@ -191,14 +191,13 @@ def _cmd_proptest(args) -> int:
                 disagreements += 1
                 print(f"[trial {trial}] homology oracle disagreement: {main} vs {brute}")
         for tag, lam, alpha in alpha_variants(f, rng):
-            _require_cone_input(alpha)
+            cone = mapping_cone(alpha)  # checks alpha, once for the oracle and the verdict
             cert = _decide(alpha, dec, check_hypotheses(alpha, dec))
             certified += 1
             # certify takes the canonical pair's check from its construction; decide re-derives it.
             if tag == "canonical" and _rendered(certify_homology_eigenvalue(f)) != _rendered(cert):
                 disagreements += 1
                 print(f"[trial {trial}] certify and decide write different certificates for the canonical pair")
-            cone = mapping_cone(alpha)
             oracle = homotopy_system_solvable(
                 cone.underlying,
                 zero_map(cone.underlying, cone.underlying),

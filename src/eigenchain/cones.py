@@ -20,9 +20,7 @@ on homology, in the homology coordinates of that analysis, which decides
 whether the cone contracts without analyzing the cone;
 :func:`is_contractible` analyzes a complex of its own.  The canonical
 pair's :class:`HypothesisCheck` comes from its construction instead,
-while :func:`verify_homotopy` still checks its witness.  A product with
-an identity returns the other factor as stored (over Q an integral
-``Fraction`` stays one), and ``-I`` is built directly.  Both witnesses
+while :func:`verify_homotopy` still checks its witness.  Both witnesses
 share one contraction formula, :func:`_contraction_block`.
 """
 
@@ -98,6 +96,10 @@ class ConeComplex:
             for n in sorted(self.underlying.ranks)
         }
 
+    def sizes(self, n: int) -> ConeLayout:
+        """The layout at cone degree ``n``, all zero off the cone's support."""
+        return self.layout.get(n, ConeLayout(0, 0, 0))
+
 
 class Homotopy(GradedMap):
     """A degree-(-1) :class:`GradedMap` of one complex to itself.
@@ -166,16 +168,12 @@ def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tg
     ``[[0,0,0],[alpha,0,0],[0,delta,0]]`` in these blocks.
     """
     ring = cone.ring
-
-    def lam_rank(n):
-        return cone.layout[n].lambda_rank if n in cone.layout else 0
-
     src_part = dec.at(src)
     src_change = block_diag([
-        Matrix.identity(ring, lam_rank(src)),
+        Matrix.identity(ring, cone.sizes(src).lambda_rank),
         hstack([src_part.complement.vectors, src_part.incoming_image.vectors]),
     ])
-    tgt_change_inv = block_diag([Matrix.identity(ring, lam_rank(tgt)), dec.at(tgt).to_block_coords])
+    tgt_change_inv = block_diag([Matrix.identity(ring, cone.sizes(tgt).lambda_rank), dec.at(tgt).to_block_coords])
     return tgt_change_inv @ m @ src_change
 
 

@@ -18,10 +18,8 @@ transforms (the rref's left transform; a Smith form's ``U``, ``U^-1`` and
 ``V``) are built by the one :func:`_replay` of that log onto an identity
 the first time something reads them, so a rank or an invariant factor
 costs one elimination and no transform.  A transform whose log is empty
-is :meth:`~eigenchain.matrix.Matrix.identity`, and a product with it
-returns the other factor as stored (over Q an integral ``Fraction``
-stays one).  ``det`` reads the rref's log over
-a field and the fraction-free elimination's last pivot over Z.
+is :meth:`~eigenchain.matrix.Matrix.identity`.  ``det`` reads the rref's
+log over a field and the fraction-free elimination's last pivot over Z.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
@@ -81,7 +79,7 @@ class RrefResult:
 
     @cached_property
     def transform(self) -> Matrix:
-        return _transform(self.ops, self.echelon.ring, self.echelon.rows, reduce=True)
+        return _transform(self.ops, self.echelon.ring, self.echelon.rows)
 
     @property
     def rank(self) -> int:
@@ -253,15 +251,15 @@ def rref(a: Matrix) -> RrefResult:
     return RrefResult(a, Matrix._raw(ring, m, n, tuple(map(tuple, work))), tuple(pivots), ops)
 
 
-def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[list]:
+def _replay(ops, rows: list[list], ring, inverse: bool = False) -> list[list]:
     """``rows`` (updated in place) after the row operations ``ops``, in order.
 
     ``(i, t)`` swaps rows ``i`` and ``t``, ``(i, t, q)`` subtracts ``q``
     times row ``t`` from row ``i`` and ``(i, None, c)`` scales row ``i`` by
-    ``c``.  With ``ring`` each updated entry goes through ``ring.reduce``,
-    which changes it only over F_p, and each scaled one through
-    ``ring.normalize``, which also turns an integral ``Fraction`` into an
-    ``int`` over Q.  A column operation on a transform is the same
+    ``c``.  The arithmetic is ``ring``'s: over F_p (``needs_reduction``)
+    each updated entry is reduced, and over a field each scaled one goes
+    through ``ring.normalize``, which also turns an integral ``Fraction``
+    into an ``int`` over Q.  A column operation on a transform is the same
     operation on the rows of its transpose, so :func:`smith_normal_form`
     logs ``V``'s column operations in this form too.  With ``inverse``
     each subtraction is undone on the other side, which builds the
@@ -269,7 +267,8 @@ def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[lis
     are their own inverse transposes, and so are the scalings by -1 that
     are the only ones a Smith form logs.
     """
-    red, norm = (None, None) if ring is None else (ring.reduce, ring.normalize)
+    red = ring.reduce if ring.needs_reduction else None
+    norm = ring.normalize if ring.is_field else None
     for op in ops:
         if len(op) == 2:
             i, t = op
@@ -288,11 +287,11 @@ def _replay(ops, rows: list[list], ring=None, inverse: bool = False) -> list[lis
     return rows
 
 
-def _transform(ops, ring, m: int, reduce=False, inverse=False, transposed=False) -> Matrix:
+def _transform(ops, ring, m: int, inverse=False, transposed=False) -> Matrix:
     """The ``m x m`` transform :func:`_replay` builds from ``ops``, transposed if asked; I when ``ops`` is empty."""
     if not ops:
         return Matrix.identity(ring, m)
-    rows = _replay(ops, Matrix.identity(ring, m).grid(), ring if reduce else None, inverse)
+    rows = _replay(ops, Matrix.identity(ring, m).grid(), ring, inverse)
     return Matrix._raw(ring, m, m, tuple(zip(*rows)) if transposed else tuple(map(tuple, rows)))
 
 

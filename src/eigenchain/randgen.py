@@ -3,7 +3,10 @@
 Complexes are built differential by differential: each new matrix is a
 random combination of rows annihilating the image of the previous one,
 so d∘d = 0 holds by construction while homology stays varied.  The
-eigenmap variants deliberately break each certificate hypothesis in turn.
+eigenmap variants deliberately break each certificate hypothesis in turn:
+all but the random cycle-valued one replace the canonical eigenmap's
+block at one drawn degree.  A complex whose homology has torsion has no
+canonical pair and no variants.
 """
 
 from __future__ import annotations
@@ -66,14 +69,6 @@ def random_complex(
     return ChainComplex(ring, COCHAIN, ranks, diffs)
 
 
-def canonical_pair(f: ChainComplex):
-    """Canonical (scalar object, eigenmap); None when homology has torsion."""
-    try:
-        return canonical_alpha(f)
-    except TorsionHomology:
-        return None
-
-
 def _random_cycle(f: ChainComplex, n: int, rng: random.Random) -> Matrix:
     ker = kernel_basis(f.diff(n))
     if ker.dim == 0:
@@ -83,77 +78,53 @@ def _random_cycle(f: ChainComplex, n: int, rng: random.Random) -> Matrix:
 
 
 def alpha_variants(f: ChainComplex, rng: random.Random):
-    """Labeled (scalar, eigenmap) pairs probing every verdict path.
+    """Labeled (scalar, eigenmap) pairs probing every verdict path; none when homology has torsion.
 
     Yields the canonical pair plus perturbations: padded or truncated
     scalar ranks, zeroed and duplicated columns (non-injective), columns
     replaced by boundaries (image leaves the complement), columns shifted
     by boundaries (still a homology iso, complement missed on purpose),
-    and fully random cycle-valued maps.
+    and fully random cycle-valued maps.  All but the last replace the
+    canonical eigenmap's block at one drawn degree ``n0``.
     """
-    pair = canonical_pair(f)
-    if pair is None:
+    try:
+        lam, alpha = canonical_alpha(f)
+    except TorsionHomology:
         return
-    lam, alpha = pair
     yield "canonical", lam, alpha
-    degrees = [n for n in lam.degrees() if lam.rank(n) > 0]
+    if not lam.ranks:
+        return
+    ring = f.ring
+    n0 = rng.choice(lam.degrees())
+    m, rank = alpha.block(n0), lam.rank(n0)
 
-    if degrees:
-        n0 = rng.choice(degrees)
-        # Extra scalar generator mapping to zero: rank mismatch.
-        ranks = dict(lam.ranks)
-        ranks[n0] = ranks[n0] + 1
-        lam_pad = scalar_object(f.ring, ranks)
-        blocks = {n: alpha.block(n) for n in lam.degrees()}
-        blocks[n0] = hstack([alpha.block(n0), Matrix.zeros(f.ring, f.rank(n0), 1)])
-        yield "rank_padded", lam_pad, GradedMap(lam_pad, f, 0, blocks)
+    def perturbed(tag, block, rank_change=0):
+        # alpha with ``block`` at n0 over lambda with rank_change more
+        # generators there; a block with no columns is zero and pruned.
+        scalar = scalar_object(ring, {**lam.ranks, n0: rank + rank_change}) if rank_change else lam
+        return tag, scalar, GradedMap(scalar, f, 0, {**alpha.blocks, n0: block})
 
-        # Dropped scalar generator: rank mismatch the other way.
-        ranks = dict(lam.ranks)
-        ranks[n0] = ranks[n0] - 1
-        lam_cut = scalar_object(f.ring, ranks)
-        blocks = {n: alpha.block(n) for n in lam.degrees() if lam_cut.rank(n)}
-        if lam.rank(n0) > 1:
-            blocks[n0] = alpha.block(n0).cols_at(list(range(lam.rank(n0) - 1)))
-        else:
-            blocks.pop(n0, None)
-        yield "rank_dropped", lam_cut, GradedMap(lam_cut, f, 0, blocks)
+    # An extra generator mapping to zero, or one generator dropped: rank mismatch.
+    yield perturbed("rank_padded", hstack([m, Matrix.zeros(ring, f.rank(n0), 1)]), 1)
+    yield perturbed("rank_dropped", m.cols_at(range(rank - 1)), -1)
 
-        # Zeroed column: non-injective.
-        blocks = {n: alpha.block(n) for n in lam.degrees()}
-        cols = blocks[n0].grid()
-        for row in cols:
-            row[0] = f.ring.normalize(0)
-        blocks[n0] = Matrix(f.ring, cols, cols=lam.rank(n0))
-        yield "zero_column", lam, GradedMap(lam, f, 0, blocks)
+    # Zeroed or duplicated column: non-injective.
+    zeroed = m.grid()
+    for row in zeroed:
+        row[0] = ring.normalize(0)
+    yield perturbed("zero_column", Matrix(ring, zeroed, cols=rank))
+    if rank >= 2:
+        yield perturbed("duplicate_column", hstack([m.col(0)] * 2 + [m.col(j) for j in range(2, rank)]))
 
-        if lam.rank(n0) >= 2:
-            # Duplicated column: non-injective with full support.
-            m = alpha.block(n0)
-            dup = hstack([m.col(0)] * 2 + [m.col(j) for j in range(2, m.cols)])
-            blocks = {n: alpha.block(n) for n in lam.degrees()}
-            blocks[n0] = dup
-            yield "duplicate_column", lam, GradedMap(lam, f, 0, blocks)
+    # A column replaced by a boundary leaves the complement and kills
+    # homology; shifted by one, it keeps its class but misses the complement.
+    d_in = f.diff(n0 - 1)
+    if d_in.cols:
+        boundary = d_in @ Matrix(ring, [[_random_entry(ring, rng)] for _ in range(d_in.cols)])
+        rest = [m.col(j) for j in range(1, rank)]
+        yield perturbed("boundary_column", hstack([boundary] + rest))
+        yield perturbed("boundary_shifted", hstack([m.col(0) + boundary] + rest))
 
-        # Column replaced by a boundary: leaves the complement, kills homology.
-        d_in = f.diff(n0 - 1)
-        if d_in.cols:
-            w = Matrix(f.ring, [[_random_entry(f.ring, rng)] for _ in range(d_in.cols)])
-            boundary = d_in @ w
-            m = alpha.block(n0)
-            blocks = {n: alpha.block(n) for n in lam.degrees()}
-            blocks[n0] = hstack([boundary] + [m.col(j) for j in range(1, m.cols)])
-            yield "boundary_column", lam, GradedMap(lam, f, 0, blocks)
-
-            # Column shifted by a boundary: same homology class, off the complement.
-            shifted = hstack([m.col(0) + boundary] + [m.col(j) for j in range(1, m.cols)])
-            blocks = {n: alpha.block(n) for n in lam.degrees()}
-            blocks[n0] = shifted
-            yield "boundary_shifted", lam, GradedMap(lam, f, 0, blocks)
-
-        # Random cycle-valued map with canonical ranks.
-        blocks = {}
-        for n in lam.degrees():
-            cols = [_random_cycle(f, n, rng) for _ in range(lam.rank(n))]
-            blocks[n] = hstack(cols) if cols else Matrix.zeros(f.ring, f.rank(n), 0)
-        yield "random_cycles", lam, GradedMap(lam, f, 0, blocks)
+    # Random cycle-valued map with canonical ranks.
+    blocks = {n: hstack([_random_cycle(f, n, rng) for _ in range(lam.rank(n))]) for n in lam.degrees()}
+    yield "random_cycles", lam, GradedMap(lam, f, 0, blocks)

@@ -49,8 +49,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _UnreducedRing:
+    """What Q and Z share: no reduction, ``str`` as the text form, the JSON tag as the name."""
+
+    needs_reduction = False
+
+    def reduce(self, x):
+        return x
+
+    def render(self, x) -> str:
+        return str(x)
+
+    def __str__(self):
+        return self.json_tag
+
+
 @dataclass(frozen=True)
-class Rationals:
+class Rationals(_UnreducedRing):
     """The field Q; a value is an ``int`` if integral, else a ``Fraction`` in lowest terms.
 
     Equal values are interchangeable: ``int`` and ``Fraction`` compare,
@@ -65,7 +80,7 @@ class Rationals:
     """
 
     is_field = True
-    needs_reduction = False
+    json_tag = "Q"
 
     def normalize(self, x):
         if isinstance(x, bool):
@@ -78,9 +93,6 @@ class Rationals:
             return self.parse(x)
         raise ParseError(f"cannot coerce {x!r} into Q")
 
-    def reduce(self, x):
-        return x
-
     def inv(self, a):
         if a == 1 or a == -1:
             return int(a)
@@ -89,20 +101,13 @@ class Rationals:
         return self.normalize(1 / Fraction(a))
 
     def parse(self, text: str):
+        # Fraction expands exponent notation into every digit: "1e9999999" takes seconds.
+        if "e" in text or "E" in text:
+            raise ParseError(f"bad rational {text!r}: exponent notation is not accepted")
         try:
             return self.normalize(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
-
-    def render(self, x) -> str:
-        return str(x)
-
-    @property
-    def json_tag(self):
-        return "Q"
-
-    def __str__(self):
-        return "Q"
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,11 @@ class PrimeField:
 
 
 @dataclass(frozen=True)
-class Integers:
+class Integers(_UnreducedRing):
     """The ring Z; values are arbitrary-precision ``int``."""
 
     is_field = False
-    needs_reduction = False
+    json_tag = "Z"
 
     def normalize(self, x) -> int:
         if isinstance(x, bool):
@@ -180,9 +185,6 @@ class Integers:
             return self.parse(x)
         raise ParseError(f"cannot coerce {x!r} into Z")
 
-    def reduce(self, x):
-        return x
-
     def inv(self, a):
         if a in (1, -1):
             return a
@@ -193,16 +195,6 @@ class Integers:
             return int(text.strip())
         except ValueError as exc:
             raise ParseError(f"bad integer {text!r}: {exc}") from None
-
-    def render(self, x) -> str:
-        return str(x)
-
-    @property
-    def json_tag(self):
-        return "Z"
-
-    def __str__(self):
-        return "Z"
 
 
 Ring = Union[Rationals, PrimeField, Integers]

@@ -1,7 +1,9 @@
 """Simplicial complexes and their boundary matrices.
 
-Facets are closed under subsets; simplices are stored with sorted vertex
-indices and the boundary of a simplex alternates signs over deleted
+Facets are closed under subsets into a plain ``{dimension: simplices}``
+dict: each simplex is a tuple of sorted vertex indices, each list is
+sorted, and a simplex's place in its list is its basis position in the
+chain complex.  The boundary of a simplex alternates signs over deleted
 vertices.  That orientation convention is a choice made here: it
 reproduces the expected homology of the bundled examples.  Vertex labels,
 when given, only count the vertices; simplices are named by index.
@@ -9,7 +11,6 @@ when given, only count the vertices; simplices are named by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -19,15 +20,8 @@ from .matrix import Matrix
 from .rings import Ring
 
 
-@dataclass
-class SimplicialComplexData:
-    """The full simplex lists per dimension, each sorted."""
-
-    simplices: dict[int, list[tuple[int, ...]]]
-
-
-def close_simplicial(vertices, facets) -> SimplicialComplexData:
-    """Validate input and close the facet list under subsets.
+def close_simplicial(vertices, facets) -> dict[int, list[tuple[int, ...]]]:
+    """Validate input and close the facet list under subsets: ``{dimension: sorted simplices}``.
 
     Input past the size cap :data:`~eigenchain.complexes.MAX_RANK` raises
     :class:`ParseError` before its closure grows: more vertices, a facet
@@ -58,17 +52,16 @@ def close_simplicial(vertices, facets) -> SimplicialComplexData:
             faces.update(combinations(simplex, size))
             if len(faces) > MAX_RANK:
                 raise ParseError(f"simplices of dimension {size - 1} exceed the size cap of {MAX_RANK}")
-    simplices = {k: sorted(faces) for k, faces in seen.items()}
-    return SimplicialComplexData(simplices)
+    return {k: sorted(faces) for k, faces in seen.items()}
 
 
-def simplicial_to_chain(vertices, facets, ring: Ring) -> tuple[ChainComplex, SimplicialComplexData]:
-    """Chain-convention complex of a simplicial complex over ``ring``."""
-    data = close_simplicial(vertices, facets)
-    ranks = {k: len(simps) for k, simps in data.simplices.items()}
-    index = {k: {s: i for i, s in enumerate(simps)} for k, simps in data.simplices.items()}
+def simplicial_to_chain(vertices, facets, ring: Ring) -> tuple[ChainComplex, dict[int, list[tuple[int, ...]]]]:
+    """Chain-convention complex of a simplicial complex over ``ring``, and its simplices by dimension."""
+    simplices = close_simplicial(vertices, facets)
+    ranks = {k: len(simps) for k, simps in simplices.items()}
+    index = {k: {s: i for i, s in enumerate(simps)} for k, simps in simplices.items()}
     diffs = {}
-    for k, simps in data.simplices.items():
+    for k, simps in simplices.items():
         if k == 0:
             continue
         rows = ranks[k - 1]
@@ -79,5 +72,4 @@ def simplicial_to_chain(vertices, facets, ring: Ring) -> tuple[ChainComplex, Sim
                 sign = 1 if i % 2 == 0 else -1
                 grid[index[k - 1][face]][j] += sign
         diffs[k] = Matrix(ring, grid, cols=len(simps))
-    complex_ = ChainComplex(ring, CHAIN, ranks, diffs)
-    return complex_, data
+    return ChainComplex(ring, CHAIN, ranks, diffs), simplices

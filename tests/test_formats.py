@@ -156,7 +156,7 @@ class TestSimplicial:
         # Edge order is lexicographic: [AB], [AC], [BC].
         expected = Matrix(ZZ, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
         assert chain.diff(1) == expected
-        assert data.simplices[1] == [(0, 1), (0, 2), (1, 2)]
+        assert data[1] == [(0, 1), (0, 2), (1, 2)]
 
     def test_circle_homology_from_the_simplicial_file(self):
         doc = load_complex(bundled_path("s1_simplicial.json"))
@@ -201,9 +201,9 @@ class TestSimplicial:
 
     def test_closure_is_computed(self):
         data = close_simplicial(3, [[0, 1, 2]])
-        assert len(data.simplices[0]) == 3
-        assert len(data.simplices[1]) == 3
-        assert len(data.simplices[2]) == 1
+        assert len(data[0]) == 3
+        assert len(data[1]) == 3
+        assert len(data[2]) == 1
 
 
 def test_complex_ranks_past_the_size_cap_are_parse_errors():

@@ -13,6 +13,7 @@ F7 = GF(7)
 
 def test_fraction_addition():
     assert QQ.parse("1/2") + QQ.parse("1/3") == QQ.parse("5/6")
+    assert [QQ.parse(t) for t in ("-3", " 4/2 ", "1.5")] == [-3, 2, Fraction(3, 2)]
 
 
 def test_inverse_in_f7_matches_brute_force():
@@ -43,8 +44,9 @@ def test_prime_validation():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ParseError):
-        QQ.parse("1/0")
+    for bad in ("1/0", "1e9999999", "1E-9999999"):
+        with pytest.raises(ParseError, match=repr(bad)):
+            QQ.parse(bad)
     with pytest.raises(ParseError):
         ZZ.parse("two")
     with pytest.raises(ParseError):
