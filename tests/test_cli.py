@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, files, and exit codes."""
 
 import json
+import os
 import shutil
 from itertools import combinations
 from time import perf_counter
@@ -141,6 +142,23 @@ def test_cone_then_verify_homotopy(workdir, capsys):
     code, out, _ = run(capsys, "verify-homotopy", workdir / "cone.json", workdir / "s1_psi.json")
     assert code == 0
     assert out.strip() == "ok"
+
+
+def test_certify_into_a_device_prints_the_verdict(workdir, capsys):
+    code, out, err = run(capsys, "certify", workdir / "s1_complex.json", "-o", os.devnull)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "verdict: Eigenvalue"
+
+
+@pytest.mark.parametrize("command", ["certify", "cone"])
+def test_output_into_a_missing_directory_exits_two(workdir, capsys, command):
+    inputs = [workdir / "s1_complex.json"]
+    if command == "cone":
+        inputs += [workdir / "s1_lambda.json", workdir / "s1_alpha.json"]
+    target = workdir / "no-such-dir" / "out.json"
+    code, out, err = run(capsys, command, *inputs, "-o", target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
 
 
 def test_verify_homotopy_detects_tampering(workdir, capsys):

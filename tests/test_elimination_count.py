@@ -201,7 +201,7 @@ def replays(monkeypatch):
     calls = []
     replay = linalg._replay
 
-    def counted(ops, rows, ring=None, inverse=False):
+    def counted(ops, rows, ring, inverse=False):
         calls.append((ops, inverse))
         return replay(ops, rows, ring, inverse)
 

@@ -1,6 +1,8 @@
 """JSON round-trips, the simplicial builder, and the bundled fixtures."""
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from eigenchain.formats import (
     load_complex,
     load_document,
     reverify_certificate,
+    write_payload,
 )
 from eigenchain.simplicial import close_simplicial, simplicial_to_chain
 
@@ -222,6 +225,34 @@ def test_a_degree_listed_twice_in_degrees_is_a_parse_error(ranks):
     payload = {"ring": "Z", "convention": "cochain", "degrees": degrees, "diffs": []}
     with pytest.raises(ParseError, match="^complex: 'degree' 0 appears twice in 'degrees'$"):
         complex_from_payload(payload)
+
+
+class TestWritePayload:
+    def test_overwriting_a_longer_file_leaves_exactly_the_payload(self, tmp_path, circle):
+        payload = certificate_to_payload(certify_homology_eigenvalue(circle), "chain")
+        expected = canonical_dumps(payload).encode()
+        path = tmp_path / "s1.cert.json"
+        path.write_bytes(b"x" * (len(expected) + 100_000))
+        os.link(path, tmp_path / "link.json")
+        write_payload(path, payload)
+        assert path.read_bytes() == expected
+        assert path.stat().st_size == len(expected)
+        # Overwritten in place: a hard link to the old file sees the new bytes.
+        assert (tmp_path / "link.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("umask", [None, 0o002, 0o077], ids=["current", "002", "077"])
+    def test_a_new_file_gets_the_mode_write_text_gives(self, tmp_path, umask):
+        current = os.umask(0)
+        umask = current if umask is None else umask
+        os.umask(umask)
+        try:
+            write_payload(tmp_path / "written.json", {"a": "b"})
+            (tmp_path / "text.json").write_text("x", encoding="utf-8")
+        finally:
+            os.umask(current)
+        mode = stat.S_IMODE((tmp_path / "written.json").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "text.json").stat().st_mode)
+        assert mode == 0o666 & ~umask
 
 
 JSON_VALUES = st.recursive(
