@@ -16,8 +16,9 @@ stage: homology ranks and torsion, the canonical pair, the cone layout,
 the hypothesis check and the witness.  The canonical pair's check comes
 from its construction (every degree injective, no failure, eigenmap
 inverse I), so certify factors and solves nothing of alpha; a given
-pair's comes from :func:`~eigenchain.cones.check_hypotheses`.  Either
-way :func:`~eigenchain.cones.verify_homotopy` still checks the witness.
+pair's comes from :func:`~eigenchain.cones.check_hypotheses`, which also
+solves for the eigenmap inverse that the witness reads.  Either way
+:func:`~eigenchain.cones.verify_homotopy` still checks the witness.
 The verdict comes from ranks first: a rank mismatch or a non-injective
 eigenmap is read off the factorizations, and a degree of F is split only
 for the checks and the witness that need the split.  The cone is
@@ -49,7 +50,7 @@ from .cones import (
 )
 from .decompose import Decomposition
 from .errors import LayoutMismatch, TorsionHomology, ValidationError
-from .linalg import SubspaceBasis, complement_basis, image_basis, intersect, spans_equal
+from .linalg import complement_basis, image_basis, intersect, spans_equal
 from .matrix import Matrix
 
 EIGENVALUE = "Eigenvalue"
@@ -143,7 +144,7 @@ def certify_homology_eigenvalue(f: ChainComplex) -> EigenCertificate:
     # Each alpha_n is the cycle basis it must hit, so the pair meets every
     # hypothesis by construction and alpha_n x = cycles has the one solution I.
     inverses = {n: Matrix.identity(dec.ring, r) for n, r in lam.ranks.items()}
-    check = HypothesisCheck(dict.fromkeys(lam.ranks, True), [], True, {}, inverses)
+    check = HypothesisCheck(dict.fromkeys(lam.ranks, True), [], True, inverses)
     return _decide(alpha, dec, check)
 
 
@@ -152,15 +153,11 @@ class DegreeBlockReport:
     """Extracted homotopy blocks and the identities they must satisfy.
 
     All booleans are recomputed from exact matrix identities on every call.
-    ``lambda_from_complement`` is the block mapping the complement to the
-    scalar part; ``complement_from_image`` maps the image block back into
-    the complement.  The four ranks split the complement against the
-    eigenmap image: cycles/transversal crossed with inside/outside.
+    The four ranks split the complement against the eigenmap image:
+    cycles/transversal crossed with inside/outside.
     """
 
     degree: int
-    lambda_from_complement: Matrix
-    complement_from_image: Matrix
     left_inverse_ok: bool  # psi_12 ∘ alpha = -id on the scalar block
     complement_identity_ok: bool  # alpha ∘ psi_12 + psi_23 ∘ delta = -id on the complement
     right_inverse_ok: bool  # delta ∘ psi_23 = -id on the image block
@@ -205,7 +202,7 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
     if psi.on != cone.underlying:
         raise LayoutMismatch("homotopy is not attached to this cone")
     alpha = cone.source_alpha
-    ring = cone.ring
+    ring = dec.ring
     bars = {}
 
     def bar_alpha(n):
@@ -241,22 +238,16 @@ def analyze_homotopy_blocks(cone: ConeComplex, psi: Homotopy, dec: Decomposition
         # Residual against the canonical right inverse through the transversal.
         residual_ok = not size.image_rank or (delta_prev @ (psi23[n] + prev.right_inverse)).is_zero()
         # Intersection lattice inside the complement.
-        g_dim = part.complement.dim
         im_alpha = image_basis(bar_alpha(n))
         cycles = part.complement_cycles
         transversal = part.complement_transversal
-        if g_dim and im_alpha.dim:
-            outside = complement_basis(im_alpha)
-        else:
-            outside = SubspaceBasis(g_dim, Matrix.identity(ring, g_dim))
+        outside = complement_basis(im_alpha)
         rank_a = intersect(cycles, outside).dim
         rank_b = intersect(transversal, outside).dim
         rank_c = intersect(cycles, im_alpha).dim
         rank_d = intersect(transversal, im_alpha).dim
         reports[n] = DegreeBlockReport(
             degree=n,
-            lambda_from_complement=psi12[n],
-            complement_from_image=psi23[n],
             left_inverse_ok=eq1,
             complement_identity_ok=eq2,
             right_inverse_ok=eq3,

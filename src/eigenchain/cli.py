@@ -13,14 +13,15 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 
 from .certify import _decide, certify_homology_eigenvalue, decide_eigenvalue
-from .complexes import COCHAIN, identity_map, validate_complex, zero_map
+from .complexes import COCHAIN, identity_map, validate_chain_map, validate_complex, zero_map
 from .cones import check_hypotheses, is_contractible, mapping_cone, verify_homotopy
 from .decompose import Decomposition, decompose
-from .errors import EigenchainError, ValidationError
+from .errors import EigenchainError, NotSaturated, ValidationError
 from .formats import (
     ComplexDoc,
     canonical_dumps,
@@ -88,7 +89,10 @@ def _cmd_homology(args) -> int:
 
 def _cmd_decompose(args) -> int:
     doc = load_complex(args.complex, ring=args.ring)
-    dec = decompose(doc.complex)
+    try:
+        dec = decompose(doc.complex)
+    except NotSaturated as exc:
+        raise NotSaturated(exc.factors, degree=doc.user_degree(exc.degree)) from None
     for n in sorted(dec, key=doc.user_degree):
         part = dec[n]
         print(
@@ -113,10 +117,24 @@ def _load_pair(args, f_doc: ComplexDoc):
     return lam_doc, _load_map(args.alpha_path, lam_doc, f_doc)
 
 
+@contextmanager
+def _file_degrees(f_doc: ComplexDoc, alpha):
+    """Name a square of ``alpha`` that fails the cone's chain-map check by the file's degree."""
+    try:
+        yield
+    except ValidationError:
+        report = validate_chain_map(alpha) if alpha.degree_shift == 0 else None
+        if report is None or report.ok:
+            raise
+        where = f"degree {f_doc.user_degree(report.degree)} fails at entry {report.entry}"
+        raise ValidationError(f"not a chain map: square at {where}") from None
+
+
 def _cmd_cone(args) -> int:
     f_doc = load_complex(args.complex, ring=args.ring)
     lam_doc, alpha = _load_pair(args, f_doc)
-    cone = mapping_cone(alpha)
+    with _file_degrees(f_doc, alpha):
+        cone = mapping_cone(alpha)
     out = args.output or str(Path(args.complex).with_suffix("")) + ".cone.json"
     write_payload(out, cone_to_payload(cone, f_doc.convention))
     print(f"cone written to {out}")
@@ -130,7 +148,8 @@ def _cmd_certify(args) -> int:
     f_doc = load_complex(args.complex, ring=args.ring)
     if args.lambda_path:
         lam_doc, alpha = _load_pair(args, f_doc)
-        cert = decide_eigenvalue(f_doc.complex, lam_doc.complex, alpha)
+        with _file_degrees(f_doc, alpha):
+            cert = decide_eigenvalue(f_doc.complex, lam_doc.complex, alpha)
     else:
         cert = certify_homology_eigenvalue(f_doc.complex)
     payload = certificate_to_payload(cert, f_doc.convention)

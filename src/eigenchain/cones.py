@@ -18,10 +18,12 @@ single hypothesis checker :func:`check_hypotheses`, the witness, and
 coordinates.  The checker also reads whether ``alpha`` is an isomorphism
 on homology, in the homology coordinates of that analysis, which decides
 whether the cone contracts without analyzing the cone;
-:func:`is_contractible` analyzes a complex of its own.  The canonical
-pair's :class:`HypothesisCheck` comes from its construction instead,
-while :func:`verify_homotopy` still checks its witness.  Both witnesses
-share one contraction formula, :func:`_contraction_block`.
+:func:`is_contractible` analyzes a complex of its own.  The checker is
+the one place that solves for the eigenmap's inverse on cycles; the
+witness reads that solution.  The canonical pair's
+:class:`HypothesisCheck` comes from its construction instead, while
+:func:`verify_homotopy` still checks its witness.  Both witnesses share
+one contraction formula, :func:`_contraction_block`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .complexes import (
 )
 from .decompose import Decomposition
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
-from .linalg import RrefResult, SnfResult, factor
+from .linalg import factor
 from .matrix import Matrix, block_diag, hstack, vstack
 
 RANK_MISMATCH = "RankMismatch"
@@ -81,10 +83,6 @@ class ConeComplex:
     underlying: ChainComplex
     source_alpha: GradedMap
     analysis: Optional[Decomposition] = field(default=None, repr=False, compare=False)
-
-    @property
-    def ring(self):
-        return self.underlying.ring
 
     @cached_property
     def layout(self) -> dict[int, ConeLayout]:
@@ -167,7 +165,7 @@ def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tg
     For a valid cone its differential at ``n`` becomes
     ``[[0,0,0],[alpha,0,0],[0,delta,0]]`` in these blocks.
     """
-    ring = cone.ring
+    ring = dec.ring
     src_part = dec.at(src)
     src_change = block_diag([
         Matrix.identity(ring, cone.sizes(src).lambda_rank),
@@ -220,28 +218,17 @@ class HypothesisCheck:
     with torsion yields the single NotSaturated failure of its lowest such
     degree.  ``homology_iso`` says whether ``alpha`` induces an
     isomorphism on homology, which for bounded free complexes is exactly
-    when its cone contracts.  ``factored`` holds the factorization of each
-    block of ``alpha``.  ``alpha_inverse`` holds the solution of
-    ``alpha_n x = cycles`` at each degree where every hypothesis holds;
-    the witness inverts the eigenmap with it, read by :meth:`inverse`.
-    Over Z the check solves it, since solvability is a hypothesis there.
-    Over a field the solve cannot fail, so the check leaves
-    ``alpha_inverse`` empty and :meth:`inverse` solves when the witness
-    reads it.  A check built from the canonical pair's construction
-    factors nothing and holds I at every degree.
+    when its cone contracts.  ``alpha_inverse`` holds the solution of
+    ``alpha_n x = cycles`` at each degree of ``alpha``, the eigenmap's
+    inverse on cycles that the witness reads, and is empty unless every
+    hypothesis holds.  A check built from the canonical pair's
+    construction factors nothing and holds I at every degree.
     """
 
     injective: dict[int, bool]
     failures: list[FailureReason]
     homology_iso: bool
-    factored: dict[int, RrefResult | SnfResult] = field(repr=False)
-    alpha_inverse: dict[int, Matrix] = field(default_factory=dict)
-
-    def inverse(self, dec: Decomposition, n: int) -> Matrix:
-        """``alpha_inverse[n]`` where the check solved it, else a solve against the cycles of ``dec``."""
-        if n in self.alpha_inverse:
-            return self.alpha_inverse[n]
-        return self.factored[n].solve(dec.at(n).cycles_in_ambient)
+    alpha_inverse: dict[int, Matrix]
 
 
 def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
@@ -252,9 +239,11 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     Over a field the last is automatic once the others hold: a chain map
     from ``lambda`` lands in cycles, so an injective ``alpha`` into the
     complement spans its cycles, whose dimension is the homology rank.
-    Over Z it is a genuine extra condition, and the check solves for it.
-    Each block of ``alpha`` is factored once, for its injectivity and its
-    solve.
+    Over Z it is a genuine extra condition, and the check solves for it
+    degree by degree.  Over a field it solves every degree once, after
+    the checks and only when none failed, since only that verdict's
+    witness reads the solution.  Each block of ``alpha`` is factored
+    once, for its injectivity and its solve.
 
     Every failure but AlphaNotIntoG already shows that ``alpha`` is no
     isomorphism on homology: ranks differ, a kernel vector maps to class
@@ -270,7 +259,7 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
     bad = dec.unsaturated()
     if bad is not None:
         failure = FailureReason(NOT_SATURATED, degree=bad.degree, factors=tuple(bad.factors))
-        return HypothesisCheck(injective, [failure], False, factored)
+        return HypothesisCheck(injective, [failure], False, {})
     failures = []
     inverses = {}
     for n in sorted(set(lam.ranks) | set(f.ranks)):
@@ -290,11 +279,13 @@ def check_hypotheses(alpha: GradedMap, dec: Decomposition) -> HypothesisCheck:
                 failures.append(FailureReason(ALPHA_NOT_SURJECTIVE, degree=n))
             else:
                 inverses[n] = inverse
+    if dec.ring.is_field and not failures:
+        inverses = {n: a_n.solve(dec.at(n).cycles_in_ambient) for n, a_n in factored.items()}
     on_homology = (factor(dec.at(r.degree).to_cycle_coords @ alpha.block(r.degree)) for r in failures)
     iso = all(r.kind == ALPHA_NOT_INTO_G for r in failures) and all(
         h.rank == h.matrix.cols and not h.torsion for h in on_homology
     )
-    return HypothesisCheck(injective, failures, iso, factored, inverses)
+    return HypothesisCheck(injective, failures, iso, inverses)
 
 
 def _contraction_block(dec: Decomposition, n: int) -> Matrix:
@@ -319,8 +310,9 @@ def construct_null_homotopy(
     the transversal; on the image it inverts the restricted differential
     back through the transversal (:func:`_contraction_block`).  Both
     inverses are read off the decomposition and ``check`` (run here when
-    not given), the eigenmap's by :meth:`HypothesisCheck.inverse`, once
-    per degree; a failed hypothesis raises :class:`HypothesisFailure`.
+    not given), the eigenmap's from ``check.alpha_inverse``, so the
+    witness eliminates and solves nothing of ``alpha``; a failed
+    hypothesis raises :class:`HypothesisFailure`.
     """
     alpha = cone.source_alpha
     if check is None:
@@ -335,15 +327,14 @@ def construct_null_homotopy(
     for n in z.degrees():
         if z.rank(n - 1) == 0:
             continue
-        lam_src, lam_tgt, f_src = lam.rank(n + 1), lam.rank(n), f.rank(n)
+        lam_tgt, f_src = lam.rank(n), f.rank(n)
         # Scalar-part output: invert the eigenmap on the cycle component.
         if lam_tgt and f_src:
-            top_f = -(check.inverse(dec, n) @ dec.at(n).to_cycle_coords)
+            top = -(check.alpha_inverse[n] @ dec.at(n).to_cycle_coords)
         else:
-            top_f = Matrix.zeros(ring, lam_tgt, f_src)
-        top = hstack([Matrix.zeros(ring, lam_tgt, lam_src), top_f])
-        bottom = hstack([Matrix.zeros(ring, f.rank(n - 1), lam_src), _contraction_block(dec, n)])
-        blocks[n] = vstack([top, bottom])
+            top = Matrix.zeros(ring, lam_tgt, f_src)
+        zeros = Matrix.zeros(ring, z.rank(n - 1), lam.rank(n + 1))
+        blocks[n] = hstack([zeros, vstack([top, _contraction_block(dec, n)])])
     return Homotopy(z, blocks)
 
 

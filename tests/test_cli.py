@@ -250,6 +250,37 @@ def test_structural_error_exit_code(workdir, capsys):
     assert "error" in err
 
 
+def test_decompose_names_a_torsion_degree_in_the_files_convention(tmp_path, capsys):
+    # Chain degree 1 is cochain degree -1 inside; homology and certify already say 1.
+    chain = {
+        "ring": "Z",
+        "convention": "chain",
+        "degrees": [{"degree": 2, "rank": 1}, {"degree": 1, "rank": 1}],
+        "diffs": [{"from_degree": 2, "entries": [["2"]]}],
+    }
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(chain))
+    assert run(capsys, "homology", path)[1].splitlines() == ["H_1: Z/2", "H_2: 0"]
+    code, out, err = run(capsys, "decompose", path)
+    assert (code, out) == (2, "")
+    assert err == "error: submodule not saturated at degree 1: invariant factors [2]\n"
+
+
+@pytest.mark.parametrize("command", ["cone", "certify"])
+def test_a_failed_chain_map_square_is_named_in_the_files_convention(workdir, capsys, command):
+    alpha = json.loads((workdir / "s1_alpha.json").read_text())
+    for block in alpha["blocks"]:
+        if block["degree"] == 1:
+            block["entries"] = [["1"], ["0"], ["0"]]
+    (workdir / "bad_alpha.json").write_text(canonical_dumps(alpha))
+    pair = [workdir / "s1_lambda.json", workdir / "bad_alpha.json"]
+    argv = pair if command == "cone" else ["--lambda", pair[0], "--alpha", pair[1]]
+    code, out, err = run(capsys, command, workdir / "s1_complex.json", *argv, "-o", workdir / "out.json")
+    assert (code, out) == (2, "")
+    assert err == "error: not a chain map: square at degree 1 fails at entry (1, 0)\n"
+    assert not (workdir / "out.json").exists()
+
+
 def test_missing_file_is_structural(workdir, capsys):
     code, _, err = run(capsys, "homology", workdir / "nope.json")
     assert code == 2

@@ -20,8 +20,16 @@ import pytest
 
 from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, linalg, scalar_object
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
-from eigenchain.complexes import COCHAIN, ChainComplex, convert_convention
-from eigenchain.cones import ALPHA_NOT_INJECTIVE, RANK_MISMATCH, FailureReason
+from eigenchain.complexes import COCHAIN, ChainComplex, convert_convention, identity_map, zero_map
+from eigenchain.cones import (
+    ALPHA_NOT_INJECTIVE,
+    RANK_MISMATCH,
+    FailureReason,
+    check_hypotheses,
+    construct_null_homotopy,
+    mapping_cone,
+    verify_homotopy,
+)
 from eigenchain.decompose import Decomposition, canonical_alpha, homology
 from eigenchain.randgen import alpha_variants, random_complex
 from eigenchain.simplicial import simplicial_to_chain
@@ -188,6 +196,45 @@ def test_deciding_the_canonical_pair_solves_each_eigenmap_inverse_once(solved, r
     assert sorted(blocks) == [-2, 0]
     for block in blocks.values():
         assert sum(1 for m in solved if m is block) == 1
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2)], ids=str)
+def test_the_field_check_solves_the_eigenmap_inverse(ring):
+    f = skeleton(ring)
+    lam, alpha = canonical_alpha(f)
+    dec = Decomposition(f)
+    check = check_hypotheses(alpha, dec)
+    assert check.failures == [] and sorted(check.alpha_inverse) == lam.degrees() == [-2, 0]
+    for n in lam.degrees():
+        assert check.alpha_inverse[n] == linalg.factor(alpha.block(n)).solve(dec.at(n).cycles_in_ambient)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2)], ids=str)
+def test_a_field_check_with_a_failure_solves_nothing(solved, ring):
+    f = skeleton(ring)
+    lam, alpha = canonical_alpha(f)
+    pair = GradedMap(lam, f, 0, {n: b for n, b in alpha.blocks.items() if n != 0})
+    check = check_hypotheses(pair, Decomposition(f))
+    assert check.failures == [FailureReason(ALPHA_NOT_INJECTIVE, degree=0)]
+    assert check.alpha_inverse == {}
+    assert not [m for m in solved if m is pair.blocks[-2]]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=str)
+def test_the_witness_reads_the_eigenmap_inverse_off_the_check(eliminated, solved, ring):
+    f = skeleton(ring)
+    lam, alpha = canonical_alpha(f)
+    dec = Decomposition(f)
+    check = check_hypotheses(alpha, dec)
+    cone = mapping_cone(alpha)
+    eliminated.clear()
+    solved.clear()
+    psi = construct_null_homotopy(cone, dec, check)
+    z = cone.underlying
+    assert verify_homotopy(z, zero_map(z, z), identity_map(z), psi).ok
+    for block in alpha.blocks.values():
+        assert not [e for e in eliminated if e.matrix is block]
+        assert not [m for m in solved if m is block]
 
 
 @pytest.fixture
