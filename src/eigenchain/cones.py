@@ -12,8 +12,9 @@ convention remains expressible.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout
-(which :func:`mapping_cone` analyzes only when it is first read), the
-single hypothesis checker :func:`check_hypotheses`, the witness, and
+(which keeps only that analysis's image ranks, and which
+:func:`mapping_cone` analyzes only when it is first read), the single
+hypothesis checker :func:`check_hypotheses`, the witness, and
 :func:`adapted_block`, the change to (scalar | complement | image) block
 coordinates.  The checker also reads whether ``alpha`` is an isomorphism
 on homology, in the homology coordinates of that analysis, which decides
@@ -82,15 +83,15 @@ class ConeComplex:
 
     underlying: ChainComplex
     source_alpha: GradedMap
-    analysis: Optional[Decomposition] = field(default=None, repr=False, compare=False)
+    image_ranks: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def layout(self) -> dict[int, ConeLayout]:
-        """Block sizes per cone degree, from ``analysis`` (of the target, if the cone was built with one) or a new one."""
+        """Block sizes per cone degree, from ``image_ranks`` (the target's, if the cone was built with them) or a new analysis."""
         lam, f = self.source_alpha.source, self.source_alpha.target
-        dec = Decomposition(f) if self.analysis is None else self.analysis
+        image = _image_ranks(Decomposition(f)) if self.image_ranks is None else self.image_ranks
         return {
-            n: ConeLayout(lam.rank(n + 1), f.rank(n) - dec.image_rank(n), dec.image_rank(n))
+            n: ConeLayout(lam.rank(n + 1), f.rank(n) - image.get(n, 0), image.get(n, 0))
             for n in sorted(self.underlying.ranks)
         }
 
@@ -127,11 +128,17 @@ def _require_cone_input(alpha: GradedMap):
         raise ValidationError(f"not a chain map: {check.message}")
 
 
+def _image_ranks(dec: Decomposition) -> dict[int, int]:
+    return {n: dec.image_rank(n) for n in dec}
+
+
 def _assemble_cone(alpha: GradedMap, dec: Optional[Decomposition] = None) -> ConeComplex:
     """The cone of a checked ``alpha``; ``dec``, if given, analyzes its (valid) target.
 
-    A chain map into a complex has a cone that is again a complex, so the
-    result needs no check of its own.
+    The cone keeps only the image ranks of ``dec``, not ``dec`` itself, so
+    a certificate holding the cone does not hold the analysis.  A chain
+    map into a complex has a cone that is again a complex, so the result
+    needs no check of its own.
     """
     lam, f = alpha.source, alpha.target
     ring = f.ring
@@ -146,7 +153,7 @@ def _assemble_cone(alpha: GradedMap, dec: Optional[Decomposition] = None) -> Con
         top = Matrix.zeros(ring, lam.rank(n + 2), cols)
         bottom = hstack([alpha.block(n + 1), f.diff(n)])
         diffs[n] = vstack([top, bottom])
-    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), alpha, dec)
+    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), alpha, None if dec is None else _image_ranks(dec))
 
 
 def mapping_cone(alpha: GradedMap) -> ConeComplex:

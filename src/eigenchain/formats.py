@@ -6,9 +6,10 @@ lists in ascending file degree), and every format round-trips losslessly.
 Files carry their own convention; chain-style data is converted to the
 internal cochain indexing by negating degrees on read and converted back
 on write, with the one sign :func:`~eigenchain.complexes.convention_sign`.
-Every degree-keyed list of matrices (a complex's ``diffs``, the
-``blocks`` of a graded map or a homotopy) is read by one helper and
-written by another.
+Every degree-keyed list (``degrees``, ``diffs``, ``blocks``, and a
+certificate's ranks, homology, flags and layout) is written by
+:func:`_write_list`; those read back go through :func:`_read_list`,
+which refuses a repeated degree and names a bad entry by its degree.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .certify import EigenCertificate, FailureReason
+from .certify import EigenCertificate
 from .complexes import (
     CHAIN,
     COCHAIN,
@@ -187,35 +188,38 @@ def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matri
     return Matrix._raw(ring, rows, cols, tuple(tuple(map(value.__getitem__, row)) for row in entries))
 
 
-def _by_user_degree(degrees, sign: int) -> list[int]:
-    """Internal degrees in ascending order of the degrees a file shows."""
-    return sorted(degrees, key=lambda n: sign * n)
+def _write_list(values: dict, sign: int, fields, degree_key: str = "degree") -> list:
+    """``{degree_key: file degree, **fields(value)}`` per internal degree of ``values``, in ascending file degree."""
+    return [{degree_key: sign * n, **fields(values[n])} for n in sorted(values, key=lambda n: sign * n)]
 
 
-def _read_blocks(payload: dict, key: str, degree_key: str, shape, ring: Ring, sign: int, what: str) -> dict:
-    """``payload[key]``, a list of ``{degree_key, entries}``, by internal degree.
+def _read_list(payload: dict, key: str, degree_key: str, sign: int, what: str, read) -> dict:
+    """``payload[key]``, a list of objects keyed by ``degree_key``, as ``{internal degree: value}``.
 
-    ``shape(n)`` is the (rows, cols) the matrix at internal degree ``n``
-    must have.  A degree listed twice is a parse error.
+    Each value is ``read(item, n, where)``, with ``where`` naming the
+    entry for its errors.  A degree listed twice is a parse error.
     """
-    blocks = {}
+    values = {}
     for item in _list_field(payload, key, what):
         user_deg = _int_field(item, degree_key, f"{what} {key} entry")
         n = sign * user_deg
-        if n in blocks:
+        if n in values:
             raise ParseError(f"{what}: {degree_key!r} {user_deg} appears twice in {key!r}")
-        where = f"{what} {key} entry at {degree_key} {user_deg}"
-        blocks[n] = _parse_matrix(ring, item.get("entries"), *shape(n), where)
-    return blocks
+        values[n] = read(item, n, f"{what} {key} entry at {degree_key} {user_deg}")
+    return values
 
 
-def _write_blocks(blocks: dict, degree_key: str, sign: int) -> list:
-    """Inverse of :func:`_read_blocks`: ``{degree_key, entries}`` in file-degree order."""
-    return [{degree_key: sign * n, "entries": blocks[n].render_rows()} for n in _by_user_degree(blocks, sign)]
+def _read_blocks(payload: dict, key: str, degree_key: str, shape, ring: Ring, sign: int, what: str) -> dict:
+    """``payload[key]``, a list of ``{degree_key, entries}``; ``shape(n)`` is the (rows, cols) at internal degree ``n``."""
+
+    def read(item, n, where):
+        return _parse_matrix(ring, item.get("entries"), *shape(n), where)
+
+    return _read_list(payload, key, degree_key, sign, what, read)
 
 
-def _write_ranks(ranks: dict, sign: int) -> list:
-    return [{"degree": sign * n, "rank": ranks[n]} for n in _by_user_degree(ranks, sign)]
+def _entries(m: Matrix) -> dict:
+    return {"entries": m.render_rows()}
 
 
 def _read_header(payload: dict, on: ComplexDoc, what: str) -> tuple[Ring, int]:
@@ -234,20 +238,16 @@ def complex_from_payload(payload: dict) -> ComplexDoc:
     if convention not in (CHAIN, COCHAIN):
         raise ParseError(f"bad convention {convention!r}")
     sign = convention_sign(convention)
-    ranks = {}
-    seen = set()
-    for item in _list_field(payload, "degrees", "complex"):
-        deg = _int_field(item, "degree", "degrees entry")
-        if deg in seen:
-            raise ParseError(f"complex: 'degree' {deg} appears twice in 'degrees'")
-        seen.add(deg)
-        rank = _int_field(item, "rank", f"degree {deg}")
-        if rank < 0:
-            raise ValidationError(f"negative rank at degree {deg}")
-        if rank > MAX_RANK:
-            raise ParseError(f"complex: rank {rank} at degree {deg} exceeds the size cap of {MAX_RANK}")
-        if rank:
-            ranks[sign * deg] = rank
+
+    def rank(item, n, where):
+        value = _int_field(item, "rank", where)
+        if value < 0:
+            raise ValidationError(f"negative rank at degree {sign * n}")
+        if value > MAX_RANK:
+            raise ParseError(f"complex: rank {value} at degree {sign * n} exceeds the size cap of {MAX_RANK}")
+        return value
+
+    ranks = _read_list(payload, "degrees", "degree", sign, "complex", rank)  # ChainComplex drops the zeros
 
     def shape(n):  # internal cochain: the differential leaving n lands in n + 1
         return ranks.get(n + 1, 0), ranks.get(n, 0)
@@ -266,8 +266,8 @@ def complex_to_payload(doc: ComplexDoc) -> dict:
     return {
         "ring": cx.ring.json_tag,
         "convention": doc.convention,
-        "degrees": _write_ranks(cx.ranks, sign),
-        "diffs": _write_blocks(cx.diffs, "from_degree", sign),
+        "degrees": _write_list(cx.ranks, sign, lambda r: {"rank": r}),
+        "diffs": _write_list(cx.diffs, sign, _entries, "from_degree"),
     }
 
 
@@ -288,7 +288,7 @@ def graded_map_to_payload(gm: GradedMap, convention: str) -> dict:
         "ring": gm.ring.json_tag,
         "convention": convention,
         "degree_shift": sign * gm.degree_shift,
-        "blocks": _write_blocks(gm.blocks, "degree", sign),
+        "blocks": _write_list(gm.blocks, sign, _entries),
     }
 
 
@@ -305,35 +305,18 @@ def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
     return Homotopy(on.complex, _read_blocks(payload, "blocks", "degree", shape, ring, sign, "homotopy"))
 
 
-def homotopy_to_payload(h: Homotopy, convention: str, with_ring: bool = True) -> dict:
-    payload = {"blocks": _write_blocks(h.blocks, "degree", convention_sign(convention))}
-    if with_ring:
-        payload["ring"] = h.on.ring.json_tag
-        payload["convention"] = convention
-    return payload
+def homotopy_to_payload(h: Homotopy, convention: str) -> dict:
+    return {
+        "ring": h.on.ring.json_tag,
+        "convention": convention,
+        "blocks": _write_list(h.blocks, convention_sign(convention), _entries),
+    }
 
 
 def cone_to_payload(cone: ConeComplex, convention: str) -> dict:
     payload = complex_to_payload(ComplexDoc(cone.underlying, convention))
-    sign = convention_sign(convention)
-    payload["layout"] = [
-        {
-            "degree": sign * n,
-            "lambda_rank": cone.layout[n].lambda_rank,
-            "complement_rank": cone.layout[n].complement_rank,
-            "image_rank": cone.layout[n].image_rank,
-        }
-        for n in _by_user_degree(cone.layout, sign)
-    ]
+    payload["layout"] = _write_list(cone.layout, convention_sign(convention), vars)  # a ConeLayout's three ranks
     return payload
-
-
-def _failure_to_payload(reason: FailureReason, sign: int):
-    return {
-        "kind": reason.kind,
-        "degree": sign * reason.degree if reason.degree is not None else None,
-        "factors": list(reason.factors),
-    }
 
 
 def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
@@ -343,37 +326,33 @@ def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
         "ring": cert.ring.json_tag,
         "convention": convention,
         "eigenobject": "R",
-        "lambda_ranks": _write_ranks(cert.lambda_ranks, sign),
-        "homology": [
-            {
-                "degree": sign * n,
-                "betti": cert.homology_betti[n],
-                "torsion": list(cert.homology_torsion.get(n, ())),
-            }
-            for n in _by_user_degree(cert.homology_betti, sign)
-        ],
-        "alpha_injective": [
-            {"degree": sign * n, "injective": cert.alpha_injective[n]}
-            for n in _by_user_degree(cert.alpha_injective, sign)
-        ],
+        "lambda_ranks": _write_list(cert.lambda_ranks, sign, lambda r: {"rank": r}),
+        "homology": _write_list(
+            {n: (betti, cert.homology_torsion.get(n, ())) for n, betti in cert.homology_betti.items()},
+            sign,
+            lambda h: {"betti": h[0], "torsion": list(h[1])},
+        ),
+        "alpha_injective": _write_list(cert.alpha_injective, sign, lambda ok: {"injective": ok}),
     }
-    if cert.verdict == "Eigenvalue":
-        payload["failure_reason"] = None
-    else:
+    if cert.witness is None:
         # Report the failure at the smallest degree in the file's convention.
         primary = min(
             cert.failure_reasons,
             key=lambda r: (sign * r.degree if r.degree is not None else 0),
         )
-        payload["failure_reason"] = _failure_to_payload(primary, sign)
-    if cert.witness is not None:
+        payload["failure_reason"] = {
+            "kind": primary.kind,
+            "degree": sign * primary.degree if primary.degree is not None else None,
+            "factors": list(primary.factors),
+        }
+        payload["witness"] = None
+    else:
+        payload["failure_reason"] = None
         payload["witness"] = {
             "cone": cone_to_payload(cert.cone, convention),
             "alpha": graded_map_to_payload(cert.cone.source_alpha, convention),
-            "homotopy": homotopy_to_payload(cert.witness, convention, with_ring=False),
+            "homotopy": {"blocks": _write_list(cert.witness.blocks, sign, _entries)},
         }
-    else:
-        payload["witness"] = None
     return payload
 
 

@@ -23,7 +23,9 @@ from .rings import Ring
 def close_simplicial(vertices, facets) -> dict[int, list[tuple[int, ...]]]:
     """Validate input and close the facet list under subsets: ``{dimension: sorted simplices}``.
 
-    Input past the size cap :data:`~eigenchain.complexes.MAX_RANK` raises
+    A vertex index that is not an integer raises :class:`ParseError`, and
+    an integer outside ``0..count-1`` raises :class:`BadIndex`.  Input past
+    the size cap :data:`~eigenchain.complexes.MAX_RANK` raises
     :class:`ParseError` before its closure grows: more vertices, a facet
     whose own closure has more faces of one dimension, or more simplices
     of one dimension in all.
@@ -39,7 +41,9 @@ def close_simplicial(vertices, facets) -> dict[int, list[tuple[int, ...]]]:
             raise ValidationError("empty facet")
         idx = []
         for v in facet:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < count:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParseError(f"vertex index must be a JSON integer, got {v!r}")
+            if not 0 <= v < count:
                 raise BadIndex(f"vertex index {v!r} outside 0..{count - 1}")
             idx.append(v)
         if len(set(idx)) != len(idx):

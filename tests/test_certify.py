@@ -1,6 +1,8 @@
 """Certificates: both verdicts, every failure reason, block analysis."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 from eigenchain import (
@@ -24,7 +26,7 @@ from eigenchain import (
     zero_map,
 )
 from eigenchain.cones import Homotopy
-from eigenchain.decompose import DegreeDecomposition
+from eigenchain.decompose import Decomposition, DegreeDecomposition
 from eigenchain.oracle import homotopy_system_solvable
 from eigenchain.randgen import alpha_variants, random_complex
 from test_elimination_count import skeleton
@@ -287,3 +289,32 @@ class TestBlockAnalysis:
         assert analysis.all_equations_hold() and analysis.all_conclusions_hold()
         assert len(solved) == 5
         assert set(solved.values()) == {1}
+
+
+def test_a_positive_certificate_holds_no_analysis(monkeypatch, circle_with_pair):
+    """Every analysis made while certifying is freed; the cone keeps only its layout's image ranks."""
+    built = []
+    original = Decomposition.__init__
+
+    def recorded(dec, source):
+        built.append(weakref.ref(dec))
+        original(dec, source)
+
+    monkeypatch.setattr(Decomposition, "__init__", recorded)
+    f, lam, alpha = circle_with_pair
+    # The fast path, the canonical pair over Z and Q, and a positive arbitration over Q.
+    g = ChainComplex(QQ, "cochain", {0: 1, 1: 2}, {0: Matrix(QQ, [[1], [0]])})
+    mu = scalar_object(QQ, {1: 1})
+    certs = [
+        decide_eigenvalue(f, lam, alpha),
+        certify_homology_eigenvalue(skeleton(ZZ)),
+        certify_homology_eigenvalue(skeleton(QQ)),
+        decide_eigenvalue(g, mu, GradedMap(mu, g, 0, {1: Matrix(QQ, [[1], [2]])})),
+    ]
+    assert all(cert.is_eigenvalue() for cert in certs)
+    assert len(built) == 5  # the arbitration also analyzes its cone
+    gc.collect()
+    assert [ref() for ref in built if ref() is not None] == []
+    # The layout is still there to read, and reading it analyzes nothing.
+    assert all(cert.cone.layout for cert in certs)
+    assert len(built) == 5

@@ -46,6 +46,13 @@ def test_homology_accepts_simplicial_input(workdir, capsys):
     assert out.splitlines() == ["H_0: Z", "H_1: Z"]
 
 
+def test_a_float_vertex_index_exits_2_asking_for_an_integer(tmp_path, capsys):
+    path = tmp_path / "float_vertex.json"
+    path.write_text(json.dumps({"vertices": 2, "facets": [[0.0, 1]]}))
+    code, out, err = run(capsys, "homology", path)
+    assert (code, out) == (2, "")
+    assert err == "error: vertex index must be a JSON integer, got 0.0\n"
+
 @pytest.mark.parametrize(
     "vertices, facets, h1",
     [(6, RP2, "H_1: Z/2"), (9, _klein_bottle(), "H_1: Z + Z/2")],

@@ -209,6 +209,12 @@ class TestSimplicial:
         assert len(data[2]) == 1
 
 
+@pytest.mark.parametrize("index", [0.0, [0], True, "1"], ids=["float", "list", "bool", "string"])
+def test_a_vertex_index_that_is_not_an_integer_is_a_parse_error(index):
+    with pytest.raises(ParseError) as info:
+        close_simplicial(2, [[index, 1]])
+    assert str(info.value) == f"vertex index must be a JSON integer, got {index!r}"
+
 def test_complex_ranks_past_the_size_cap_are_parse_errors():
     def payload(rank):
         return {"ring": "Z", "convention": "cochain", "degrees": [{"degree": 3, "rank": rank}], "diffs": []}
