@@ -30,10 +30,11 @@ from .complexes import (
     scalar_object,
     validate_chain_map,
     validate_complex,
+    verify_homotopy,
     zero_map,
 )
 from .decompose import canonical_alpha, decompose, homology
-from .cones import construct_null_homotopy, is_contractible, mapping_cone, verify_homotopy
+from .cones import construct_null_homotopy, is_contractible, mapping_cone
 from .certify import analyze_homotopy_blocks, certify_homology_eigenvalue, decide_eigenvalue
 from .oracle import brute_homology_f2, homotopy_system_solvable
 

@@ -18,7 +18,7 @@ from its construction (every degree injective, no failure, eigenmap
 inverse I), so certify factors and solves nothing of alpha; a given
 pair's comes from :func:`~eigenchain.cones.check_hypotheses`, which also
 solves for the eigenmap inverse that the witness reads.  Either way
-:func:`~eigenchain.cones.verify_homotopy` still checks the witness.
+:func:`~eigenchain.complexes.verify_homotopy` still checks the witness.
 The verdict comes from ranks first: a rank mismatch or a non-injective
 eigenmap is read off the factorizations, and a degree of F is split only
 for the checks and the witness that need the split.  The cone is
@@ -33,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import ChainComplex, GradedMap, identity_map, zero_map
+from .complexes import ChainComplex, GradedMap, Homotopy, identity_map, verify_homotopy, zero_map
 from .cones import (
     TORSION,
     ConeComplex,
     FailureReason,
-    Homotopy,
     HypothesisCheck,
     _assemble_cone,
     _require_cone_input,
@@ -46,7 +45,6 @@ from .cones import (
     check_hypotheses,
     construct_null_homotopy,
     is_contractible,
-    verify_homotopy,
 )
 from .decompose import Decomposition
 from .errors import LayoutMismatch, TorsionHomology, ValidationError

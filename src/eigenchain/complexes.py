@@ -1,10 +1,19 @@
-"""Bounded complexes of free modules and degree-homogeneous maps.
+"""Bounded complexes of free modules, degree-homogeneous maps, and their exact checks.
 
 The internal convention is cochain: the differential at degree ``n`` maps
 the rank-``r_n`` module to the rank-``r_{n+1}`` module.  Chain-convention
 data (differentials lowering degree) is converted on ingestion by
 negating degrees, which turns lowering into raising without touching any
 matrix; rendering converts back the same way.
+
+The exact checks of a complex, a chain map and a homotopy live here and
+report a :class:`CheckReport`.  A null-homotopy is a :class:`Homotopy`,
+the degree-(-1) map ``psi`` of one complex certified against
+``d∘psi + psi∘d = -id``, i.e. a homotopy from the zero map to the
+identity; that sign convention is fixed so the witnesses built in
+:mod:`~eigenchain.cones` match the decomposition blocks literally, and
+:func:`verify_homotopy` takes ``f`` and ``g`` explicitly so the opposite
+convention remains expressible.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConventionMismatch, RingMismatch, ValidationError
-from .matrix import Matrix
+from .matrix import Matrix, hstack, vstack
 from .rings import Ring
 
 COCHAIN = "cochain"
@@ -107,8 +116,8 @@ class ChainComplex:
 class CheckReport:
     """Outcome of one exact degreewise check; ``entry`` is the first failing (i, j).
 
-    ``composites`` is filled only by the homotopy check, with the product
-    it computed at each degree.
+    ``composites`` is filled only by :func:`verify_homotopy`, with the
+    product it computed at each degree.
     """
 
     ok: bool
@@ -169,6 +178,21 @@ class GradedMap:
         return Matrix.zeros(self.ring, self.target.rank(n + self.degree_shift), self.source.rank(n))
 
 
+class Homotopy(GradedMap):
+    """A degree-(-1) :class:`GradedMap` of one complex to itself.
+
+    Block ``n`` maps degree ``n`` to ``n - 1``; validation, pruning of zero
+    blocks and ``block(n)`` are those of every graded map.
+    """
+
+    def __init__(self, on: ChainComplex, blocks: dict[int, Matrix]):
+        super().__init__(on, on, -1, blocks)
+
+    @property
+    def on(self) -> ChainComplex:
+        return self.source
+
+
 def validate_chain_map(f: GradedMap) -> CheckReport:
     """Check ``d_target ∘ f_n == f_{n+1} ∘ d_source`` at every degree.
 
@@ -190,6 +214,40 @@ def validate_chain_map(f: GradedMap) -> CheckReport:
         if spot is not None:
             return CheckReport(False, degree=n, entry=spot, message=f"square at degree {n} fails at entry {spot}")
     return CheckReport(True)
+
+
+def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) -> CheckReport:
+    """Exact degreewise check of the homotopy identity.
+
+    ``composites`` records ``d∘psi + psi∘d`` at every supported degree so
+    callers can inspect the witnessed products.  Each is computed as the
+    one product ``[d_{n-1} | psi_{n+1}] @ [psi_n ; d_n]``, which adds only
+    nonzero terms, rather than as a sum of two matrices.
+    """
+    if psi.on != x:
+        raise ValidationError("homotopy is attached to a different complex")
+    for m in (f, g):
+        if m.source != x or m.target != x or m.degree_shift != 0:
+            raise ValidationError("verify_homotopy compares degree-0 endomorphisms")
+    composites = {}
+    failure = None
+    for n in x.degrees():
+        lhs = hstack([x.diff(n - 1), psi.block(n + 1)]) @ vstack([psi.block(n), x.diff(n)])
+        composites[n] = lhs
+        # With no block of f here (the zero map), f - g is -g.
+        target = f.block(n) - g.block(n) if n in f.blocks else -g.block(n)
+        if failure is None and lhs != target:
+            failure = (n, (lhs - target).first_nonzero())
+    if failure is None:
+        return CheckReport(True, composites=composites)
+    n, spot = failure
+    return CheckReport(
+        False,
+        degree=n,
+        entry=spot,
+        composites=composites,
+        message=f"homotopy identity fails at degree {n}, entry {spot}",
+    )
 
 
 def zero_map(source: ChainComplex, target: ChainComplex) -> GradedMap:

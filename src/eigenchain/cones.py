@@ -2,13 +2,10 @@
 
 The cone of a map ``alpha`` from a zero-differential complex into ``F``
 has degree-``n`` term ``lambda_{n+1} ⊕ F_n`` and the unsigned block
-differential ``(a, x) -> (0, alpha(a) + d(x))``.  A null-homotopy here is
-a :class:`Homotopy`, the degree-(-1) :class:`~eigenchain.complexes.GradedMap`
-``psi`` of one complex certified against ``d∘psi + psi∘d = -id``, i.e. a
-homotopy from the zero map to the identity; that sign convention is fixed
-so the constructed witnesses match the decomposition blocks literally, and
-:func:`verify_homotopy` takes ``f`` and ``g`` explicitly so the opposite
-convention remains expressible.
+differential ``(a, x) -> (0, alpha(a) + d(x))``.  Its null-homotopies are
+:class:`~eigenchain.complexes.Homotopy` objects, checked by
+:func:`~eigenchain.complexes.verify_homotopy`; :mod:`eigenchain.complexes`
+states their sign convention.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout
@@ -33,13 +30,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .complexes import (
-    COCHAIN,
-    ChainComplex,
-    CheckReport,
-    GradedMap,
-    validate_chain_map,
-)
+# verify_homotopy is re-exported here, where the benchmark's tracer names it.
+from .complexes import COCHAIN, ChainComplex, GradedMap, Homotopy, validate_chain_map, verify_homotopy
 from .decompose import Decomposition
 from .errors import HypothesisFailure, NotScalarSource, ValidationError
 from .linalg import factor
@@ -98,21 +90,6 @@ class ConeComplex:
     def sizes(self, n: int) -> ConeLayout:
         """The layout at cone degree ``n``, all zero off the cone's support."""
         return self.layout.get(n, ConeLayout(0, 0, 0))
-
-
-class Homotopy(GradedMap):
-    """A degree-(-1) :class:`GradedMap` of one complex to itself.
-
-    Block ``n`` maps degree ``n`` to ``n - 1``; validation, pruning of zero
-    blocks and ``block(n)`` are those of every graded map.
-    """
-
-    def __init__(self, on: ChainComplex, blocks: dict[int, Matrix]):
-        super().__init__(on, on, -1, blocks)
-
-    @property
-    def on(self) -> ChainComplex:
-        return self.source
 
 
 def _require_cone_input(alpha: GradedMap):
@@ -180,40 +157,6 @@ def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tg
     ])
     tgt_change_inv = block_diag([Matrix.identity(ring, cone.sizes(tgt).lambda_rank), dec.at(tgt).to_block_coords])
     return tgt_change_inv @ m @ src_change
-
-
-def verify_homotopy(x: ChainComplex, f: GradedMap, g: GradedMap, psi: Homotopy) -> CheckReport:
-    """Exact degreewise check of the homotopy identity.
-
-    ``composites`` records ``d∘psi + psi∘d`` at every supported degree so
-    callers can inspect the witnessed products.  Each is computed as the
-    one product ``[d_{n-1} | psi_{n+1}] @ [psi_n ; d_n]``, which adds only
-    nonzero terms, rather than as a sum of two matrices.
-    """
-    if psi.on != x:
-        raise ValidationError("homotopy is attached to a different complex")
-    for m in (f, g):
-        if m.source != x or m.target != x or m.degree_shift != 0:
-            raise ValidationError("verify_homotopy compares degree-0 endomorphisms")
-    composites = {}
-    failure = None
-    for n in x.degrees():
-        lhs = hstack([x.diff(n - 1), psi.block(n + 1)]) @ vstack([psi.block(n), x.diff(n)])
-        composites[n] = lhs
-        # With no block of f here (the zero map), f - g is -g.
-        target = f.block(n) - g.block(n) if n in f.blocks else -g.block(n)
-        if failure is None and lhs != target:
-            failure = (n, (lhs - target).first_nonzero())
-    if failure is None:
-        return CheckReport(True, composites=composites)
-    n, spot = failure
-    return CheckReport(
-        False,
-        degree=n,
-        entry=spot,
-        composites=composites,
-        message=f"homotopy identity fails at degree {n}, entry {spot}",
-    )
 
 
 @dataclass(frozen=True)

@@ -23,20 +23,20 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .certify import EigenCertificate
 from .complexes import (
     CHAIN,
     COCHAIN,
     MAX_RANK,
     ChainComplex,
     GradedMap,
+    Homotopy,
     convention_sign,
     convert_convention,
     identity_map,
     validate_complex,
+    verify_homotopy,
     zero_map,
 )
-from .cones import ConeComplex, Homotopy, verify_homotopy
 from .errors import ParseError, ValidationError
 from .matrix import Matrix
 from .rings import ZZ, Ring, ring_from_tag
@@ -313,13 +313,13 @@ def homotopy_to_payload(h: Homotopy, convention: str) -> dict:
     }
 
 
-def cone_to_payload(cone: ConeComplex, convention: str) -> dict:
+def cone_to_payload(cone, convention: str) -> dict:
     payload = complex_to_payload(ComplexDoc(cone.underlying, convention))
     payload["layout"] = _write_list(cone.layout, convention_sign(convention), vars)  # a ConeLayout's three ranks
     return payload
 
 
-def certificate_to_payload(cert: EigenCertificate, convention: str) -> dict:
+def certificate_to_payload(cert, convention: str) -> dict:
     sign = convention_sign(convention)
     payload = {
         "verdict": cert.verdict,

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to cross-check the main pipeline.
 
-Neither oracle touches the decomposition or cone internals.  The F2
-homology oracle counts kernel and image sizes by enumerating bitmask
-vectors; the homotopy oracle assembles the degreewise homotopy identity
-into one linear system over the ring and hands it to the exact solver,
-which over Z returns only integral solutions.
+Neither oracle touches the decomposition or cone internals: the module
+imports only ``complexes``, ``matrix``, ``rings``, ``errors`` and the
+exact solver ``linalg.solve_matrix``.  The F2 homology oracle counts
+kernel and image sizes by enumerating bitmask vectors; the homotopy
+oracle assembles the degreewise homotopy identity into one linear system
+over the ring and hands it to the exact solver, which over Z returns
+only integral solutions.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import COCHAIN, ChainComplex, GradedMap
-from .cones import Homotopy
+from .complexes import COCHAIN, ChainComplex, GradedMap, Homotopy
 from .errors import ConventionMismatch, NotAField, TooLarge, ValidationError
 from .linalg import solve_matrix
 from .matrix import Matrix
