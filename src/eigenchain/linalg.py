@@ -18,8 +18,12 @@ transforms (the rref's left transform; a Smith form's ``U``, ``U^-1`` and
 ``V``) are built by the one :func:`_replay` of that log onto an identity
 the first time something reads them, so a rank or an invariant factor
 costs one elimination and no transform.  A transform whose log is empty
-is :meth:`~eigenchain.matrix.Matrix.identity`.  ``det`` reads the rref's
-log over a field and the fraction-free elimination's last pivot over Z.
+is :meth:`~eigenchain.matrix.Matrix.identity`, and so are the answers
+known without one: the kernel of a rank-0 matrix, and the inverse
+:func:`complement_and_inverse` returns for a basis that is a marked
+identity (the whole module, with an empty complement), so the products
+downstream skip as well.  ``det`` reads the rref's log over a field and
+the fraction-free elimination's last pivot over Z.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
@@ -88,6 +92,8 @@ class RrefResult:
     def kernel(self) -> SubspaceBasis:
         """Basis of ``{x : matrix @ x = 0}``, each column's topmost nonzero entry one."""
         ring, n = self.matrix.ring, self.matrix.cols
+        if not self.rank:
+            return SubspaceBasis(n, Matrix.identity(ring, n))
         echelon = self.echelon.data
         cols = []
         for j in range(n):
@@ -168,6 +174,8 @@ class SnfResult:
     def kernel(self) -> SubspaceBasis:
         """Generators of the (saturated) submodule ``{x : matrix @ x = 0}``, each topmost nonzero positive."""
         n, factors = self.matrix.cols, self.invariant_factors
+        if not self.rank:
+            return SubspaceBasis(n, Matrix.identity(self.matrix.ring, n))
         basis = self.v.cols_at([j for j in range(n) if j >= len(factors) or factors[j] == 0])
         return SubspaceBasis(n, _sign_normalize(basis))
 
@@ -615,6 +623,8 @@ def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
     ring = sub.vectors.ring
     m = sub.ambient_dim
     k = sub.dim
+    if sub.vectors.marked_identity:
+        return SubspaceBasis(m, Matrix.zeros(ring, m, 0)), sub.vectors
     eye = Matrix.identity(ring, m)
     if k == 0:
         return SubspaceBasis(m, eye), eye

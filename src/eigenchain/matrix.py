@@ -15,11 +15,15 @@ operand is scaled when a type scan of its nonzero entries finds a
 ``Fraction``, integral or not.  A product with :meth:`Matrix.identity`
 checks ring and shapes, then returns the other factor as stored, so
 over Q an integral ``Fraction`` it holds stays one; ``-I`` is built
-from one canonical ``-1``.  Sums, differences, negation and
-scaling map the operator over each row, so an entry costs its arithmetic
-and, over F_p only, one ``%``.  Zero-row and zero-column matrices are
-legal and stand for maps to or from the zero module, which keeps
-degree-window edges of chain complexes uniform.
+from one canonical ``-1``.  The mark is the class, read through
+``marked_identity``, never the values, and it survives where the answer
+is known to be the identity: a full slice is the matrix itself, and
+:mod:`~eigenchain.linalg` returns a marked identity as the kernel of a
+rank-0 map and as the inverse of a split off the whole module.  Sums,
+differences, negation and scaling map the operator over each row, so an
+entry costs its arithmetic and, over F_p only, one ``%``.  Zero-row and
+zero-column matrices are legal and stand for maps to or from the zero
+module, which keeps degree-window edges of chain complexes uniform.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class Matrix:
     """Immutable row-major matrix over an exact ring."""
 
     __slots__ = ("ring", "rows", "cols", "data")
+    # The identity mark: True only on what :meth:`identity` builds, never read off values.
+    marked_identity = False
 
     def __init__(self, ring: Ring, entries: Sequence[Sequence], cols: int | None = None):
         rows = len(entries)
@@ -74,7 +80,10 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        """The ``n x n`` identity, marked so that a product with it returns the other factor."""
+        """The ``n x n`` identity, marked so that a product with it returns the other factor.
+
+        Full slices, rank-0 kernels and whole-module splits keep the mark.
+        """
         return _Identity._raw(ring, n, n, _diagonal(ring, n, ring.normalize(1)))
 
     @classmethod
@@ -97,9 +106,9 @@ class Matrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})")
-        if type(self) is _Identity:
+        if self.marked_identity:
             return other
-        if type(other) is _Identity:
+        if other.marked_identity:
             return self
         zero = self.ring.normalize(0)
         p = repeat(self.ring.p) if self.ring.needs_reduction else None
@@ -162,8 +171,11 @@ class Matrix:
         return Matrix._raw(self.ring, self.rows, len(indices), tuple(tuple(row[j] for j in indices) for row in self.data))
 
     def submatrix(self, row_range, col_range) -> "Matrix":
+        """The entries at rows ``row_range`` and columns ``col_range``; the full ranges give ``self``."""
         ri = list(row_range)
         ci = list(col_range)
+        if ri == list(range(self.rows)) and ci == list(range(self.cols)):
+            return self
         return Matrix._raw(self.ring, len(ri), len(ci), tuple(tuple(self.data[i][j] for j in ci) for i in ri))
 
     def is_zero(self) -> bool:
@@ -200,6 +212,7 @@ class _Identity(Matrix):
     """An identity matrix: a product with it is the other factor, as stored."""
 
     __slots__ = ()
+    marked_identity = True
 
     def __neg__(self) -> Matrix:
         return Matrix._raw(self.ring, self.rows, self.cols, _diagonal(self.ring, self.rows, self.ring.normalize(-1)))

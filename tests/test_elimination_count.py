@@ -34,6 +34,8 @@ from eigenchain.decompose import Decomposition, canonical_alpha, homology
 from eigenchain.randgen import alpha_variants, random_complex
 from eigenchain.simplicial import simplicial_to_chain
 from test_golden_analysis import RP2
+from test_golden_simplicial import TORUS
+from test_identity_products import dense_identity
 
 PER_DEGREE = 4
 ELIMINATIONS = ("rref", "smith_normal_form", "_fraction_free_rref")
@@ -171,6 +173,28 @@ def solved(monkeypatch):
 
         monkeypatch.setattr(result, "solve", counted)
     return calls
+
+
+SIMPLICIAL = {
+    "skeleton-5-2": (6, [list(f) for f in combinations(range(6), 3)]),
+    "torus": (7, TORUS),
+    "sphere-3": (5, [list(f) for f in combinations(range(5), 4)]),  # the boundary of the 4-simplex
+}
+
+
+@pytest.mark.parametrize("name", SIMPLICIAL)
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_certify_eliminates_no_identity_for_a_complement(monkeypatch, ring, name):
+    # A complement whose every vector is a cycle has the identity as its
+    # cycle basis; splitting it is known without an elimination.
+    bases = []
+    original = linalg._bottom_pivots
+    monkeypatch.setattr(linalg, "_bottom_pivots", lambda sub: bases.append(sub) or original(sub))
+    vertices, facets = SIMPLICIAL[name]
+    chain, _ = simplicial_to_chain(vertices, facets, ring)
+    assert certify_homology_eigenvalue(convert_convention(chain, COCHAIN)).is_eigenvalue()
+    assert bases
+    assert [b for b in bases if b.rows == b.cols and b == dense_identity(ring, b.rows)] == []
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)

@@ -3,16 +3,19 @@
 ``Matrix.identity`` marks the matrix it returns, so ``I @ B`` and
 ``B @ I`` are ``B`` itself once the ring and the shapes have been
 checked; ``-I`` is built from one canonical ``-1``; and an elimination
-whose log is empty hands back an identity as its transform.
+whose log is empty hands back an identity as its transform.  The mark
+survives where the answer is known to be the identity: the kernel of a
+zero map, the split of a basis that is the whole module, and a slice
+over the full row and column ranges.
 """
 
 import random
 
 import pytest
 
-from eigenchain import GF, QQ, ZZ, Matrix
+from eigenchain import GF, QQ, ZZ, Matrix, linalg
 from eigenchain.errors import RingMismatch, ShapeMismatch
-from eigenchain.linalg import rref, smith_normal_form
+from eigenchain.linalg import SubspaceBasis, complement_and_inverse, rref, smith_normal_form
 
 RINGS = [QQ, ZZ, GF(2), GF(5)]
 SIZES = range(5)
@@ -95,3 +98,75 @@ def test_a_transform_with_an_empty_log_is_an_identity(ring, n):
     for t in transforms:
         assert t == dense
         assert t @ b is b
+
+
+def is_marked_identity(m, n):
+    return m.marked_identity and m == dense_identity(m.ring, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_the_kernel_of_a_zero_map_is_a_marked_identity(ring, n):
+    # Rank 0: the whole module is the kernel, with no elimination step to read.
+    eliminate = rref if ring.is_field else smith_normal_form
+    for k in range(4):
+        kernel = eliminate(Matrix.zeros(ring, k, n)).kernel()
+        assert kernel.ambient_dim == n
+        assert is_marked_identity(kernel.vectors, n)
+
+
+@pytest.fixture
+def bottom_pivots(monkeypatch):
+    """The bases handed to ``linalg._bottom_pivots``, in call order."""
+    calls = []
+    original = linalg._bottom_pivots
+
+    def counted(sub):
+        calls.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(linalg, "_bottom_pivots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_splitting_off_the_whole_module_keeps_the_identity(bottom_pivots, ring, n):
+    eye = Matrix.identity(ring, n)
+    comp, inverse = complement_and_inverse(SubspaceBasis(n, eye))
+    assert (comp.ambient_dim, comp.dim) == (n, 0)
+    assert inverse is eye
+    assert bottom_pivots == []
+    # A dense identity still takes the eliminating route, to the same values.
+    dense_comp, dense_inverse = complement_and_inverse(SubspaceBasis(n, dense_identity(ring, n)))
+    assert len(bottom_pivots) == (1 if n else 0)
+    assert comp.vectors == dense_comp.vectors
+    assert inverse == dense_inverse
+
+
+def proper_slices(rows, cols):
+    """Every contiguous row and column range but the full one, and each axis reversed."""
+
+    def spans(k):
+        return [range(i, j) for i in range(k + 1) for j in range(i, k + 1)] + ([range(k - 1, -1, -1)] if k > 1 else [])
+
+    for r in spans(rows):
+        for c in spans(cols):
+            if (list(r), list(c)) != (list(range(rows)), list(range(cols))):
+                yield r, c
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_a_full_slice_is_the_matrix_itself(ring, n):
+    rng = random.Random(f"slice-{ring}-{n}")
+    eye = Matrix.identity(ring, n)
+    for m in (eye, random_matrix(ring, n, 3, rng), random_matrix(ring, 2, n, rng)):
+        assert m.submatrix(range(m.rows), range(m.cols)) is m
+        assert m.submatrix(list(range(m.rows)), list(range(m.cols))) is m
+        for r, c in proper_slices(m.rows, m.cols):
+            part = m.submatrix(r, c)
+            assert part is not m and not part.marked_identity
+            assert (part.rows, part.cols) == (len(r), len(c))
+            assert [list(row) for row in part.data] == [[m[i, j] for j in c] for i in r]
+    assert is_marked_identity(eye.submatrix(range(n), range(n)), n)
