@@ -104,17 +104,22 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _load_map(path, source: ComplexDoc, target: ComplexDoc):
+def _blocks_payload(path, expected: str) -> dict:
+    """The payload of a graded map or homotopy file; ``expected``, with ``{kind}`` the kind found, ends the error."""
     # A graded map file may omit its degree_shift, which then reads as a homotopy.
     kind, payload = load_document(path)
     if kind not in ("graded_map", "homotopy"):
-        raise EigenchainError(f"{path}: expected a graded map file, found {kind}")
-    return graded_map_from_payload(payload, source, target)
+        raise EigenchainError(f"{path}: expected {expected.format(kind=kind)}")
+    return payload
 
 
-def _load_pair(args, f_doc: ComplexDoc):
-    lam_doc = load_complex(args.lambda_path)
-    return lam_doc, _load_map(args.alpha_path, lam_doc, f_doc)
+def _load_map(path, source: ComplexDoc, target: ComplexDoc):
+    return graded_map_from_payload(_blocks_payload(path, "a graded map file, found {kind}"), source, target)
+
+
+def _load_alpha(args, f_doc: ComplexDoc):
+    # Its source is lambda's complex.
+    return _load_map(args.alpha_path, load_complex(args.lambda_path), f_doc)
 
 
 @contextmanager
@@ -132,7 +137,7 @@ def _file_degrees(f_doc: ComplexDoc, alpha):
 
 def _cmd_cone(args) -> int:
     f_doc = load_complex(args.complex, ring=args.ring)
-    lam_doc, alpha = _load_pair(args, f_doc)
+    alpha = _load_alpha(args, f_doc)
     with _file_degrees(f_doc, alpha):
         cone = mapping_cone(alpha)
     out = args.output or str(Path(args.complex).with_suffix("")) + ".cone.json"
@@ -147,9 +152,9 @@ def _cmd_certify(args) -> int:
         return USAGE_EXIT
     f_doc = load_complex(args.complex, ring=args.ring)
     if args.lambda_path:
-        lam_doc, alpha = _load_pair(args, f_doc)
+        alpha = _load_alpha(args, f_doc)
         with _file_degrees(f_doc, alpha):
-            cert = decide_eigenvalue(f_doc.complex, lam_doc.complex, alpha)
+            cert = decide_eigenvalue(f_doc.complex, alpha.source, alpha)
     else:
         cert = certify_homology_eigenvalue(f_doc.complex)
     payload = certificate_to_payload(cert, f_doc.convention)
@@ -172,10 +177,7 @@ def _cmd_certify(args) -> int:
 def _cmd_verify_homotopy(args) -> int:
     doc = load_complex(args.complex)
     x = doc.complex
-    kind, payload = load_document(args.homotopy)
-    if kind not in ("homotopy", "graded_map"):
-        raise EigenchainError(f"{args.homotopy}: expected a homotopy file")
-    psi = homotopy_from_payload(payload, doc)
+    psi = homotopy_from_payload(_blocks_payload(args.homotopy, "a homotopy file"), doc)
     f = _load_map(args.f_path, doc, doc) if args.f_path else zero_map(x, x)
     g = _load_map(args.g_path, doc, doc) if args.g_path else identity_map(x)
     report = verify_homotopy(x, f, g, psi)

@@ -123,11 +123,9 @@ def _assemble_cone(alpha: GradedMap, dec: Optional[Decomposition] = None) -> Con
     ranks = {n: lam.rank(n + 1) + f.rank(n) for n in degrees}
     diffs = {}
     for n in degrees:
-        rows = ranks.get(n + 1, lam.rank(n + 2) + f.rank(n + 1))
-        cols = ranks[n]
-        if rows == 0 or cols == 0:
+        if ranks[n] == 0 or lam.rank(n + 2) + f.rank(n + 1) == 0:
             continue
-        top = Matrix.zeros(ring, lam.rank(n + 2), cols)
+        top = Matrix.zeros(ring, lam.rank(n + 2), ranks[n])
         bottom = hstack([alpha.block(n + 1), f.diff(n)])
         diffs[n] = vstack([top, bottom])
     return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), alpha, None if dec is None else _image_ranks(dec))

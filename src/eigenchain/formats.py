@@ -222,14 +222,18 @@ def _entries(m: Matrix) -> dict:
     return {"entries": m.render_rows()}
 
 
-def _read_header(payload: dict, on: ComplexDoc, what: str) -> tuple[Ring, int]:
-    """Ring and degree sign of a map or homotopy file read against ``on``'s complex."""
+def _read_header(payload: dict, on: ComplexDoc, what: str, shift: int = 0) -> tuple[Ring, int, int]:
+    """Ring, degree sign and internal degree shift of a map or homotopy file read against ``on``'s complex.
+
+    ``shift`` is the internal shift of a file that gives no ``degree_shift``.
+    """
     ring = ring_from_tag(payload.get("ring"))
     if ring != on.complex.ring:
         raise ValidationError(f"{what} ring differs from the complex ring")
     if payload.get("convention", on.convention) != on.convention:
         raise ValidationError(f"{what} convention differs from the complex convention")
-    return ring, convention_sign(on.convention)
+    sign = convention_sign(on.convention)
+    return ring, sign, sign * _int_field(payload, "degree_shift", what, default=sign * shift)
 
 
 def complex_from_payload(payload: dict) -> ComplexDoc:
@@ -272,8 +276,7 @@ def complex_to_payload(doc: ComplexDoc) -> dict:
 
 
 def graded_map_from_payload(payload: dict, source: ComplexDoc, target: ComplexDoc) -> GradedMap:
-    ring, sign = _read_header(payload, source, "graded map")
-    shift = sign * _int_field(payload, "degree_shift", "graded map", default=0)
+    ring, sign, shift = _read_header(payload, source, "graded map")
 
     def shape(n):
         return target.complex.rank(n + shift), source.complex.rank(n)
@@ -293,9 +296,8 @@ def graded_map_to_payload(gm: GradedMap, convention: str) -> dict:
 
 
 def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
-    ring, sign = _read_header(payload, on, "homotopy")
     # Absent means the homotopy's own shift: -1 internally, +1 in chain files.
-    shift = sign * _int_field(payload, "degree_shift", "homotopy", default=-sign)
+    ring, sign, shift = _read_header(payload, on, "homotopy", shift=-1)
     if shift != -1:
         raise ParseError(f"homotopy: 'degree_shift' must be {-sign} in {on.convention} convention, got {sign * shift}")
 

@@ -238,51 +238,39 @@ def _numerators(data: Sequence[Sequence]) -> tuple:
     return [[x.numerator * (d // x.denominator) for x in row] for row in data], d
 
 
-def hstack(matrices: Sequence[Matrix]) -> Matrix:
-    """Concatenate matrices left to right; all must share rows and ring."""
+def _stackable(matrices: Iterable[Matrix], name: str, shared: str = "", what: str = "") -> list[Matrix]:
+    """``matrices`` as a list, refused unless there is one, all over one ring and, if named, of one ``shared`` size."""
     mats = list(matrices)
     if not mats:
-        raise ShapeMismatch("hstack of nothing")
-    ring, rows = mats[0].ring, mats[0].rows
+        raise ShapeMismatch(f"{name} of nothing")
+    first = mats[0]
     for m in mats[1:]:
-        if m.ring != ring:
-            raise RingMismatch("hstack over mixed rings")
-        if m.rows != rows:
-            raise ShapeMismatch("hstack with differing row counts")
+        if m.ring != first.ring:
+            raise RingMismatch(f"{name} over mixed rings")
+        if shared and getattr(m, shared) != getattr(first, shared):
+            raise ShapeMismatch(f"{name} with differing {what} counts")
+    return mats
+
+
+def hstack(matrices: Sequence[Matrix]) -> Matrix:
+    """Concatenate matrices left to right; all must share rows and ring."""
+    mats = _stackable(matrices, "hstack", "rows", "row")
     data = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*(m.data for m in mats)))
-    return Matrix._raw(ring, rows, sum(m.cols for m in mats), data)
+    return Matrix._raw(mats[0].ring, mats[0].rows, sum(m.cols for m in mats), data)
 
 
 def vstack(matrices: Sequence[Matrix]) -> Matrix:
     """Concatenate matrices top to bottom; all must share columns and ring."""
-    mats = list(matrices)
-    if not mats:
-        raise ShapeMismatch("vstack of nothing")
-    ring, cols = mats[0].ring, mats[0].cols
-    for m in mats[1:]:
-        if m.ring != ring:
-            raise RingMismatch("vstack over mixed rings")
-        if m.cols != cols:
-            raise ShapeMismatch("vstack with differing column counts")
+    mats = _stackable(matrices, "vstack", "cols", "column")
     data = tuple(chain.from_iterable(m.data for m in mats))
-    return Matrix._raw(ring, sum(m.rows for m in mats), cols, data)
+    return Matrix._raw(mats[0].ring, sum(m.rows for m in mats), mats[0].cols, data)
 
 
 def block_diag(matrices: Sequence[Matrix]) -> Matrix:
-    """Block-diagonal assembly."""
-    mats = list(matrices)
-    if not mats:
-        raise ShapeMismatch("block_diag of nothing")
+    """Block-diagonal assembly: each block in its own row of zero blocks, the rows stacked."""
+    mats = _stackable(matrices, "block_diag")
     ring = mats[0].ring
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    zero = ring.normalize(0)
-    out = []
-    c0 = 0
-    for m in mats:
-        if m.ring != ring:
-            raise RingMismatch("block_diag over mixed rings")
-        left, right = (zero,) * c0, (zero,) * (cols - c0 - m.cols)
-        out.extend(left + row + right for row in m.data)
-        c0 += m.cols
-    return Matrix._raw(ring, rows, cols, tuple(out))
+    return vstack([
+        hstack([m if j == i else Matrix.zeros(ring, m.rows, other.cols) for j, other in enumerate(mats)])
+        for i, m in enumerate(mats)
+    ])
