@@ -49,6 +49,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _decimal_text(text: str, kind: str) -> str:
+    """``text`` stripped, refused if it holds a ``_`` or a non-ASCII digit: ``int`` and ``Fraction`` take both."""
+    t = text.strip()
+    if "_" in t or not t.isascii() and any(c.isdecimal() and not c.isascii() for c in t):
+        raise ParseError(f"bad {kind} {text!r}: digits must be ASCII 0-9, with no '_'")
+    return t
+
+
 class _UnreducedRing:
     """What Q and Z share: no reduction, ``str`` as the text form, the JSON tag as the name."""
 
@@ -104,8 +112,9 @@ class Rationals(_UnreducedRing):
         # Fraction expands exponent notation into every digit: "1e9999999" takes seconds.
         if "e" in text or "E" in text:
             raise ParseError(f"bad rational {text!r}: exponent notation is not accepted")
+        t = _decimal_text(text, "rational")
         try:
-            return self.normalize(Fraction(text.strip()))
+            return self.normalize(Fraction(t))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
 
@@ -148,8 +157,9 @@ class PrimeField:
             raise NotInvertible(f"0 has no inverse in F_{self.p}") from None
 
     def parse(self, text: str) -> int:
+        t = _decimal_text(text, "residue")
         try:
-            value = int(text.strip())
+            value = int(t)
         except ValueError as exc:
             raise ParseError(f"bad residue {text!r}: {exc}") from None
         return value % self.p
@@ -191,8 +201,9 @@ class Integers(_UnreducedRing):
         raise NotInvertible(f"{a} is not a unit in Z")
 
     def parse(self, text: str) -> int:
+        t = _decimal_text(text, "integer")
         try:
-            return int(text.strip())
+            return int(t)
         except ValueError as exc:
             raise ParseError(f"bad integer {text!r}: {exc}") from None
 
