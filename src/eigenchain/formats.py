@@ -223,10 +223,7 @@ def _entries(m: Matrix) -> dict:
 
 
 def _read_header(payload: dict, on: ComplexDoc, what: str, shift: int = 0) -> tuple[Ring, int, int]:
-    """Ring, degree sign and internal degree shift of a map or homotopy file read against ``on``'s complex.
-
-    ``shift`` is the internal shift of a file that gives no ``degree_shift``.
-    """
+    """Ring, sign and internal shift (``shift`` if absent) of a map or homotopy file read against ``on``'s complex."""
     ring = ring_from_tag(payload.get("ring"))
     if ring != on.complex.ring:
         raise ValidationError(f"{what} ring differs from the complex ring")

@@ -112,9 +112,8 @@ class Rationals(_UnreducedRing):
         # Fraction expands exponent notation into every digit: "1e9999999" takes seconds.
         if "e" in text or "E" in text:
             raise ParseError(f"bad rational {text!r}: exponent notation is not accepted")
-        t = _decimal_text(text, "rational")
         try:
-            return self.normalize(Fraction(t))
+            return self.normalize(Fraction(_decimal_text(text, "rational")))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
 
@@ -157,9 +156,8 @@ class PrimeField:
             raise NotInvertible(f"0 has no inverse in F_{self.p}") from None
 
     def parse(self, text: str) -> int:
-        t = _decimal_text(text, "residue")
         try:
-            value = int(t)
+            value = int(_decimal_text(text, "residue"))
         except ValueError as exc:
             raise ParseError(f"bad residue {text!r}: {exc}") from None
         return value % self.p
@@ -201,9 +199,8 @@ class Integers(_UnreducedRing):
         raise NotInvertible(f"{a} is not a unit in Z")
 
     def parse(self, text: str) -> int:
-        t = _decimal_text(text, "integer")
         try:
-            return int(t)
+            return int(_decimal_text(text, "integer"))
         except ValueError as exc:
             raise ParseError(f"bad integer {text!r}: {exc}") from None
 
