@@ -18,7 +18,7 @@ RINGS = [(ZZ, "integer"), (QQ, "rational"), (GF(5), "residue")]
 REFUSED = ["1_000", "-1_0", "١٢", " ١ ", "1٢", "１２", "1_0/2", "1/2_0"]
 
 
-@pytest.mark.parametrize("ring, kind", RINGS, ids=lambda x: str(x))
+@pytest.mark.parametrize("ring, kind", RINGS, ids=str)
 @pytest.mark.parametrize("text", REFUSED)
 def test_underscores_and_non_ascii_digits_are_refused(ring, kind, text):
     with pytest.raises(ParseError) as info:
@@ -26,14 +26,14 @@ def test_underscores_and_non_ascii_digits_are_refused(ring, kind, text):
     assert str(info.value) == f"bad {kind} {text!r}: digits must be ASCII 0-9, with no '_'"
 
 
-@pytest.mark.parametrize("ring, kind", RINGS, ids=lambda x: str(x))
+@pytest.mark.parametrize("ring, kind", RINGS, ids=str)
 def test_ascii_decimal_text_still_parses(ring, kind):
     assert ring.parse(" 12 ") == ring.normalize(12)
     assert ring.parse("-7") == ring.normalize(-7)
     assert ring.parse("+10") == ring.normalize(10)
 
 
-@pytest.mark.parametrize("ring, kind", RINGS, ids=lambda x: str(x))
+@pytest.mark.parametrize("ring, kind", RINGS, ids=str)
 def test_other_non_ascii_text_keeps_the_library_message(ring, kind):
     # A superscript two is a digit to str.isdigit but not a decimal digit: int refuses it itself.
     with pytest.raises(ParseError) as info:
