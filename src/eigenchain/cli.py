@@ -21,7 +21,7 @@ from .certify import _decide, certify_homology_eigenvalue, decide_eigenvalue
 from .complexes import COCHAIN, identity_map, validate_chain_map, validate_complex, verify_homotopy, zero_map
 from .cones import check_hypotheses, is_contractible, mapping_cone
 from .decompose import Decomposition, decompose
-from .errors import EigenchainError, NotSaturated, ValidationError
+from .errors import EigenchainError, NotSaturated, ParseError, ValidationError
 from .formats import (
     ComplexDoc,
     canonical_dumps,
@@ -35,7 +35,7 @@ from .formats import (
 )
 from .oracle import brute_homology_f2, homotopy_system_solvable
 from .randgen import alpha_variants, random_complex
-from .rings import GF, QQ, ZZ, Ring
+from .rings import GF, QQ, ZZ, Ring, _decimal_text
 
 USAGE_EXIT = 64
 STRUCTURAL_EXIT = 2
@@ -56,16 +56,21 @@ def _ring_flag(text: str) -> Ring:
         return ZZ
     if t.startswith("f") and t[1:].isdigit():
         try:
-            return GF(int(t[1:]))
+            return GF(_int_flag(t[1:]))
         except ValidationError as exc:
             raise argparse.ArgumentTypeError(f"ring {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(f"unknown ring {text!r} (use Q, Z, or F<p>)")
 
 
-def _count_flag(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _int_flag(text: str, sign: str = "") -> int:
+    """``text`` as an ``int`` by the rule of scalar text: ASCII digits 0-9, after an optional ``sign``."""
+    try:
+        t = _decimal_text(text, "integer")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not t.removeprefix(sign).isdecimal():
+        raise argparse.ArgumentTypeError(f"expected {'an' if sign else 'a non-negative'} integer, got {text!r}")
+    return int(t)
 
 
 def _group_label(ring, betti: int, torsion) -> str:
@@ -283,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("proptest", help="seeded oracle-equivalence suites")
     p.add_argument("--ring", type=_ring_flag, default=GF(2))
-    p.add_argument("--max-dim", type=_count_flag, default=8)
-    p.add_argument("--trials", type=_count_flag, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-dim", type=_int_flag, default=8)
+    p.add_argument("--trials", type=_int_flag, default=50)
+    p.add_argument("--seed", type=lambda text: _int_flag(text, sign="-"), default=0)
     p.set_defaults(func=_cmd_proptest)
 
     return parser

@@ -321,6 +321,13 @@ def test_usage_errors_exit_64(capsys):
             code, out, err = run(capsys, "proptest", flag, value)
             assert code == 64
             assert "non-negative integer" in err and out == ""
+    # Integer flags take ASCII digits 0-9 only, the rule of scalar text; --seed may start with '-'.
+    bad = [("--trials", "١"), ("--max-dim", "١٢"), ("--trials", "1_0"), ("--seed", "1_0"), ("--seed", "١")]
+    bad += [("--seed", "x"), ("--seed", "+5"), ("--ring", "f٢"), ("--ring", "f٥"), ("--ring", "f²")]
+    for flag, value in bad:
+        code, out, err = run(capsys, "proptest", flag, value)
+        assert code == 64
+        assert f"argument {flag}:" in err and out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("p", ["318665857834031151167461", "3317044064679887385961981"], ids=["psi12", "psi13"])

@@ -3,12 +3,13 @@
 import json
 import os
 import stat
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eigenchain import QQ, ZZ, ChainComplex, Matrix, homology
+from eigenchain import GF, QQ, ZZ, ChainComplex, Matrix, homology
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
 from eigenchain.complexes import MAX_RANK
 from eigenchain.errors import BadIndex, ParseError, ValidationError
@@ -28,7 +29,9 @@ from eigenchain.formats import (
     reverify_certificate,
     write_payload,
 )
+from eigenchain.rings import Integers
 from eigenchain.simplicial import close_simplicial, simplicial_to_chain
+from test_golden_analysis import RP2
 
 
 class TestComplexFiles:
@@ -160,6 +163,45 @@ class TestSimplicial:
         expected = Matrix(ZZ, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
         assert chain.diff(1) == expected
         assert data[1] == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), GF(5)], ids=str)
+    def test_boundary_entries_are_the_rings_signs(self, ring):
+        # The triangle, the 2-sphere (the boundary of the 3-simplex) and the 6-vertex RP^2.
+        sphere = [list(f) for f in combinations(range(4), 3)]
+        for vertices, facets in ((3, [[0, 1], [1, 2], [0, 2]]), (4, sphere), (6, RP2)):
+            chain, simplices = simplicial_to_chain(vertices, facets, ring)
+            for k in range(1, len(simplices)):
+                row = {face: i for i, face in enumerate(simplices[k - 1])}
+                grid = [[0] * len(simplices[k]) for _ in row]
+                for j, simplex in enumerate(simplices[k]):
+                    # Deleting the i-th vertex gives a face with sign (-1)^i.
+                    for i, v in enumerate(simplex):
+                        grid[row[tuple(w for w in simplex if w != v)]][j] = (-1) ** i
+                d = chain.diff(k)
+                assert d == Matrix(ring, grid)
+                entries = [x for r in d.data for x in r]
+                assert all(type(x) is int for x in entries)
+                if ring.needs_reduction:
+                    assert all(0 <= x < ring.p for x in entries)
+
+    def test_boundary_build_normalizes_a_fixed_number_of_values(self, monkeypatch):
+        # The 2-skeleta of the 2- and 5-simplex have 12 and 390 boundary entries.
+        normalized = []
+        original = Integers.normalize
+
+        def counted(self, x):
+            normalized.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(Integers, "normalize", counted)
+        counts = {}
+        for n in (3, 6):
+            normalized.clear()
+            chain, _ = simplicial_to_chain(n, [list(f) for f in combinations(range(n), 3)], ZZ)
+            calls = len(normalized)
+            counts[sum(d.rows * d.cols for d in (chain.diff(1), chain.diff(2)))] = calls
+        assert sorted(counts) == [12, 390]
+        assert counts[12] == counts[390] < 12
 
     def test_circle_homology_from_the_simplicial_file(self):
         doc = load_complex(bundled_path("s1_simplicial.json"))
