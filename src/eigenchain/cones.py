@@ -48,7 +48,7 @@ NOT_SATURATED = "NotSaturated"
 @dataclass(frozen=True)
 class FailureReason:
     kind: str
-    degree: Optional[int] = None
+    degree: int
     factors: tuple[int, ...] = ()
 
 
@@ -167,9 +167,10 @@ class HypothesisCheck:
     degree.  ``homology_iso`` says whether ``alpha`` induces an
     isomorphism on homology, which for bounded free complexes is exactly
     when its cone contracts.  ``alpha_inverse`` holds the solution of
-    ``alpha_n x = cycles`` at each degree of ``alpha``, the eigenmap's
-    inverse on cycles that the witness reads, and is empty unless every
-    hypothesis holds.  A check built from the canonical pair's
+    ``alpha_n x = cycles``, the eigenmap's inverse on cycles that the
+    witness reads: over a field at every degree once all hypotheses hold
+    and nowhere otherwise, over Z at each degree that passed every check
+    even when another failed.  A check built from the canonical pair's
     construction factors nothing and holds I at every degree.
     """
 

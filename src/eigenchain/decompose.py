@@ -230,8 +230,7 @@ class Decomposition:
             raise ValidationError(f"image at degree {n} is not contained in the kernel")
         coords = split.submatrix(range(comp.dim, split.rows), range(split.cols))
         snf = smith_normal_form(coords)
-        nonzero = sum(1 for d in snf.invariant_factors if d != 0)
-        free_cols = snf.u_inv.cols_at(list(range(nonzero, ker.dim)))
+        free_cols = snf.u_inv.cols_at(range(snf.rank, ker.dim))
         return SubspaceBasis(self.ranks[n], ker.vectors @ free_cols)
 
     def homology(self) -> HomologyResult:

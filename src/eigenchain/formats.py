@@ -335,13 +335,10 @@ def certificate_to_payload(cert, convention: str) -> dict:
     }
     if cert.witness is None:
         # Report the failure at the smallest degree in the file's convention.
-        primary = min(
-            cert.failure_reasons,
-            key=lambda r: (sign * r.degree if r.degree is not None else 0),
-        )
+        primary = min(cert.failure_reasons, key=lambda r: sign * r.degree)
         payload["failure_reason"] = {
             "kind": primary.kind,
-            "degree": sign * primary.degree if primary.degree is not None else None,
+            "degree": sign * primary.degree,
             "factors": list(primary.factors),
         }
         payload["witness"] = None

@@ -28,7 +28,11 @@ the fraction-free elimination's last pivot over Z.
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
 ``kernel()``, ``image()``, ``image_coords()`` and ``solve()`` itself, so a
-matrix used in several ways is eliminated once.
+matrix used in several ways is eliminated once.  Solves, Smith images
+and split inverses are products of slices, not entries placed by index:
+``I[:, pivots] @ c[:r]``, ``V[:, :r] @ (c[:r] / d)``, ``U^-1[:, :r] @
+S[:r, :r]`` and ``rows_inv @ I[rows, :]``.  The rref kernel writes
+``-echelon`` in place, since over Q its product form costs ``Fraction``s.
 
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
@@ -117,14 +121,12 @@ class RrefResult:
 
     def solve(self, b: Matrix):
         """One exact solution ``x`` of ``matrix @ x = b``, or ``None``."""
-        a, ring = self.matrix, self.matrix.ring
+        n, r = self.matrix.cols, self.rank
         c = self.transform @ b
-        if any(map(any, c.data[self.rank:])):
+        if any(map(any, c.data[r:])):
             return None
-        x = [(ring.normalize(0),) * b.cols] * a.cols
-        for row, col in enumerate(self.pivots):
-            x[col] = c.data[row]
-        return Matrix._raw(ring, a.cols, b.cols, tuple(x))
+        # x[pivots] = c[:rank]; a full pivot set keeps the identity mark.
+        return Matrix.identity(self.matrix.ring, n).submatrix(range(n), self.pivots) @ c.submatrix(range(r), range(b.cols))
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,8 @@ class SnfResult:
 
     def image(self) -> SubspaceBasis:
         """Generators of the image submodule."""
-        a = self.matrix
-        cols = [self.u_inv.col(i).scale(d) for i, d in enumerate(self.invariant_factors) if d != 0]
-        return SubspaceBasis(a.rows, hstack(cols) if cols else Matrix.zeros(a.ring, a.rows, 0))
+        r = self.rank
+        return SubspaceBasis(self.matrix.rows, self.u_inv.cols_at(range(r)) @ self.s.submatrix(range(r), range(r)))
 
     def image_coords(self, v: Matrix) -> Matrix:
         """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
@@ -193,17 +194,12 @@ class SnfResult:
 
     def solve(self, b: Matrix):
         """One integral solution ``x`` of ``matrix @ x = b``, or ``None``, also when only Q has one."""
-        a = self.matrix
-        factors = self.invariant_factors
+        r, factors = self.rank, self.invariant_factors
         c = self.u @ b
-        y = [(0,) * b.cols] * a.cols
-        for i, row in enumerate(c.data):
-            d = factors[i] if i < len(factors) else 0
-            if any(ci % d if d else ci for ci in row):
-                return None
-            if d:
-                y[i] = tuple(ci // d for ci in row)
-        return self.v @ Matrix._raw(a.ring, a.cols, b.cols, tuple(y))
+        if any(map(any, c.data[r:])) or any(x % d for d, row in zip(factors, c.data[:r]) for x in row):
+            return None
+        y = Matrix._raw(b.ring, r, b.cols, tuple(tuple(x // d for x in row) for d, row in zip(factors, c.data[:r])))
+        return self.v.submatrix(range(self.matrix.cols), range(r)) @ y
 
 
 @dataclass(frozen=True)
@@ -397,7 +393,8 @@ def smith_normal_form(a: Matrix) -> SnfResult:
                     if w[t][j] != 0:
                         col_swap(j, t)
                         restart = True
-            if restart or any(w[i][t] != 0 for i in range(t + 1, m)):
+            # Column t is clear below the pivot unless a column swap moved it.
+            if restart:
                 pos = (t, t)
                 continue
             # Enforce divisibility into the remaining submatrix; 1 divides everything.
@@ -500,20 +497,15 @@ def _sign_normalize(basis: Matrix) -> Matrix:
     """Scale columns so the topmost nonzero entry is positive / one."""
     ring = basis.ring
     cols = []
-    for j in range(basis.cols):
-        col = [basis.data[i][j] for i in range(basis.rows)]
-        lead = next((v for v in col if v != 0), None)
-        if lead is not None:
-            if ring.is_field:
-                if lead != 1:
-                    inv = ring.inv(lead)
-                    col = [ring.normalize(v * inv) for v in col]
-            elif lead < 0:
-                col = [-v for v in col]
+    for col in zip(*basis.data):
+        lead = next(filter(None, col), 1)  # a zero column stays as it is
+        if ring.is_field and lead != 1:
+            inv = ring.inv(lead)
+            col = [ring.normalize(v * inv) for v in col]
+        elif not ring.is_field and lead < 0:
+            col = [-v for v in col]
         cols.append(col)
-    if not cols:
-        return basis
-    return Matrix._raw(ring, basis.rows, basis.cols, tuple(zip(*cols)))
+    return Matrix._raw(ring, basis.rows, basis.cols, tuple(zip(*cols)) if cols else basis.data)
 
 
 def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matrix]]:
@@ -587,7 +579,7 @@ def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
     inverse is ``None`` when it is not integral.
     """
     m = sub.rows
-    reversed_rows = Matrix._raw(sub.ring, sub.cols, m, tuple(tuple(row[j] for row in reversed(sub.data)) for j in range(sub.cols)))
+    reversed_rows = sub.submatrix(range(m - 1, -1, -1), range(sub.cols)).transpose()
     if sub.ring.is_field:
         res = rref(reversed_rows)
         pivots, transform = res.pivots, res.transform
@@ -632,12 +624,7 @@ def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
     if rows_inv is not None:
         # x = e_free a + sub b: b = rows_inv x[rows], a = x[free] - sub[free] b.
         free = [i for i in range(m) if i not in rows]
-        zero = ring.normalize(0)
-        to_sub = [[zero] * m for _ in range(k)]
-        for j, r in enumerate(rows):
-            for i in range(k):
-                to_sub[i][r] = rows_inv.data[i][j]
-        to_sub = Matrix._raw(ring, k, m, tuple(map(tuple, to_sub)))
+        to_sub = rows_inv @ eye.submatrix(rows, range(m))
         to_comp = eye.submatrix(free, range(m)) - sub.vectors.submatrix(free, range(k)) @ to_sub
         return SubspaceBasis(m, eye.cols_at(free)), vstack([to_comp, to_sub])
     snf = smith_normal_form(sub.vectors)

@@ -132,9 +132,6 @@ def homotopy_system_solvable(x: ChainComplex, f: GradedMap, g: GradedMap) -> Ora
                             row[idx] = ring.reduce(row[idx] + coeff)
                 equations.append(row)
                 rhs.append(target.data[i][j])
-    if not equations:
-        solvable = all(v == 0 for v in rhs)
-        return OracleReport(solvable=solvable, homotopy=Homotopy(x, {}) if solvable else None)
     system = Matrix._raw(ring, len(equations), total, tuple(map(tuple, equations)))
     solution = solve_matrix(system, Matrix.column(ring, rhs))
     if solution is None:

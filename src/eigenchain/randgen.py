@@ -109,10 +109,7 @@ def alpha_variants(f: ChainComplex, rng: random.Random):
     yield perturbed("rank_dropped", m.cols_at(range(rank - 1)), -1)
 
     # Zeroed or duplicated column: non-injective.
-    zeroed = m.grid()
-    for row in zeroed:
-        row[0] = ring.normalize(0)
-    yield perturbed("zero_column", Matrix(ring, zeroed, cols=rank))
+    yield perturbed("zero_column", hstack([Matrix.zeros(ring, m.rows, 1), m.cols_at(range(1, rank))]))
     if rank >= 2:
         yield perturbed("duplicate_column", hstack([m.col(0)] * 2 + [m.col(j) for j in range(2, rank)]))
 

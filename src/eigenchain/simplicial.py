@@ -9,7 +9,8 @@ reproduces the expected homology of the bundled examples.  A boundary
 matrix is filled in one pass with the ring's canonical 0, 1 and -1
 (``p - 1`` over F_p, an ``int`` over Q), normalized once per call rather
 than once per entry.  Vertex labels, when given, only count the
-vertices; simplices are named by index.
+vertices; simplices are named by index.  Only a vertex of some facet is
+a simplex: three vertices with the one facet ``[0, 1]`` give ``H_0 = Z``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from .rings import Ring
 def close_simplicial(vertices, facets) -> dict[int, list[tuple[int, ...]]]:
     """Validate input and close the facet list under subsets: ``{dimension: sorted simplices}``.
 
-    A vertex index that is not an integer raises :class:`ParseError`, and
-    an integer outside ``0..count-1`` raises :class:`BadIndex`.  Input past
-    the size cap :data:`~eigenchain.complexes.MAX_RANK` raises
-    :class:`ParseError` before its closure grows: more vertices, a facet
-    whose own closure has more faces of one dimension, or more simplices
-    of one dimension in all.
+    ``vertices`` (a count or a label list) bounds the indices; a vertex
+    in no facet is in no dimension of the result.  A vertex index that
+    is not an integer raises :class:`ParseError`, and an integer outside
+    ``0..count-1`` raises :class:`BadIndex`.  Input past the size cap
+    :data:`~eigenchain.complexes.MAX_RANK` raises :class:`ParseError`
+    before its closure grows: more vertices, a facet whose own closure
+    has more faces of one dimension, or more simplices of one dimension
+    in all.
     """
     count = vertices if isinstance(vertices, int) else len(vertices)
     if count < 0:

@@ -74,6 +74,13 @@ class TestDecide:
         assert cert.failure_reasons
         assert cert.failure_reason is cert.failure_reasons[0]
 
+    def test_lambda_off_the_support_of_f_is_a_rank_mismatch_there(self):
+        # F is exact and has no module at degree 3, where its Betti number is zero.
+        f = ChainComplex(ZZ, "cochain", {0: 1, 1: 1}, {0: Matrix(ZZ, [[1]])})
+        lam = scalar_object(ZZ, {3: 1})
+        cert = decide_eigenvalue(f, lam, GradedMap(lam, f, 0, {}))
+        assert [(r.kind, r.degree) for r in cert.failure_reasons] == [("RankMismatch", 3)]
+
     def test_non_injective_map(self, circle):
         lam = scalar_object(ZZ, {-1: 1, 0: 1})
         alpha = GradedMap(lam, circle, 0, {-1: Matrix(ZZ, [[1], [1], [1]])})

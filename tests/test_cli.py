@@ -85,6 +85,19 @@ def test_certify_canonical(workdir, capsys):
     assert reverify_certificate(cert)
 
 
+def test_certify_an_acyclic_complex_prints_the_zero_object(tmp_path, capsys):
+    acyclic = {
+        "ring": "Z",
+        "convention": "cochain",
+        "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+        "diffs": [{"from_degree": 0, "entries": [["1"]]}],
+    }
+    (tmp_path / "acyclic.json").write_text(canonical_dumps(acyclic))
+    code, out, _ = run(capsys, "certify", tmp_path / "acyclic.json")
+    assert code == 0
+    assert out.splitlines()[:2] == ["verdict: Eigenvalue", "scalar object: zero object"]
+
+
 def test_certify_explicit_pair(workdir, capsys):
     code, out, _ = run(
         capsys,

@@ -14,6 +14,7 @@ from eigenchain import (
     block_diag,
     convert_convention,
     homology,
+    identity_map,
     scalar_object,
     validate_chain_map,
     validate_complex,
@@ -57,6 +58,16 @@ def test_circle_eigenmap_is_a_chain_map(circle_with_pair):
 def test_zero_map_is_a_chain_map(circle):
     lam = scalar_object(ZZ, {0: 2})
     assert validate_chain_map(GradedMap(lam, circle, 0, {})).ok
+
+
+def test_both_squares_nonzero_are_compared():
+    # Every block and differential is nonzero, so each square compares two products.
+    x = ChainComplex(ZZ, "cochain", {0: 2, 1: 1}, {0: Matrix(ZZ, [[1, 1]])})
+    ident = identity_map(x)
+    assert validate_chain_map(ident).ok
+    doubled = GradedMap(x, x, 0, {**ident.blocks, 0: ident.blocks[0].scale(2)})
+    report = validate_chain_map(doubled)
+    assert (report.ok, report.degree, report.entry) == (False, 0, (0, 0))
 
 
 def test_non_cycle_eigenmap_fails(circle):

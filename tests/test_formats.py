@@ -209,6 +209,15 @@ class TestSimplicial:
         assert {doc.user_degree(n): h.betti for n, h in hom.by_degree.items()} == {0: 1, 1: 1}
         assert not hom.torsion_by_degree()
 
+    def test_only_vertices_of_a_facet_are_simplices(self, tmp_path):
+        # Three vertices bound the indices, but vertex 2 lies in no facet: H_0 has rank one.
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"vertices": 3, "facets": [[0, 1]]}))
+        doc = load_complex(str(path))
+        assert {doc.user_degree(n): r for n, r in doc.complex.ranks.items()} == {0: 2, 1: 1}
+        hom = homology(doc.complex)
+        assert {doc.user_degree(n): h.betti for n, h in hom.by_degree.items()} == {0: 1, 1: 0}
+
     def test_single_vertex(self):
         chain, _ = simplicial_to_chain(1, [[0]], ZZ)
         from eigenchain import convert_convention

@@ -280,6 +280,12 @@ class TestSpans:
         assert meet.dim == 1
         assert spans_equal(meet, c)
 
+    def test_spans_of_different_dimension_differ(self):
+        a = SubspaceBasis(3, Matrix(QQ, [[1, 0], [0, 1], [0, 0]]))
+        b = SubspaceBasis(3, Matrix(QQ, [[1], [0], [0]]))
+        assert not spans_equal(a, b)
+        assert not spans_equal(b, a)
+
     def test_integer_span_equality_is_integral(self):
         a = SubspaceBasis(1, Matrix(ZZ, [[1]]))
         b = SubspaceBasis(1, Matrix(ZZ, [[2]]))
