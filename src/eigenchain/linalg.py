@@ -29,10 +29,15 @@ the fraction-free elimination's last pivot over Z.
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
 ``kernel()``, ``image()``, ``image_coords()`` and ``solve()`` itself, so a
 matrix used in several ways is eliminated once.  Solves, Smith images
-and split inverses are products of slices, not entries placed by index:
-``I[:, pivots] @ c[:r]``, ``V[:, :r] @ (c[:r] / d)``, ``U^-1[:, :r] @
-S[:r, :r]`` and ``rows_inv @ I[rows, :]``.  The rref kernel writes
-``-echelon`` in place, since over Q its product form costs ``Fraction``s.
+and split inverses are slices and products of slices, not entries
+placed one by one: ``I[:, pivots] @ c[:r]``, ``V[:, :r] @ (c[:r] / d)``,
+``U^-1[:, :r] @ S[:r, :r]`` and ``rows_inv @ I[rows, :]``.  The products
+with an identity slice are :meth:`~eigenchain.matrix.Matrix.placed`,
+which sets whole rows (or, transposed, columns) where the product would
+put them.  An invariant factor of one leaves its row as it is: it is
+neither divided nor scanned for divisibility, and a Smith image with no
+torsion skips ``S[:r, :r]``.  The rref kernel writes ``-echelon`` in
+place, since over Q its product form costs ``Fraction``s.
 
 Everything here is deterministic.  Over a field the reduced row-echelon
 form uses the first nonzero entry in each column as pivot; over Z the
@@ -125,8 +130,8 @@ class RrefResult:
         c = self.transform @ b
         if any(map(any, c.data[r:])):
             return None
-        # x[pivots] = c[:rank]; a full pivot set keeps the identity mark.
-        return Matrix.identity(self.matrix.ring, n).submatrix(range(n), self.pivots) @ c.submatrix(range(r), range(b.cols))
+        # x[pivots] = c[:rank], zero elsewhere: I[:, pivots] @ c[:rank].
+        return c.submatrix(range(r), range(b.cols)).placed(n, self.pivots)
 
 
 @dataclass(frozen=True)
@@ -182,24 +187,34 @@ class SnfResult:
         return SubspaceBasis(n, _sign_normalize(basis))
 
     def image(self) -> SubspaceBasis:
-        """Generators of the image submodule."""
+        """Generators of the image submodule: ``U^-1[:, :r] @ S[:r, :r]``, the product skipped when ``S[:r, :r]`` is one."""
         r = self.rank
-        return SubspaceBasis(self.matrix.rows, self.u_inv.cols_at(range(r)) @ self.s.submatrix(range(r), range(r)))
+        basis = self.u_inv.cols_at(range(r))
+        if self.torsion:
+            basis = basis @ self.s.submatrix(range(r), range(r))
+        return SubspaceBasis(self.matrix.rows, basis)
 
     def image_coords(self, v: Matrix) -> Matrix:
         """Coordinates in :meth:`image` of columns ``v`` that lie in the image."""
-        r, d = self.rank, self.invariant_factors
-        uv = self.u.submatrix(range(r), range(self.matrix.rows)) @ v
-        return Matrix._raw(v.ring, r, v.cols, tuple(tuple(x // d[i] for x in row) for i, row in enumerate(uv.data)))
+        return self._divided(self.u.submatrix(range(self.rank), range(self.matrix.rows)) @ v)
 
     def solve(self, b: Matrix):
         """One integral solution ``x`` of ``matrix @ x = b``, or ``None``, also when only Q has one."""
-        r, factors = self.rank, self.invariant_factors
+        r, torsion = self.rank, self.torsion
         c = self.u @ b
-        if any(map(any, c.data[r:])) or any(x % d for d, row in zip(factors, c.data[:r]) for x in row):
+        # Only the last rows of c[:r], those of factors above one, can fail to divide.
+        if any(map(any, c.data[r:])) or any(x % d for d, row in zip(torsion, c.data[r - len(torsion):r]) for x in row):
             return None
-        y = Matrix._raw(b.ring, r, b.cols, tuple(tuple(x // d for x in row) for d, row in zip(factors, c.data[:r])))
-        return self.v.submatrix(range(self.matrix.cols), range(r)) @ y
+        return self.v.submatrix(range(self.matrix.cols), range(r)) @ self._divided(c.submatrix(range(r), range(b.cols)))
+
+    def _divided(self, c: Matrix) -> Matrix:
+        """``c`` (``rank`` rows) with each row divided by its invariant factor; a factor of one, which comes first, divides nothing."""
+        torsion = self.torsion
+        if not torsion:
+            return c
+        ones = c.rows - len(torsion)
+        divided = (tuple(x // d for x in row) for d, row in zip(torsion, c.data[ones:]))
+        return Matrix._raw(c.ring, c.rows, c.cols, c.data[:ones] + tuple(divided))
 
 
 @dataclass(frozen=True)
@@ -623,8 +638,9 @@ def complement_and_inverse(sub: SubspaceBasis) -> tuple[SubspaceBasis, Matrix]:
     rows, rows_inv = _bottom_pivots(sub.vectors)
     if rows_inv is not None:
         # x = e_free a + sub b: b = rows_inv x[rows], a = x[free] - sub[free] b.
-        free = [i for i in range(m) if i not in rows]
-        to_sub = rows_inv @ eye.submatrix(rows, range(m))
+        pivot_rows = set(rows)
+        free = [i for i in range(m) if i not in pivot_rows]
+        to_sub = rows_inv.transpose().placed(m, rows).transpose()  # rows_inv @ I[rows, :]
         to_comp = eye.submatrix(free, range(m)) - sub.vectors.submatrix(free, range(k)) @ to_sub
         return SubspaceBasis(m, eye.cols_at(free)), vstack([to_comp, to_sub])
     snf = smith_normal_form(sub.vectors)

@@ -19,7 +19,10 @@ from one canonical ``-1``.  The mark is the class, read through
 ``marked_identity``, never the values, and it survives where the answer
 is known to be the identity: a full slice is the matrix itself, and
 :mod:`~eigenchain.linalg` returns a marked identity as the kernel of a
-rank-0 map and as the inverse of a split off the whole module.  Sums,
+rank-0 map and as the inverse of a split off the whole module.  Slices
+move data rather than entries: a range of rows or columns is one tuple
+slice, an index list one ``itemgetter``, and :meth:`Matrix.placed`
+(``I[:, at] @ M`` without the product) sets whole rows in place.  Sums,
 differences, negation and scaling map the operator over each row, so an
 entry costs its arithmetic and, over F_p only, one ``%``.  Zero-row and
 zero-column matrices are legal and stand for maps to or from the zero
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from operator import add, attrgetter, mod, mul, neg, sub
+from operator import add, attrgetter, eq, itemgetter, mod, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import RingMismatch, ShapeMismatch
@@ -168,15 +171,38 @@ class Matrix:
         return Matrix._raw(self.ring, self.rows, 1, tuple((row[j],) for row in self.data))
 
     def cols_at(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix._raw(self.ring, self.rows, len(indices), tuple(tuple(row[j] for j in indices) for row in self.data))
-
-    def submatrix(self, row_range, col_range) -> "Matrix":
-        """The entries at rows ``row_range`` and columns ``col_range``; the full ranges give ``self``."""
-        ri = list(row_range)
-        ci = list(col_range)
-        if ri == list(range(self.rows)) and ci == list(range(self.cols)):
+        """The columns ``indices``; the full range gives ``self``."""
+        pick = _picker(indices, self.cols)
+        if pick is None:
             return self
-        return Matrix._raw(self.ring, len(ri), len(ci), tuple(tuple(self.data[i][j] for j in ci) for i in ri))
+        return Matrix._raw(self.ring, self.rows, len(indices), tuple(map(pick, self.data)))
+
+    def submatrix(self, row_range: Sequence[int], col_range: Sequence[int]) -> "Matrix":
+        """The entries at rows ``row_range`` and columns ``col_range``; the full ranges give ``self``."""
+        pick_rows, pick_cols = _picker(row_range, self.rows), _picker(col_range, self.cols)
+        if pick_rows is None and pick_cols is None:
+            return self
+        data = self.data if pick_rows is None else pick_rows(self.data)
+        return Matrix._raw(self.ring, len(row_range), len(col_range), data if pick_cols is None else tuple(map(pick_cols, data)))
+
+    def placed(self, n: int, at: Sequence[int]) -> "Matrix":
+        """``I[:, at] @ self`` without the product: rows at positions ``at`` of ``n``, zero rows elsewhere.
+
+        As from the product, the full range gives ``self``, and otherwise
+        every integral Q entry is an ``int``.
+        """
+        if len(at) != self.rows:
+            raise ShapeMismatch(f"{self.rows} rows placed at {len(at)} positions")
+        if _is_full(at, n):
+            return self
+        rows = self.data
+        if isinstance(self.ring, Rationals) and Fraction in set(map(type, chain.from_iterable(rows))):
+            norm = self.ring.normalize
+            rows = [tuple(map(norm, row)) for row in rows]
+        out = [(self.ring.normalize(0),) * self.cols] * n
+        for i, row in zip(at, rows):
+            out[i] = row
+        return Matrix._raw(self.ring, n, self.cols, tuple(out))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
@@ -201,8 +227,8 @@ class Matrix:
     __hash__ = None
 
     def render_rows(self) -> list[list[str]]:
-        r = self.ring.render
-        return [[r(v) for v in row] for row in self.data]
+        render = self.ring.render
+        return [list(map(render, row)) for row in self.data]
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self.render_rows()})"
@@ -221,6 +247,30 @@ class _Identity(Matrix):
 def _diagonal(ring: Ring, n: int, c) -> tuple:
     zero = ring.normalize(0)
     return tuple((zero,) * i + (c,) + (zero,) * (n - 1 - i) for i in range(n))
+
+
+def _is_full(indices: Sequence[int], n: int) -> bool:
+    """Whether ``indices`` are ``0, 1, ..., n - 1`` in order."""
+    return indices == range(n) if isinstance(indices, range) else len(indices) == n and all(map(eq, indices, range(n)))
+
+
+def _picker(indices: Sequence[int], n: int):
+    """``None`` if ``indices`` is the full range of ``n``, else a map from a tuple to its entries at ``indices``.
+
+    Only a range inside ``0..n-1`` is a slice: one past the end would
+    shorten the result.  Other lists go through ``itemgetter``, which
+    raises ``IndexError`` as indexing does (and takes one index bare).
+    """
+    if _is_full(indices, n):
+        return None
+    if not indices:
+        return lambda seq: ()
+    if isinstance(indices, range) and 0 <= indices[0] < n and 0 <= indices[-1] < n:
+        return itemgetter(slice(indices.start, indices.stop if indices.stop >= 0 else None, indices.step))
+    if len(indices) == 1:
+        j = indices[0]
+        return lambda seq: (seq[j],)
+    return itemgetter(*indices)
 
 
 _denominator = attrgetter("denominator")

@@ -65,8 +65,7 @@ class _UnreducedRing:
     def reduce(self, x):
         return x
 
-    def render(self, x) -> str:
-        return str(x)
+    render = str
 
     def __str__(self):
         return self.json_tag

@@ -6,16 +6,23 @@ checked; ``-I`` is built from one canonical ``-1``; and an elimination
 whose log is empty hands back an identity as its transform.  The mark
 survives where the answer is known to be the identity: the kernel of a
 zero map, the split of a basis that is the whole module, and a slice
-over the full row and column ranges.
+over the full row and column ranges.  A Smith image or solve whose
+invariant factors are all one multiplies by no identity it rebuilt.
 """
 
 import random
+import sys
 
 import pytest
 
 from eigenchain import GF, QQ, ZZ, Matrix, linalg
 from eigenchain.errors import RingMismatch, ShapeMismatch
+from eigenchain.certify import certify_homology_eigenvalue
+from eigenchain.complexes import COCHAIN, convert_convention
 from eigenchain.linalg import SubspaceBasis, complement_and_inverse, rref, smith_normal_form
+from eigenchain.simplicial import simplicial_to_chain
+
+from test_golden_simplicial import TORUS
 
 RINGS = [QQ, ZZ, GF(2), GF(5)]
 SIZES = range(5)
@@ -170,3 +177,20 @@ def test_a_full_slice_is_the_matrix_itself(ring, n):
             assert (part.rows, part.cols) == (len(r), len(c))
             assert [list(row) for row in part.data] == [[m[i, j] for j in c] for i in r]
     assert is_marked_identity(eye.submatrix(range(n), range(n)), n)
+
+
+def test_certifying_the_torus_over_z_multiplies_by_no_rebuilt_identity_in_smith_images_or_solves(monkeypatch):
+    # S[:r, :r] of unit factors, and c[:r] read off a marked identity, are identities by value only.
+    unmarked = []
+    original = Matrix.__matmul__
+
+    def counted(a, b):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] == "eigenchain.linalg" and caller.f_code.co_name in ("image", "solve"):
+            unmarked.extend(m for m in (a, b) if m.rows and not m.marked_identity and m == dense_identity(m.ring, m.rows))
+        return original(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    chain, _ = simplicial_to_chain(7, TORUS, ZZ)
+    assert certify_homology_eigenvalue(convert_convention(chain, COCHAIN)).is_eigenvalue()
+    assert unmarked == []

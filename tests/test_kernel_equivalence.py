@@ -7,7 +7,11 @@ The transforms are replayed from the elimination's log when first read,
 so they must match whichever of them is read first.  Over Q, ``@`` also
 multiplies non-integral rationals, on integer numerators, and must
 return an ``int`` for every integral entry, also when an operand's only
-``Fraction``s are integral.
+``Fraction``s are integral.  ``submatrix`` and ``cols_at`` take tuple
+slices and ``itemgetter`` picks, and must pick what per-entry indexing
+picks; ``placed`` must give what its identity-slice product gives; and
+Smith images, image coordinates and solves, which skip the rows of
+invariant factors equal to one, must match dense references.
 """
 
 import random
@@ -367,3 +371,158 @@ def test_rref_transform_read_first_matches_dense_elimination(ring, seed):
         assert_canonical(res.transform)
         assert res.transform is res.transform
         assert (res.echelon.data, res.pivots) == (as_tuples(work), pivots)
+
+
+# -- slices ---------------------------------------------------------------------
+
+
+def _index_lists(n, rng):
+    """Every contiguous and every reversed range of ``0..n-1``, and seeded lists, tuples, single indices and none."""
+    yield from (range(i, j) for i in range(n + 1) for j in range(i, n + 1))
+    yield from (range(j, i - 1, -1) for i in range(n) for j in range(i, n))
+    yield from (range(n - 1, -1, -1), range(0, n, 2), [], ())
+    for _ in range(4):
+        picks = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))] if n else []
+        yield picks
+        yield tuple(picks)
+    yield from ([j] for j in range(n))
+    yield from ((j,) for j in range(n))
+
+
+SLICE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (3, 4), (5, 2)]
+
+
+def _slice_input(ring, rng, rows, cols):
+    return (rational_matrix if ring == QQ else dense_matrix)(ring, rng, rows, cols)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+@pytest.mark.parametrize("rows, cols", SLICE_SHAPES)
+def test_submatrix_and_cols_at_match_per_entry_picks(ring, rows, cols):
+    rng = random.Random(f"slices-{ring}-{rows}x{cols}")
+    a = _slice_input(ring, rng, rows, cols)
+    row_lists, col_lists = list(_index_lists(rows, rng)), list(_index_lists(cols, rng))
+    for r in row_lists:
+        for c in col_lists:
+            part = a.submatrix(r, c)
+            assert (part.rows, part.cols) == (len(r), len(c))
+            assert part.data == tuple(tuple(a.data[i][j] for j in c) for i in r)
+            assert all(type(row) is tuple for row in part.data)
+    for c in col_lists:
+        part = a.cols_at(c)
+        assert (part.rows, part.cols) == (rows, len(c))
+        assert part.data == tuple(tuple(row[j] for j in c) for row in a.data)
+        assert all(type(row) is tuple for row in part.data)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+@pytest.mark.parametrize("n", range(4))
+def test_full_slices_are_the_matrix_and_keep_the_identity_mark(ring, n):
+    rng = random.Random(f"full-{ring}-{n}")
+    eye = Matrix.identity(ring, n)
+    for a in (eye, _slice_input(ring, rng, n, 3), _slice_input(ring, rng, 2, n)):
+        for rows in (range(a.rows), list(range(a.rows)), tuple(range(a.rows))):
+            for cols in (range(a.cols), list(range(a.cols)), tuple(range(a.cols))):
+                assert a.submatrix(rows, cols) is a
+            assert a.cols_at(rows if a.rows == a.cols else range(a.cols)) is a
+    assert eye.submatrix(range(n), range(n)).marked_identity
+    assert eye.cols_at(list(range(n))).marked_identity
+    if n > 1:
+        assert not eye.submatrix(range(n - 1, -1, -1), range(n)).marked_identity
+        assert not eye.cols_at(range(1, n)).marked_identity
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 4), (4, 2)])
+def test_an_index_outside_the_matrix_raises(ring, rows, cols):
+    # A bare slice past the end would shorten the result instead.
+    a = _slice_input(ring, random.Random(3), rows, cols)
+    for bad_rows in (range(rows + 1), range(rows - 1, rows + 1), range(rows, rows - 2, -1), [rows], (0, rows)):
+        with pytest.raises(IndexError):
+            a.submatrix(bad_rows, range(cols))
+    for bad_cols in (range(cols + 1), range(cols - 1, cols + 1), range(cols, -1, -1), [cols], (0, cols)):
+        with pytest.raises(IndexError):
+            a.submatrix(range(rows), bad_cols)
+        with pytest.raises(IndexError):
+            a.cols_at(bad_cols)
+
+
+def _entries_and_types(m: Matrix):
+    return m.data, tuple(tuple(map(type, row)) for row in m.data)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_placed_rows_are_the_identity_slice_product(ring, seed):
+    # I[:, at] @ c as that product gives it: entries, their types, and c itself for the full range.
+    rng = random.Random(f"placed-{ring}-{seed}")
+    generators = (rational_matrix, edge_matrix, dense_matrix) if ring == QQ else (dense_matrix, sparse_matrix)
+    for n in range(5):
+        for k in range(n + 1):
+            at = sorted(rng.sample(range(n), k))
+            for make in generators:
+                c = make(ring, rng, k, rng.randint(1, 4))
+                product = Matrix.identity(ring, n).submatrix(range(n), at) @ c
+                placed = c.placed(n, at)
+                assert (placed.rows, placed.cols) == (n, c.cols)
+                assert _entries_and_types(placed) == _entries_and_types(product)
+                assert (placed is c) == (k == n) == (product is c)
+
+
+# -- Smith images and solves ------------------------------------------------------
+
+
+def _unimodular(rng, k):
+    """A seeded product of elementary integer row operations on the ``k x k`` identity."""
+    g = Matrix.identity(ZZ, k).grid()
+    for _ in range(3 * k):
+        i, t = rng.sample(range(k), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        g[i] = [x + q * y for x, y in zip(g[i], g[t])]
+    rng.shuffle(g)
+    return Matrix(ZZ, g)
+
+
+def _with_factors(rng, factors, m, n):
+    """``P @ diag(factors) @ Q``, ``m x n``, with seeded unimodular ``P`` and ``Q``."""
+    diag = Matrix(ZZ, [[factors[i] if i == j and i < len(factors) else 0 for j in range(n)] for i in range(m)], cols=n)
+    return _unimodular(rng, m) @ diag @ _unimodular(rng, n)
+
+
+def _dense_product(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+SMITH_FACTORS = [(1, 1, 1), (1, 2, 6), (2, 6), (1, 1, 3, 3), ()]
+
+
+@pytest.mark.parametrize("factors", SMITH_FACTORS, ids=str)
+@pytest.mark.parametrize("m, n", [(4, 5), (5, 4), (4, 4)])
+def test_smith_image_coords_and_solve_match_dense_references(factors, m, n):
+    rng = random.Random(f"smith-{factors}-{m}x{n}")
+    a = _with_factors(rng, factors, m, n)
+    res = smith_normal_form(a)
+    r = len(factors)
+    assert res.invariant_factors == factors + (0,) * (min(m, n) - r)
+    _, u, v, uinv = dense_snf(a)
+    # image: U^-1[:, :r] with column j scaled by d_j
+    image = res.image().vectors
+    assert image.data == as_tuples([[uinv[i][j] * factors[j] for j in range(r)] for i in range(m)])
+    for k in (1, 3):
+        x0 = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        b = a @ Matrix(ZZ, x0, cols=k)
+        # coordinates in the image: (U b)[:r] / d
+        ub = _dense_product(u, [list(row) for row in b.data])
+        coords = res.image_coords(b)
+        assert coords.data == as_tuples([[x // factors[i] for x in ub[i]] for i in range(r)])
+        assert image @ coords == b
+        # one solution: V[:, :r] @ ((U b)[:r] / d)
+        x = res.solve(b)
+        assert x.data == as_tuples(_dense_product([row[:r] for row in v], [[y // factors[i] for y in ub[i]] for i in range(r)]) if r else [[0] * k for _ in range(n)])
+        assert a @ x == b
+        for mat in (image, coords, x):
+            assert_canonical(mat)
+    # U^-1 e_i has U-coordinates e_i: outside the image past the rank, and not divisible by a factor above one
+    for i in range(m):
+        e = Matrix(ZZ, [[uinv[row][i]] for row in range(m)], cols=1)
+        assert (res.solve(e) is None) == (i >= r or factors[i] != 1)
