@@ -9,8 +9,8 @@ states their sign convention.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout
-(which keeps only that analysis's image ranks, and which
-:func:`mapping_cone` analyzes only when it is first read), the single
+(laid out from that analysis's image ranks when the cone is built;
+:func:`mapping_cone` builds the analysis itself), the single
 hypothesis checker :func:`check_hypotheses`, the witness, and
 :func:`adapted_block`, the change to (scalar | complement | image) block
 coordinates.  The checker also reads whether ``alpha`` is an isomorphism
@@ -26,8 +26,7 @@ one contraction formula, :func:`_contraction_block`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 # verify_homotopy is re-exported here, where the benchmark's tracer names it.
@@ -75,17 +74,7 @@ class ConeComplex:
 
     underlying: ChainComplex
     source_alpha: GradedMap
-    image_ranks: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def layout(self) -> dict[int, ConeLayout]:
-        """Block sizes per cone degree, from ``image_ranks`` (the target's, if the cone was built with them) or a new analysis."""
-        lam, f = self.source_alpha.source, self.source_alpha.target
-        image = _image_ranks(Decomposition(f)) if self.image_ranks is None else self.image_ranks
-        return {
-            n: ConeLayout(lam.rank(n + 1), f.rank(n) - image.get(n, 0), image.get(n, 0))
-            for n in sorted(self.underlying.ranks)
-        }
+    layout: dict[int, ConeLayout]
 
     def sizes(self, n: int) -> ConeLayout:
         """The layout at cone degree ``n``, all zero off the cone's support."""
@@ -105,40 +94,38 @@ def _require_cone_input(alpha: GradedMap):
         raise ValidationError(f"not a chain map: {check.message}")
 
 
-def _image_ranks(dec: Decomposition) -> dict[int, int]:
-    return {n: dec.image_rank(n) for n in dec}
+def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
+    """The cone of a checked ``alpha``, laid out from ``dec``, the analysis of its (valid) target.
 
-
-def _assemble_cone(alpha: GradedMap, dec: Optional[Decomposition] = None) -> ConeComplex:
-    """The cone of a checked ``alpha``; ``dec``, if given, analyzes its (valid) target.
-
-    The cone keeps only the image ranks of ``dec``, not ``dec`` itself, so
-    a certificate holding the cone does not hold the analysis.  A chain
-    map into a complex has a cone that is again a complex, so the result
-    needs no check of its own.
+    The cone keeps only the image ranks of ``dec``, in its layout, not
+    ``dec`` itself, so a certificate holding the cone does not hold the
+    analysis.  A chain map into a complex has a cone that is again a
+    complex, so the result needs no check of its own.
     """
     lam, f = alpha.source, alpha.target
     ring = f.ring
     degrees = sorted({n for n in f.ranks} | {n - 1 for n in lam.ranks})
     ranks = {n: lam.rank(n + 1) + f.rank(n) for n in degrees}
-    diffs = {}
+    layout, diffs = {}, {}
     for n in degrees:
+        image = dec.image_rank(n)
+        layout[n] = ConeLayout(lam.rank(n + 1), f.rank(n) - image, image)
         if ranks[n] == 0 or lam.rank(n + 2) + f.rank(n + 1) == 0:
             continue
         top = Matrix.zeros(ring, lam.rank(n + 2), ranks[n])
         bottom = hstack([alpha.block(n + 1), f.diff(n)])
         diffs[n] = vstack([top, bottom])
-    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), alpha, None if dec is None else _image_ranks(dec))
+    return ConeComplex(ChainComplex(ring, COCHAIN, ranks, diffs), alpha, layout)
 
 
 def mapping_cone(alpha: GradedMap) -> ConeComplex:
     """Cone of a chain map whose source has zero differentials.
 
-    Its ``layout`` analyzes the target on first read, so a caller that
-    reads only ``underlying`` factors nothing.
+    It analyzes the target once, for the cone's layout, so a target that
+    is not a complex is refused here.
     """
     _require_cone_input(alpha)
-    return _assemble_cone(alpha)
+    return _assemble_cone(alpha, Decomposition(alpha.target))
 
 
 def adapted_block(cone: ConeComplex, dec: Decomposition, m: Matrix, src: int, tgt: int) -> Matrix:

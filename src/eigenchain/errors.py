@@ -80,8 +80,7 @@ class TorsionHomology(EigenchainError):
 class HypothesisFailure(EigenchainError):
     """A hypothesis needed for the explicit null-homotopy does not hold."""
 
-    def __init__(self, reason, degree=None):
+    def __init__(self, reason, degree):
         self.reason = reason
         self.degree = degree
-        where = f" at degree {degree}" if degree is not None else ""
-        super().__init__(f"{reason}{where}")
+        super().__init__(f"{reason} at degree {degree}")

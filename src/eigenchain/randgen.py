@@ -71,8 +71,6 @@ def random_complex(
 
 def _random_cycle(f: ChainComplex, n: int, rng: random.Random) -> Matrix:
     ker = kernel_basis(f.diff(n))
-    if ker.dim == 0:
-        return Matrix.zeros(f.ring, f.rank(n), 1)
     mix = Matrix(f.ring, [[_random_entry(f.ring, rng)] for _ in range(ker.dim)])
     return ker.vectors @ mix
 

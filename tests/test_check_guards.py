@@ -17,8 +17,10 @@ from eigenchain import (
     verify_homotopy,
     zero_map,
 )
+from eigenchain.certify import decide_eigenvalue
 from eigenchain.cones import Homotopy
-from eigenchain.errors import ConventionMismatch, RingMismatch, ValidationError
+from eigenchain.errors import ConventionMismatch, NotInvertible, RingMismatch, ShapeMismatch, ValidationError
+from eigenchain.linalg import SubspaceBasis, det, intersect, inverse, solve_matrix, spans_equal
 from conftest import circle_complex, circle_pair
 
 
@@ -64,6 +66,39 @@ def _map_between_conventions():
     GradedMap(scalar_object(ZZ, {0: 1}), ChainComplex(ZZ, "chain", {0: 1}), 0, {})
 
 
+def _decide_with_another_scalar_object():
+    f, _, alpha = circle_pair()
+    decide_eigenvalue(f, scalar_object(ZZ, {-1: 1}), alpha)
+
+
+def _det_of_a_non_square_matrix():
+    det(Matrix(QQ, [[1, 2]]))
+
+
+def _inverse_of_a_non_square_matrix():
+    inverse(Matrix(QQ, [[1, 2]]))
+
+
+def _inverse_of_a_singular_matrix_over_q():
+    inverse(Matrix(QQ, [[1, 2], [2, 4]]))
+
+
+def _solve_with_a_short_right_hand_side():
+    solve_matrix(Matrix.identity(QQ, 3), Matrix(QQ, [[1], [2]]))
+
+
+def _whole_space(ambient):
+    return SubspaceBasis(ambient, Matrix.identity(QQ, ambient))
+
+
+def _spans_compared_across_ambients():
+    spans_equal(_whole_space(2), _whole_space(3))
+
+
+def _spans_intersected_across_ambients():
+    intersect(_whole_space(2), _whole_space(3))
+
+
 GUARDS = [
     (_psi_on_another_complex, ValidationError, "homotopy is attached to a different complex"),
     (_shifted_endomorphism, ValidationError, "verify_homotopy compares degree-0 endomorphisms"),
@@ -73,6 +108,13 @@ GUARDS = [
     (_cone_of_a_shifted_map, ValidationError, "cone expects a degree-0 chain map"),
     (_map_between_rings, RingMismatch, "graded map between complexes over different rings"),
     (_map_between_conventions, ConventionMismatch, "graded map between mixed conventions"),
+    (_decide_with_another_scalar_object, ValidationError, "alpha does not map the given scalar object into the given complex"),
+    (_det_of_a_non_square_matrix, ShapeMismatch, "determinant of a non-square matrix"),
+    (_inverse_of_a_non_square_matrix, ShapeMismatch, "inverse of a non-square matrix"),
+    (_inverse_of_a_singular_matrix_over_q, NotInvertible, "singular matrix"),
+    (_solve_with_a_short_right_hand_side, ShapeMismatch, "rhs 2x1 against 3x3"),
+    (_spans_compared_across_ambients, ShapeMismatch, "ambient dimensions differ"),
+    (_spans_intersected_across_ambients, ShapeMismatch, "ambient dimensions differ"),
 ]
 
 

@@ -547,3 +547,95 @@ def test_input_past_the_size_cap_exits_two_at_once(tmp_path, capsys, payload):
     assert perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "size cap of 4096" in err
+
+
+def _writes(name, payload):
+    return lambda workdir: (workdir / name).write_text(json.dumps(payload))
+
+
+def _edits(name, change):
+    return lambda workdir: _edit(workdir, name, change)
+
+
+def _certify_the_circle(workdir):
+    assert main(["certify", str(workdir / "s1_complex.json")]) == 0
+
+
+def _shift_by_one(alpha):
+    # Shifted by one, lambda's degree 0 lands in F_1 and its degree 1 nowhere.
+    alpha["degree_shift"] = 1
+    alpha["blocks"] = [block for block in alpha["blocks"] if block["degree"] == 0]
+
+
+INPUT_ARGV = ["homology", "input.json"]
+PAIR_ARGV = ["certify", "s1_complex.json", "--lambda", "s1_lambda.json", "--alpha", "s1_alpha.json", "-o", "out.json"]
+REFUSED_INPUTS = [
+    # (files written or edited, command, error message)
+    pytest.param(_writes("input.json", {"vertices": 3, "facets": [[]]}), INPUT_ARGV, "empty facet", id="empty-facet"),
+    pytest.param(
+        _writes("input.json", {"vertices": 3, "facets": [[0, 0, 1]]}),
+        INPUT_ARGV,
+        "facet [0, 0, 1] repeats a vertex",
+        id="repeated-vertex",
+    ),
+    pytest.param(_writes("input.json", {"vertices": -1, "facets": []}), INPUT_ARGV, "negative vertex count", id="negative-vertices"),
+    pytest.param(
+        _writes("input.json", []), INPUT_ARGV, "{workdir}/input.json: expected a JSON object at top level", id="top-level-array"
+    ),
+    pytest.param(_writes("input.json", {}), INPUT_ARGV, "unrecognized JSON document", id="empty-object"),
+    pytest.param(
+        _writes("input.json", {
+            "ring": "Z",
+            "convention": "cochain",
+            "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+            "diffs": [{"from_degree": 0, "entries": [["1", "1"]]}],
+        }),
+        INPUT_ARGV,
+        "complex diffs entry at from_degree 0: expected a 1x1 matrix",
+        id="differential-shape",
+    ),
+    pytest.param(
+        _edits("s1_complex.json", _set(("convention",), "sideways")),
+        COMPLEX_ARGV,
+        "bad convention 'sideways'",
+        id="bad-convention",
+    ),
+    pytest.param(
+        _certify_the_circle,
+        ["homology", "s1_complex.cert.json"],
+        "expected a complex or simplicial file, found certificate",
+        id="certificate-as-complex",
+    ),
+    pytest.param(
+        _edits("s1_alpha.json", _set(("ring",), "Q")), PAIR_ARGV, "graded map ring differs from the complex ring", id="alpha-ring"
+    ),
+    pytest.param(
+        _edits("s1_alpha.json", _set(("convention",), "cochain")),
+        PAIR_ARGV,
+        "graded map convention differs from the complex convention",
+        id="alpha-convention",
+    ),
+    pytest.param(_edits("s1_alpha.json", _shift_by_one), PAIR_ARGV, "cone expects a degree-0 chain map", id="certify-shifted-alpha"),
+    pytest.param(
+        _edits("s1_alpha.json", _shift_by_one),
+        CONE_ARGV + ["-o", "out.json"],
+        "cone expects a degree-0 chain map",
+        id="cone-shifted-alpha",
+    ),
+]
+
+
+@pytest.mark.parametrize("prepare, argv, message", REFUSED_INPUTS)
+def test_refused_inputs_exit_2_with_their_error(workdir, capsys, prepare, argv, message):
+    prepare(workdir)
+    capsys.readouterr()
+    code, out, err = run(capsys, *[workdir / a if a.endswith(".json") else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(workdir=workdir)}\n"
+    assert not (workdir / "out.json").exists()
+
+
+def test_an_unknown_ring_is_a_usage_error(workdir, capsys):
+    code, out, err = run(capsys, "homology", workdir / "s1_complex.json", "--ring", "foo")
+    assert (code, out) == (64, "")
+    assert err.endswith("error: argument --ring: unknown ring 'foo' (use Q, Z, or F<p>)\n")

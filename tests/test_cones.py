@@ -22,7 +22,7 @@ from eigenchain import (
     verify_homotopy,
     zero_map,
 )
-from eigenchain import cones
+from eigenchain import certify, cones
 from eigenchain.certify import decide_eigenvalue
 from eigenchain.complexes import COCHAIN, convert_convention
 from eigenchain.cones import ConeLayout, Homotopy, adapted_block, check_hypotheses
@@ -79,17 +79,24 @@ class TestMappingCone:
         assert (cone.layout[-1].lambda_rank, cone.layout[-1].complement_rank, cone.layout[-1].image_rank) == (1, 3, 0)
         assert (cone.layout[0].lambda_rank, cone.layout[0].complement_rank, cone.layout[0].image_rank) == (0, 1, 2)
 
-    def test_layout_is_analyzed_on_first_read_only(self, circle_with_pair, analyses):
+    def test_layout_is_analyzed_once_at_construction(self, circle_with_pair, analyses, monkeypatch):
         f, lam, alpha = circle_with_pair
         cone = mapping_cone(alpha)
-        assert analyses == []
+        assert len(analyses) == 1 and analyses[0] is f
         assert cone.layout[0] == ConeLayout(0, 1, 2)
         assert cone.layout[-1] == ConeLayout(1, 3, 0)
-        assert len(analyses) == 1 and analyses[0] is f
-        # A certificate's cone reads the analysis its verdict was decided with.
-        cert = decide_eigenvalue(f, lam, alpha)
-        assert cert.cone.layout == cone.layout
         assert len(analyses) == 1
+        # A certificate's cone is laid out from the analysis its verdict was decided with.
+        monkeypatch.setattr(certify, "Decomposition", cones.Decomposition)
+        cert = decide_eigenvalue(f, lam, alpha)
+        assert cert.cone == cone
+        assert len(analyses) == 2 and analyses[1] is f
+
+    def test_a_target_that_is_not_a_complex_is_refused_when_the_cone_is_built(self):
+        one = Matrix(ZZ, [[1]])
+        x = ChainComplex(ZZ, "cochain", {0: 1, 1: 1, 2: 1}, {0: one, 1: one})
+        with pytest.raises(ValidationError, match="d∘d"):
+            mapping_cone(zero_map(scalar_object(ZZ, {}), x))
 
     def test_adapted_differential_has_the_block_shape(self, circle_with_pair):
         f, lam, alpha = circle_with_pair
