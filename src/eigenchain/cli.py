@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``homology``, ``decompose``, ``cone``, ``certify``,
-``verify-homotopy``, ``proptest``.  Exit codes: 0 on success or an
-Eigenvalue verdict, 1 on NotEigenvalue or a failed verification or a
+``reverify``, ``verify-homotopy``, ``proptest``.  Exit codes: 0 on
+success, an Eigenvalue verdict or an accepted certificate, 1 on
+NotEigenvalue, a rejected certificate, a failed verification or a
 property-suite disagreement, 2 on structural errors, 64 on usage errors.
 Inputs are the JSON formats of :mod:`eigenchain.formats`; simplicial
 files are accepted wherever a complex is expected.
@@ -18,8 +19,9 @@ from functools import cache
 from pathlib import Path
 
 from .certify import _decide, certify_homology_eigenvalue, decide_eigenvalue
+from .check import certificate_failure
 from .complexes import COCHAIN, identity_map, validate_chain_map, verify_homotopy, zero_map
-from .cones import check_hypotheses, is_contractible, mapping_cone
+from .cones import _assemble_cone, _require_cone_input, check_hypotheses, is_contractible, mapping_cone
 from .decompose import Decomposition, decompose
 from .errors import EigenchainError, NotSaturated, ParseError, ValidationError
 from .formats import (
@@ -179,6 +181,18 @@ def _cmd_certify(args) -> int:
     return 0 if cert.is_eigenvalue() else 1
 
 
+def _cmd_reverify(args) -> int:
+    kind, payload = load_document(args.certificate)
+    if kind != "certificate":
+        raise ParseError(f"{args.certificate}: expected a certificate file, found {kind}")
+    failure = certificate_failure(payload)
+    if failure is None:
+        print("accepted")
+        return 0
+    print(f"rejected: {failure}")
+    return 1
+
+
 def _cmd_verify_homotopy(args) -> int:
     doc = load_complex(args.complex)
     x = doc.complex
@@ -214,7 +228,8 @@ def _cmd_proptest(args) -> int:
                 disagreements += 1
                 print(f"[trial {trial}] homology oracle disagreement: {main} vs {brute}")
         for tag, lam, alpha in alpha_variants(f, rng):
-            cone = mapping_cone(alpha)  # checks alpha, once for the oracle and the verdict
+            _require_cone_input(alpha)  # checks alpha, once for the oracle and the verdict
+            cone = _assemble_cone(alpha, dec)  # laid out from the analysis of F held above
             cert = _decide(alpha, dec, check_hypotheses(alpha, dec))
             certified += 1
             # certify takes the canonical pair's check from its construction; decide re-derives it.
@@ -276,6 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", type=_ring_flag, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_certify)
+
+    p = sub.add_parser("reverify", help="re-check a certificate from its file alone")
+    p.add_argument("certificate")
+    p.set_defaults(func=_cmd_reverify)
 
     p = sub.add_parser("verify-homotopy", help="check f - g = d∘psi + psi∘d exactly")
     p.add_argument("complex")

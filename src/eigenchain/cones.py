@@ -110,7 +110,7 @@ def _assemble_cone(alpha: GradedMap, dec: Decomposition) -> ConeComplex:
     for n in degrees:
         image = dec.image_rank(n)
         layout[n] = ConeLayout(lam.rank(n + 1), f.rank(n) - image, image)
-        if ranks[n] == 0 or lam.rank(n + 2) + f.rank(n + 1) == 0:
+        if lam.rank(n + 2) + f.rank(n + 1) == 0:
             continue
         top = Matrix.zeros(ring, lam.rank(n + 2), ranks[n])
         bottom = hstack([alpha.block(n + 1), f.diff(n)])

@@ -19,7 +19,6 @@ import os
 import stat
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -32,11 +31,9 @@ from .complexes import (
     Homotopy,
     convention_sign,
     convert_convention,
-    identity_map,
     validate_complex,
-    verify_homotopy,
-    zero_map,
 )
+from .check import _entry_values, _int_field, _list_field, _read_list, certificate_failure
 from .errors import ParseError, ValidationError
 from .matrix import Matrix
 from .rings import ZZ, Ring, ring_from_tag
@@ -144,69 +141,14 @@ def detect_kind(payload: dict) -> str:
     raise ParseError("unrecognized JSON document")
 
 
-def _int_field(item, key: str, what: str, default=None) -> int:
-    """``item[key]`` as a JSON integer; ``bool`` and floats are rejected."""
-    if not isinstance(item, dict):
-        raise ParseError(f"{what}: expected an object, got {item!r}")
-    if key not in item:
-        if default is None:
-            raise ParseError(f"{what}: missing {key!r}")
-        return default
-    value = item[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what}: {key!r} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _list_field(payload: dict, key: str, what: str):
-    """``payload[key]`` as a JSON list; absent means empty."""
-    value = payload.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"{what}: {key!r} must be a JSON list, got {value!r}")
-    return value
-
-
-_ENTRY_TYPES = frozenset((int, str))  # exact types: excludes bool and float
-
-
 def _parse_matrix(ring: Ring, entries, rows: int, cols: int, what: str) -> Matrix:
-    if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
-        raise ParseError(f"{what}: entries must be a list of rows")
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValidationError(f"{what}: expected a {rows}x{cols} matrix")
-    if not _ENTRY_TYPES.issuperset(map(type, chain.from_iterable(entries))):
-        bad = next(v for r in entries for v in r if type(v) not in _ENTRY_TYPES)
-        raise ParseError(f"{what}: 'entries' must hold strings or JSON integers, got {bad!r}")
-    # Each distinct entry is normalized once, in row-major order of first
-    # use, so the first bad entry is the one named; past that, an entry
-    # costs one table lookup.  Entries repeat: mostly 0 and ±1.
-    distinct = dict.fromkeys(chain.from_iterable(entries))
-    try:
-        value = dict(zip(distinct, map(ring.normalize, distinct)))
-    except ParseError as exc:
-        raise ParseError(f"{what}: {exc}") from None
+    value = _entry_values(ring, entries, rows, cols, what)
     return Matrix._raw(ring, rows, cols, tuple(tuple(map(value.__getitem__, row)) for row in entries))
 
 
 def _write_list(values: dict, sign: int, fields, degree_key: str = "degree") -> list:
     """``{degree_key: file degree, **fields(value)}`` per internal degree of ``values``, in ascending file degree."""
     return [{degree_key: sign * n, **fields(values[n])} for n in sorted(values, key=lambda n: sign * n)]
-
-
-def _read_list(payload: dict, key: str, degree_key: str, sign: int, what: str, read) -> dict:
-    """``payload[key]``, a list of objects keyed by ``degree_key``, as ``{internal degree: value}``.
-
-    Each value is ``read(item, n, where)``, with ``where`` naming the
-    entry for its errors.  A degree listed twice is a parse error.
-    """
-    values = {}
-    for item in _list_field(payload, key, what):
-        user_deg = _int_field(item, degree_key, f"{what} {key} entry")
-        n = sign * user_deg
-        if n in values:
-            raise ParseError(f"{what}: {degree_key!r} {user_deg} appears twice in {key!r}")
-        values[n] = read(item, n, f"{what} {key} entry at {degree_key} {user_deg}")
-    return values
 
 
 def _read_blocks(payload: dict, key: str, degree_key: str, shape, ring: Ring, sign: int, what: str) -> dict:
@@ -352,35 +294,14 @@ def certificate_to_payload(cert, convention: str) -> dict:
     return payload
 
 
-def _object_field(payload: dict, key: str, what: str) -> dict:
-    """``payload[key]`` as a JSON object."""
-    value = payload.get(key)
-    if not isinstance(value, dict):
-        problem = f"must be a JSON object, got {value!r}" if key in payload else "is missing"
-        raise ParseError(f"{what}: {key!r} {problem}")
-    return value
-
-
 def reverify_certificate(payload: dict) -> bool:
-    """Re-check a positive certificate from its serialized data alone.
+    """Re-check a positive certificate from its serialized data alone, by :func:`~eigenchain.check.certificate_failure`.
 
     A payload that is not a JSON object, or a field it reads that is
-    missing or mistyped, raises :class:`ParseError` (naming the field).
+    missing or mistyped, raises :class:`ParseError` (naming the field); a
+    witness cone that is not a complex raises :class:`ValidationError`.
     """
-    if not isinstance(payload, dict):
-        raise ParseError("certificate: expected a JSON object")
-    if payload.get("verdict") != "Eigenvalue" or not payload.get("witness"):
-        return False
-    witness = _object_field(payload, "witness", "certificate")
-    for key in ("ring", "convention"):
-        if key not in payload:
-            raise ParseError(f"certificate: {key!r} is missing")
-    cone_doc = complex_from_payload(_object_field(witness, "cone", "certificate witness"))
-    homotopy = _object_field(witness, "homotopy", "certificate witness")
-    psi = homotopy_from_payload({**homotopy, "ring": payload["ring"], "convention": payload["convention"]}, cone_doc)
-    z = cone_doc.complex
-    report = verify_homotopy(z, zero_map(z, z), identity_map(z), psi)
-    return report.ok
+    return certificate_failure(payload) is None
 
 
 def load_document(path) -> tuple[str, dict]:

@@ -639,3 +639,62 @@ def test_an_unknown_ring_is_a_usage_error(workdir, capsys):
     code, out, err = run(capsys, "homology", workdir / "s1_complex.json", "--ring", "foo")
     assert (code, out) == (64, "")
     assert err.endswith("error: argument --ring: unknown ring 'foo' (use Q, Z, or F<p>)\n")
+
+
+def _circle_certificate(workdir, change=None):
+    """The circle's certificate, written by ``certify`` and then edited by ``change``."""
+    _certify_the_circle(workdir)
+    if change:
+        _edit(workdir, "s1_complex.cert.json", change)
+    return workdir / "s1_complex.cert.json"
+
+
+def test_reverify_accepts_a_genuine_certificate(workdir, capsys):
+    path = _circle_certificate(workdir)
+    capsys.readouterr()
+    assert run(capsys, "reverify", path) == (0, "accepted\n", "")
+
+
+def _alter_homotopy_entry(cert):
+    block = cert["witness"]["homotopy"]["blocks"][-1]
+    block["entries"][0][-1] = "0" if block["entries"][0][-1] != "0" else "1"
+
+
+def test_reverify_rejects_an_altered_homotopy_entry(workdir, capsys):
+    path = _circle_certificate(workdir, _alter_homotopy_entry)
+    capsys.readouterr()
+    assert run(capsys, "reverify", path) == (1, "rejected: d∘psi + psi∘d != -id at degree 2\n", "")
+
+
+def _break_the_cone(cert):
+    cert["witness"]["cone"]["diffs"][0]["entries"][1][1] = "5"
+
+
+@pytest.mark.parametrize(
+    "prepare, message",
+    [
+        pytest.param(lambda path: path.write_text("{"), "line 1, column 2: Expecting property name", id="truncated"),
+        pytest.param(
+            lambda path: shutil.copy(path.parent / "s1_complex.json", path),
+            "expected a certificate file, found complex",
+            id="not-a-certificate",
+        ),
+        pytest.param(
+            lambda path: _edit(path.parent, path.name, _break_the_cone),
+            "not a complex: d∘d != 0 leaving degree 2",
+            id="cone-not-a-complex",
+        ),
+        pytest.param(
+            lambda path: _edit(path.parent, path.name, _set(("witness", "homotopy", "blocks", 0, "entries", 0, 0), "x")),
+            "homotopy blocks entry at degree 0: bad integer 'x'",
+            id="bad-entry",
+        ),
+    ],
+)
+def test_reverify_refuses_a_malformed_certificate_with_exit_2(workdir, capsys, prepare, message):
+    path = _circle_certificate(workdir)
+    prepare(path)
+    capsys.readouterr()
+    code, out, err = run(capsys, "reverify", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

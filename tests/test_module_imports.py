@@ -1,4 +1,4 @@
-"""The exact checks, the certificate reader and writer, and the oracles stay clear of the analysis.
+"""The exact checks, the certificate reader, writer and checker, and the oracles stay clear of the analysis.
 
 Read from the source with ``ast``: every import of an ``eigenchain``
 module, followed through the modules it reaches, so an indirect edge
@@ -42,6 +42,10 @@ def reached(module: str) -> set:
 
 def test_complexes_reaches_only_errors_matrix_and_rings():
     assert reached("complexes") == {"errors", "matrix", "rings"}
+
+
+def test_the_certificate_checker_reaches_only_errors_and_rings():
+    assert reached("check") <= {"errors", "rings"}
 
 
 @pytest.mark.parametrize(
