@@ -19,9 +19,11 @@ order; the first check that fails decides:
 6. the rows of each cone differential that land in lambda are zero;
 7. ``d∘psi + psi∘d = -id``, degree by degree.
 
-Entries are compared as text first and parsed only where the text
-differs, so a value written another way (``"2/4"``, or ``"3"`` for 1
-over F2) still matches.  The checker reads entries into sparse
+Entries are compared by value: each distinct entry text is parsed once,
+so equal text costs one table lookup and a value written another way
+(``"2/4"``, or ``"3"`` for 1 over F2) still matches, while a bool or a
+float is no entry at all.  A cone rank above twice :data:`MAX_RANK` is
+refused before anything is built.  The checker reads entries into sparse
 ``{column: value}`` rows and computes with plain ``int`` and ``Fraction``,
 reduced mod p over F_p.  Of the package it imports only :mod:`errors`
 and :mod:`rings`, and takes from :mod:`rings` only the ring a tag names
@@ -38,6 +40,15 @@ from itertools import chain, compress, repeat
 
 from .errors import ParseError, ValidationError
 from .rings import ring_from_tag
+
+# The size cap on input: the largest rank a degree of a complex file may
+# have, and the largest vertex count and number of simplices per dimension
+# of a simplicial file.  The readers refuse more with a ParseError before
+# any matrix is built; exact elimination of a dense matrix of this side is
+# already far beyond what this kernel finishes, and a rank of, say, 10^9
+# would otherwise allocate a 10^9-square identity.  A certificate's cone
+# holds lambda_{n+1} and F_n at degree n, so its ranks may reach twice this.
+MAX_RANK = 4096
 
 
 def _sign(convention) -> int:
@@ -71,6 +82,20 @@ def _list_field(payload: dict, key: str, what: str):
     if not isinstance(value, list):
         raise ParseError(f"{what}: {key!r} must be a JSON list, got {value!r}")
     return value
+
+
+def _ranks(payload: dict, sign: int, cap: int) -> dict:
+    """A complex's ``degrees`` as ``{internal degree: rank}``; a rank above ``cap`` is a parse error."""
+
+    def rank(item, n, where):
+        value = _int_field(item, "rank", where)
+        if value < 0:
+            raise ValidationError(f"negative rank at degree {sign * n}")
+        if value > cap:
+            raise ParseError(f"complex: rank {value} at degree {sign * n} exceeds the size cap of {cap}")
+        return value
+
+    return _read_list(payload, "degrees", "degree", sign, "complex", rank)
 
 
 def _object_field(payload: dict, key: str, what: str) -> dict:
@@ -143,6 +168,11 @@ def _sparse(ring, entries, rows: int, cols: int, what: str, known: dict) -> list
     return out
 
 
+def _nonzero_rows(rows) -> dict:
+    """``{index: row}`` for the rows of ``rows`` that have an entry."""
+    return {i: row for i, row in enumerate(rows) if row}
+
+
 def _sum_is_zero(terms: list, rows: int, diagonal: int, p: int) -> bool:
     """Whether ``diagonal * id + sum(left @ right for left, right in terms)``, ``rows`` rows, is zero.
 
@@ -204,21 +234,13 @@ def certificate_failure(payload) -> str | None:
     if _sign(cone.get("convention")) != sign:
         raise ValidationError("certificate witness: the cone's convention differs from the certificate's")
 
-    def rank(item, n, where):
-        value = _int_field(item, "rank", where)
-        if value < 0:
-            raise ValidationError(f"negative rank at degree {sign * n}")
-        return value
-
-    ranks = _read_list(cone, "degrees", "degree", sign, "complex", rank)
+    ranks = _ranks(cone, sign, 2 * MAX_RANK)
     known = {}  # the value of each entry text read so far
 
     def diff(item, n, where):
-        entries = item.get("entries")
-        return entries, _sparse(ring, entries, ranks.get(n + 1, 0), ranks.get(n, 0), where, known)
+        return _sparse(ring, item.get("entries"), ranks.get(n + 1, 0), ranks.get(n, 0), where, known)
 
-    diffs = _read_list(cone, "diffs", "from_degree", sign, "complex", diff)
-    d = {n: rows for n, (_, rows) in diffs.items()}
+    d = _read_list(cone, "diffs", "from_degree", sign, "complex", diff)
     for n in sorted(d):
         if n + 1 in d and not _sum_is_zero([(d[n + 1], d[n])], len(d[n + 1]), 0, p):
             raise ValidationError(f"not a complex: d∘d != 0 leaving degree {sign * n}")
@@ -247,19 +269,18 @@ def certificate_failure(payload) -> str | None:
 
     given = _read_list(alpha, "blocks", "degree", sign, "alpha", lambda item, n, where: (item.get("entries"), where))
     # alpha_m, from lambda_m to F_m, fills the first lam(m - 1) columns of the
-    # cone differential leaving m - 1, in its rows from lam(m) on.
+    # cone differential leaving m - 1, in its rows from lam(m) on.  Both sides
+    # are compared by their nonzero rows, so nothing is built per rank.
     for m in sorted(set(given) | {n + 1 for n in layout if lam(n)}):
         cols, top = lam(m - 1), lam(m)
         rows = ranks.get(m, 0) - top
         entries, where = given.get(m, (None, None))
-        if m - 1 in diffs and entries == [row[:cols] for row in diffs[m - 1][0][top:]]:
-            continue
-        cone_block = [{j: v for j, v in row.items() if j < cols} for row in d[m - 1][top:]] if m - 1 in d else [{}] * rows
         try:
-            claimed = [{}] * rows if entries is None else _sparse(ring, entries, rows, cols, where, known)
+            claimed = {} if entries is None else _nonzero_rows(_sparse(ring, entries, rows, cols, where, known))
         except ValidationError:  # a block of another shape
             claimed = None
-        if claimed != cone_block:
+        cone_rows = d.get(m - 1, [])[top:]
+        if claimed != _nonzero_rows({j: v for j, v in row.items() if j < cols} for row in cone_rows):
             return f"alpha at degree {sign * m} differs from the cone's alpha block"
 
     # 4. lambda's ranks, and alpha's injectivity on them.

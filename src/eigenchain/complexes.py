@@ -21,20 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .check import MAX_RANK  # the readers' size cap, kept where the checker reads it
 from .errors import ConventionMismatch, RingMismatch, ValidationError
 from .matrix import Matrix, hstack, vstack
 from .rings import Ring
 
 COCHAIN = "cochain"
 CHAIN = "chain"
-
-# The size cap on input: the largest rank a degree of a complex file may
-# have, and the largest vertex count and number of simplices per dimension
-# of a simplicial file.  The readers refuse more with a ParseError before
-# any matrix is built; exact elimination of a dense matrix of this side is
-# already far beyond what this kernel finishes, and a rank of, say, 10^9
-# would otherwise allocate a 10^9-square identity.
-MAX_RANK = 4096
 
 
 def convention_sign(convention: str) -> int:

@@ -25,7 +25,6 @@ from pathlib import Path
 from .complexes import (
     CHAIN,
     COCHAIN,
-    MAX_RANK,
     ChainComplex,
     GradedMap,
     Homotopy,
@@ -33,7 +32,7 @@ from .complexes import (
     convert_convention,
     validate_complex,
 )
-from .check import _entry_values, _int_field, _list_field, _read_list, certificate_failure
+from .check import MAX_RANK, _entry_values, _int_field, _list_field, _ranks, _read_list, _sign, certificate_failure
 from .errors import ParseError, ValidationError
 from .matrix import Matrix
 from .rings import ZZ, Ring, ring_from_tag
@@ -178,19 +177,8 @@ def _read_header(payload: dict, on: ComplexDoc, what: str, shift: int = 0) -> tu
 def complex_from_payload(payload: dict) -> ComplexDoc:
     ring = ring_from_tag(payload.get("ring"))
     convention = payload.get("convention")
-    if convention not in (CHAIN, COCHAIN):
-        raise ParseError(f"bad convention {convention!r}")
-    sign = convention_sign(convention)
-
-    def rank(item, n, where):
-        value = _int_field(item, "rank", where)
-        if value < 0:
-            raise ValidationError(f"negative rank at degree {sign * n}")
-        if value > MAX_RANK:
-            raise ParseError(f"complex: rank {value} at degree {sign * n} exceeds the size cap of {MAX_RANK}")
-        return value
-
-    ranks = _read_list(payload, "degrees", "degree", sign, "complex", rank)  # ChainComplex drops the zeros
+    sign = _sign(convention)
+    ranks = _ranks(payload, sign, MAX_RANK)  # ChainComplex drops the zeros
 
     def shape(n):  # internal cochain: the differential leaving n lands in n + 1
         return ranks.get(n + 1, 0), ranks.get(n, 0)

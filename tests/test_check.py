@@ -16,9 +16,9 @@ import pytest
 
 from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, certify, scalar_object
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
-from eigenchain.check import certificate_failure
+from eigenchain.check import MAX_RANK, certificate_failure
 from eigenchain.complexes import CHAIN, COCHAIN, ChainComplex, CheckReport, convert_convention
-from eigenchain.errors import ValidationError
+from eigenchain.errors import ParseError, ValidationError
 from eigenchain.formats import bundled_path, canonical_dumps, certificate_to_payload, load_complex, reverify_certificate
 from eigenchain.simplicial import simplicial_to_chain
 from conftest import circle_pair
@@ -242,6 +242,46 @@ def test_a_missing_alpha_block_must_be_zero_in_the_cone(genuine):
     ring, payload = genuine
     del payload["witness"]["alpha"]["blocks"][0]
     assert "alpha at degree" in certificate_failure(payload)
+
+
+def _one_degree_cone(rank: int) -> dict:
+    """A certificate of a few hundred bytes whose cone claims ``rank`` at one degree and holds no entry."""
+    return {
+        "verdict": "Eigenvalue",
+        "ring": "Z",
+        "convention": "cochain",
+        "witness": {
+            "alpha": {"ring": "Z", "blocks": [{"degree": 1}]},
+            "cone": {
+                "ring": "Z",
+                "convention": "cochain",
+                "degrees": [{"degree": 1, "rank": rank}],
+                "layout": [{"degree": 1, "lambda_rank": 0, "complement_rank": rank, "image_rank": 0}],
+            },
+            "homotopy": {"blocks": []},
+        },
+    }
+
+
+def test_a_cone_rank_above_the_cap_is_refused_before_anything_is_built():
+    # A cone degree holds lambda_{n+1} and F_n, each within a complex file's cap.
+    assert "d∘psi + psi∘d != -id" in certificate_failure(_one_degree_cone(2 * MAX_RANK))
+    for rank in (2 * MAX_RANK + 1, 10**12):
+        with pytest.raises(ParseError, match=f"^complex: rank {rank} at degree 1 exceeds the size cap of {2 * MAX_RANK}$"):
+            certificate_failure(_one_degree_cone(rank))
+
+
+@pytest.mark.parametrize("spelling", [True, 1.0], ids=["bool", "float"])
+def test_an_alpha_entry_that_is_no_string_or_integer_is_refused(spelling):
+    # With the cone written in JSON integers, a bool or float equal to 1 in alpha still is no entry.
+    payload = _payload(certify_homology_eigenvalue(_circle(ZZ)), CHAIN)
+    for item in payload["witness"]["cone"]["diffs"]:
+        item["entries"] = [[int(v) for v in row] for row in item["entries"]]
+    assert certificate_failure(payload) is None
+    for block in payload["witness"]["alpha"]["blocks"]:
+        block["entries"] = [[spelling if v == "1" else int(v) for v in row] for row in block["entries"]]
+    with pytest.raises(ParseError, match="'entries' must hold strings or JSON integers"):
+        certificate_failure(payload)
 
 
 def test_the_checker_never_multiplies_matrices(genuine, monkeypatch):

@@ -689,6 +689,11 @@ def _break_the_cone(cert):
             "homotopy blocks entry at degree 0: bad integer 'x'",
             id="bad-entry",
         ),
+        pytest.param(
+            lambda path: _edit(path.parent, path.name, _set(("witness", "cone", "degrees", 0, "rank"), 10**12)),
+            "complex: rank 1000000000000 at degree 0 exceeds the size cap of 8192",
+            id="huge-rank",
+        ),
     ],
 )
 def test_reverify_refuses_a_malformed_certificate_with_exit_2(workdir, capsys, prepare, message):
