@@ -17,8 +17,11 @@ the hypothesis check and the witness.  The canonical pair's check comes
 from its construction (every degree injective, no failure, eigenmap
 inverse I), so certify factors and solves nothing of alpha; a given
 pair's comes from :func:`~eigenchain.cones.check_hypotheses`, which also
-solves for the eigenmap inverse that the witness reads.  Either way
-:func:`~eigenchain.complexes.verify_homotopy` still checks the witness.
+solves for the eigenmap inverse that the witness reads.  Either way the
+witness is checked by :func:`~eigenchain.check.homotopy_failure`, the
+identity the certificate checker runs on a certificate's bytes: sparse
+integer rows that share no arithmetic with the ``Matrix.@`` that built
+the witness, so a defect there cannot also vouch for it.
 The verdict comes from ranks first: a rank mismatch or a non-injective
 eigenmap is read off the factorizations, and a degree of F is split only
 for the checks and the witness that need the split.  The cone is
@@ -33,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import ChainComplex, GradedMap, Homotopy, identity_map, verify_homotopy, zero_map
+from .check import homotopy_failure, integral_rows
+from .complexes import ChainComplex, GradedMap, Homotopy
 from .cones import (
     TORSION,
     ConeComplex,
@@ -103,9 +107,13 @@ def _decide(alpha: GradedMap, dec: Decomposition, check: HypothesisCheck) -> Eig
     cone = _assemble_cone(alpha, dec)
     z = cone.underlying
     witness = is_contractible(z)[1] if check.failures else construct_null_homotopy(cone, dec, check)
-    report = verify_homotopy(z, zero_map(z, z), identity_map(z), witness)
-    if not report.ok:
-        raise ValidationError(f"witness failed verification: {report.message}")
+    # The checker's sparse integer identity, not the `@` that built the witness.
+    d, e = integral_rows({n: (m.data, m.cols) for n, m in z.diffs.items()})
+    psi, f = integral_rows({n: (m.data, m.cols) for n, m in witness.blocks.items()})
+    p = z.ring.p if z.ring.needs_reduction else 0
+    n = homotopy_failure(z.ranks, d, psi, p, e * f)
+    if n is not None:
+        raise ValidationError(f"witness failed verification: homotopy identity fails at degree {n}")
     return _certificate(dec, EIGENVALUE, witness=witness, cone=cone, **base)
 
 

@@ -17,7 +17,11 @@ order; the first check that fails decides:
    says true at each of their degrees and at every degree it lists;
 5. ``homology`` lists those ranks as Betti numbers, with no torsion;
 6. the rows of each cone differential that land in lambda are zero;
-7. ``d∘psi + psi∘d = -id``, degree by degree.
+7. ``d∘psi + psi∘d = -id``, degree by degree, by :func:`homotopy_failure`.
+
+:mod:`~eigenchain.certify` checks every witness it builds with that same
+:func:`homotopy_failure`, on the rows :func:`integral_rows` reads off its
+matrices, so neither side trusts the ``Matrix.@`` that built the witness.
 
 Entries are compared by value: each distinct entry text is parsed once,
 so equal text costs one table lookup and a value written another way
@@ -36,7 +40,9 @@ so each rule for a field, and the message for breaking it, is stated once.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain, compress, repeat
+from math import lcm
 
 from .errors import ParseError, ValidationError
 from .rings import ring_from_tag
@@ -173,22 +179,64 @@ def _nonzero_rows(rows) -> dict:
     return {i: row for i, row in enumerate(rows) if row}
 
 
-def _sum_is_zero(terms: list, rows: int, diagonal: int, p: int) -> bool:
-    """Whether ``diagonal * id + sum(left @ right for left, right in terms)``, ``rows`` rows, is zero.
+def _sum_is_zero(terms: list, rows: int, cols: int, diagonal: int, p: int) -> bool:
+    """Whether ``diagonal * id + sum(left @ right for left, right in terms)``, ``rows`` x ``cols``, is zero.
 
     Each factor is a list of sparse rows; the sum is reduced mod ``p``
-    unless ``p`` is 0.  It is built one row at a time, and the first
-    nonzero row ends the check.
+    unless ``p`` is 0.  It is built one row at a time in a dense list,
+    which a dense witness fills faster than a dict, and the first nonzero
+    row ends the check.
     """
     for i in range(rows):
-        acc = {i: diagonal} if diagonal else {}
+        acc = [0] * cols
+        if diagonal:
+            acc[i] = diagonal
         for left, right in terms:
             for k, a in left[i].items():
                 for j, b in right[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-        if any(map(p.__rmod__, acc.values()) if p else acc.values()):
+                    acc[j] += a * b
+        if any(map(p.__rmod__, acc) if p else acc):
             return False
     return True
+
+
+def homotopy_failure(ranks: dict, d: dict, psi: dict, p: int, diagonal: int = 1) -> int | None:
+    """The first degree where ``d∘psi + psi∘d != -diagonal * id``, or ``None`` when it holds everywhere.
+
+    ``ranks`` maps each internal (cochain) degree to its rank; ``d[n]``
+    (the differential leaving ``n``) and ``psi[n]`` (the homotopy block
+    from ``n`` to ``n - 1``) are lists of sparse ``{column: value}`` rows,
+    a missing degree standing for zero.  Values are reduced mod ``p``
+    unless ``p`` is 0.  With ``d`` and ``psi`` scaled by ``e`` and ``f``
+    (see :func:`integral_rows`), a ``diagonal`` of ``e * f`` checks the
+    unscaled identity, since both of its sides scale by ``e * f``.
+    """
+    for n in sorted(ranks):
+        terms = [(d[n - 1], psi[n])] if n - 1 in d and n in psi else []
+        if n + 1 in psi and n in d:
+            terms.append((psi[n + 1], d[n]))
+        if not _sum_is_zero(terms, ranks[n], ranks[n], diagonal, p):
+            return n
+    return None
+
+
+def integral_rows(blocks: dict) -> tuple[dict, int]:
+    """``{degree: (data, cols)}`` tuple-row matrices as ``{degree: sparse rows}`` of ``int``, times one ``den``.
+
+    Returns the rows and ``den``, the lcm of every entry's denominator:
+    1, with nothing rescaled, unless some entry is a ``Fraction``.
+    """
+    den = 1
+    if Fraction in set(map(type, chain.from_iterable(chain.from_iterable(data for data, _ in blocks.values())))):
+        den = lcm(*(x.denominator for data, _ in blocks.values() for row in data for x in row if type(x) is Fraction))
+    out = {}
+    for n, (data, cols) in blocks.items():
+        at = range(cols)
+        if den == 1:  # an all-zero row, common in a cone, is skipped at C speed
+            out[n] = [dict(zip(compress(at, row), filter(None, row))) if any(row) else {} for row in data]
+        else:
+            out[n] = [{j: row[j].numerator * (den // row[j].denominator) for j in compress(at, row)} for row in data]
+    return out, den
 
 
 def certificate_failure(payload) -> str | None:
@@ -242,7 +290,7 @@ def certificate_failure(payload) -> str | None:
 
     d = _read_list(cone, "diffs", "from_degree", sign, "complex", diff)
     for n in sorted(d):
-        if n + 1 in d and not _sum_is_zero([(d[n + 1], d[n])], len(d[n + 1]), 0, p):
+        if n + 1 in d and not _sum_is_zero([(d[n + 1], d[n])], len(d[n + 1]), ranks.get(n, 0), 0, p):
             raise ValidationError(f"not a complex: d∘d != 0 leaving degree {sign * n}")
     homotopy = _object_field(witness, "homotopy", "certificate witness")
     shift = _int_field(homotopy, "degree_shift", "homotopy", default=-sign)
@@ -312,10 +360,5 @@ def certificate_failure(payload) -> str | None:
             return f"the cone differential leaving degree {sign * n} has a nonzero entry in a lambda row"
 
     # 7. d∘psi + psi∘d = -id, that is id + d∘psi + psi∘d = 0.
-    for n in sorted(ranks):
-        terms = [(d[n - 1], psi[n])] if n - 1 in d and n in psi else []
-        if n + 1 in psi and n in d:
-            terms.append((psi[n + 1], d[n]))
-        if not _sum_is_zero(terms, ranks[n], 1, p):
-            return f"d∘psi + psi∘d != -id at degree {sign * n}"
-    return None
+    n = homotopy_failure(ranks, d, psi, p)
+    return None if n is None else f"d∘psi + psi∘d != -id at degree {sign * n}"

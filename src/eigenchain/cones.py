@@ -4,8 +4,9 @@ The cone of a map ``alpha`` from a zero-differential complex into ``F``
 has degree-``n`` term ``lambda_{n+1} ⊕ F_n`` and the unsigned block
 differential ``(a, x) -> (0, alpha(a) + d(x))``.  Its null-homotopies are
 :class:`~eigenchain.complexes.Homotopy` objects, checked by
-:func:`~eigenchain.complexes.verify_homotopy`; :mod:`eigenchain.complexes`
-states their sign convention.
+:func:`~eigenchain.complexes.verify_homotopy` in the library and by
+:func:`~eigenchain.check.homotopy_failure` in :mod:`~eigenchain.certify`;
+:mod:`eigenchain.complexes` states their sign convention.
 
 Every stage here reads the one :class:`~eigenchain.decompose.Decomposition`
 of the target complex that its caller built: the cone's block layout
@@ -20,7 +21,7 @@ whether the cone contracts without analyzing the cone;
 the one place that solves for the eigenmap's inverse on cycles; the
 witness reads that solution.  The canonical pair's
 :class:`HypothesisCheck` comes from its construction instead, while
-:func:`verify_homotopy` still checks its witness.  Both witnesses share
+:mod:`~eigenchain.certify` still checks its witness.  Both witnesses share
 one contraction formula, :func:`_contraction_block`.
 """
 

@@ -8,18 +8,20 @@ equal value is no mutant: it must still be accepted.
 
 import copy
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, certify, scalar_object
+from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, certify, identity_map, scalar_object, verify_homotopy, zero_map
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
-from eigenchain.check import MAX_RANK, certificate_failure
-from eigenchain.complexes import CHAIN, COCHAIN, ChainComplex, CheckReport, convert_convention
+from eigenchain.check import MAX_RANK, certificate_failure, homotopy_failure, integral_rows
+from eigenchain.complexes import CHAIN, COCHAIN, ChainComplex, Homotopy, convert_convention
 from eigenchain.errors import ParseError, ValidationError
 from eigenchain.formats import bundled_path, canonical_dumps, certificate_to_payload, load_complex, reverify_certificate
+from eigenchain.randgen import alpha_variants, random_complex
 from eigenchain.simplicial import simplicial_to_chain
 from conftest import circle_pair
 from test_golden_digest import WIDE_Q, corpus, random_corpus
@@ -315,54 +317,65 @@ def test_a_line_trace_of_the_checker_enters_only_check_errors_and_rings(genuine)
     assert entered <= {"check.py", "errors.py", "rings.py"}, entered
 
 
-def test_a_product_that_drops_a_term_cannot_slip_a_certificate_past_the_checker(monkeypatch):
-    """Every product ``certify`` makes for the 7-vertex torus over Z, with one term dropped.
+def _dropping_one_term(product, calls: list, at: int):
+    """``product``, a ``Matrix.__matmul__``, with one term of its ``at``-th call dropped; ``calls`` counts calls."""
 
-    ``certify`` checks its own witness with the same ``@``, so a defect
-    in ``@`` could build a wrong witness and pass it.  One dropped term
-    does not fool that check, so it is switched off here, standing for a
-    defect that does; each faulty run then writes what it built.  The
-    checker must accept the genuine certificate only, and reject or
-    refuse every other.
+    def matmul(self, other):
+        out = product(self, other)
+        calls.append(None)
+        if len(calls) != at:
+            return out
+        term = next(
+            ((i, k, j) for i, row in enumerate(self.data) for k, x in enumerate(row) if x
+             for j, y in enumerate(other.data[k]) if y),
+            None,
+        )
+        if term is None:
+            return out
+        i, k, j = term
+        rows = [list(row) for row in out.data]
+        rows[i][j] = self.ring.reduce(rows[i][j] - self.data[i][k] * other.data[k][j])
+        return Matrix._raw(self.ring, out.rows, out.cols, tuple(map(tuple, rows)))
+
+    return matmul
+
+
+def _faulty_certify_runs(monkeypatch, f):
+    """Yield ``(at, data, error)`` for each product ``certify`` makes for ``f``, run again with that one term dropped.
+
+    ``data`` is the certificate written in chain convention, or ``None``
+    when the run raised ``error`` before writing.
     """
-    f = _torus(ZZ)
-    genuine = canonical_dumps(certificate_to_payload(certify_homology_eigenvalue(f), CHAIN))
-    monkeypatch.setattr(certify, "verify_homotopy", lambda *args: CheckReport(True))
     product = Matrix.__matmul__
     calls = []
-
-    def drop_one_term(at):
-        def matmul(self, other):
-            out = product(self, other)
-            calls.append(None)
-            if len(calls) != at:
-                return out
-            term = next(
-                ((i, k, j) for i, row in enumerate(self.data) for k, x in enumerate(row) if x
-                 for j, y in enumerate(other.data[k]) if y),
-                None,
-            )
-            if term is None:
-                return out
-            i, k, j = term
-            rows = [list(row) for row in out.data]
-            rows[i][j] = self.ring.reduce(rows[i][j] - self.data[i][k] * other.data[k][j])
-            return Matrix._raw(self.ring, out.rows, out.cols, tuple(map(tuple, rows)))
-
-        return matmul
-
-    outcomes = {"genuine": 0, "caught": 0}
     at = 0
     while True:
         at += 1
         calls.clear()
-        monkeypatch.setattr(Matrix, "__matmul__", drop_one_term(at))
+        monkeypatch.setattr(Matrix, "__matmul__", _dropping_one_term(product, calls, at))
+        data = error = None
         try:
             data = canonical_dumps(certificate_to_payload(certify_homology_eigenvalue(f), CHAIN))
-        except Exception:  # the faulty kernel refused, or broke, before writing
-            data = None
+        except Exception as exc:  # the faulty kernel refused, or broke, before writing
+            error = exc
         if len(calls) < at:  # no product left to corrupt
-            break
+            return
+        yield at, data, error
+
+
+def test_a_product_that_drops_a_term_cannot_slip_a_certificate_past_the_checker(monkeypatch):
+    """Every product ``certify`` makes for the 7-vertex torus over Z, with one term dropped.
+
+    ``certify`` checks its own witness before it writes one, so that
+    check is switched off here; each faulty run then writes what it
+    built.  The checker must accept the genuine certificate only, and
+    reject or refuse every other.
+    """
+    f = _torus(ZZ)
+    genuine = canonical_dumps(certificate_to_payload(certify_homology_eigenvalue(f), CHAIN))
+    monkeypatch.setattr(certify, "homotopy_failure", lambda *args: None)
+    outcomes = {"genuine": 0, "caught": 0}
+    for at, data, _ in _faulty_certify_runs(monkeypatch, f):
         if data is None:
             continue
         try:
@@ -376,3 +389,82 @@ def test_a_product_that_drops_a_term_cannot_slip_a_certificate_past_the_checker(
             assert failure is not None, f"product {at}"
             outcomes["caught"] += 1
     assert outcomes["caught"] > 10 and outcomes["genuine"] > 0, outcomes
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=str)
+def test_with_its_own_check_on_a_product_that_drops_a_term_never_makes_certify_write_a_wrong_certificate(
+    monkeypatch, ring
+):
+    """``certify``'s own check shares no arithmetic with ``@``, so a defect in ``@`` cannot vouch for a witness.
+
+    Each run with one term of one product dropped raises or writes the
+    genuine bytes; the self-check is what refuses some of them.
+    """
+    f = _torus(ring)
+    genuine = canonical_dumps(certificate_to_payload(certify_homology_eigenvalue(f), CHAIN))
+    refused = 0
+    for at, data, error in _faulty_certify_runs(monkeypatch, f):
+        assert data is None or data == genuine, f"product {at}"
+        refused += str(error).startswith("witness failed verification: homotopy identity fails at degree ")
+    assert refused > 0
+
+
+def test_integral_rows_scales_every_block_by_one_common_denominator():
+    blocks = {0: (((Fraction(1, 2), 0), (0, 3)), 2), 1: (((Fraction(-2, 3),),), 1)}
+    assert integral_rows(blocks) == ({0: [{0: 3}, {1: 18}], 1: [{0: -4}]}, 6)
+    assert integral_rows({0: (((0, 2), (0, 0)), 2)}) == ({0: [{1: 2}, {}]}, 1)
+
+
+# The corpora of the benchmark's random-q and random-z workloads, as
+# (ring, max_len, max_rank, count): the first ``count`` nonzero complexes
+# that ``random_complex`` draws from seed 1909, each with its alpha variants.
+BENCHMARK_CORPORA = {"random-q": (QQ, 5, 5, 64), "random-z": (ZZ, 2, 16, 56)}
+
+
+def _positive_certificates(ring, max_len, max_rank, count):
+    rng = random.Random(1909)
+    for i in range(count):
+        while not (f := random_complex(ring, rng, max_len=max_len, max_rank=max_rank)).total_dim():
+            pass
+        certs = [certify_homology_eigenvalue(f)]
+        certs += [decide_eigenvalue(f, lam, alpha) for _, lam, alpha in alpha_variants(f, random.Random(f"1909-{i}"))]
+        yield from (cert for cert in certs if cert.is_eigenvalue())
+
+
+def _self_check(z, psi):
+    """``certify``'s own check of ``psi`` on the complex ``z``: the first failing degree, or ``None``."""
+    d, e = integral_rows({n: (m.data, m.cols) for n, m in z.diffs.items()})
+    rows, f = integral_rows({n: (m.data, m.cols) for n, m in psi.blocks.items()})
+    return homotopy_failure(z.ranks, d, rows, z.ring.p if z.ring.needs_reduction else 0, e * f)
+
+
+def _one_entry_plus_one(z, psi):
+    """``psi`` with 1 added to its entry ``(i, 0)`` at degree ``n + 1``, where ``d_n`` is nonzero on basis vector ``i``.
+
+    ``d∘psi`` then moves at degree ``n + 1``, so the identity fails there
+    or before.
+    """
+    n, i = next((n, i) for n, m in sorted(z.diffs.items()) for i in range(m.cols) if any(row[i] for row in m.data))
+    block = psi.block(n + 1).grid()
+    block[i][0] = z.ring.reduce(block[i][0] + 1)
+    return Homotopy(z, {**psi.blocks, n + 1: Matrix(z.ring, block)})
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CORPORA))
+def test_certifys_self_check_agrees_with_verify_homotopy_on_the_benchmark_corpora(name):
+    ring = BENCHMARK_CORPORA[name][0]
+    checked = fractions = 0
+    for cert in _positive_certificates(*BENCHMARK_CORPORA[name]):
+        z, psi = cert.cone.underlying, cert.witness
+        assert _self_check(z, psi) is None
+        assert verify_homotopy(z, zero_map(z, z), identity_map(z), psi).ok
+        if not z.diffs:  # the zero complex: nothing to alter
+            continue
+        altered = _one_entry_plus_one(z, psi)
+        report = verify_homotopy(z, zero_map(z, z), identity_map(z), altered)
+        assert not report.ok
+        assert _self_check(z, altered) == report.degree
+        checked += 1
+        fractions += any(type(x) is Fraction for m in psi.blocks.values() for row in m.data for x in row)
+    assert checked > 100
+    assert (fractions > 0) == (ring == QQ)

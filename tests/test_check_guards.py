@@ -1,15 +1,21 @@
 """Each exact check refuses input outside its contract with a named error, not a wrong answer."""
 
 import re
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from eigenchain import (
+    GF,
     QQ,
     ZZ,
     ChainComplex,
     GradedMap,
     Matrix,
+    brute_homology_f2,
+    certify,
+    homotopy_system_solvable,
     identity_map,
     mapping_cone,
     scalar_object,
@@ -17,10 +23,22 @@ from eigenchain import (
     verify_homotopy,
     zero_map,
 )
-from eigenchain.certify import decide_eigenvalue
-from eigenchain.cones import Homotopy
-from eigenchain.errors import ConventionMismatch, NotInvertible, RingMismatch, ShapeMismatch, ValidationError
+from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
+from eigenchain.complexes import COCHAIN, convert_convention
+from eigenchain.cones import Homotopy, construct_null_homotopy
+from eigenchain.decompose import Decomposition
+from eigenchain.errors import (
+    ConventionMismatch,
+    NotAField,
+    NotInvertible,
+    ParseError,
+    RingMismatch,
+    ShapeMismatch,
+    TooLarge,
+    ValidationError,
+)
 from eigenchain.linalg import SubspaceBasis, det, intersect, inverse, solve_matrix, spans_equal
+from eigenchain.simplicial import simplicial_to_chain
 from conftest import circle_complex, circle_pair
 
 
@@ -99,6 +117,83 @@ def _spans_intersected_across_ambients():
     intersect(_whole_space(2), _whole_space(3))
 
 
+def _certify_with_one_witness_entry_moved(ring, delta):
+    """Certify the circle over ``ring`` with ``delta`` added to the first entry of the witness's lowest block."""
+    chain, _ = simplicial_to_chain(3, [[0, 1], [1, 2], [0, 2]], ring)
+
+    def moved(cone, dec, check):
+        psi = construct_null_homotopy(cone, dec, check)
+        n = min(psi.blocks)
+        rows = psi.blocks[n].grid()
+        rows[0][0] = ring.reduce(rows[0][0] + delta)
+        return Homotopy(psi.on, {**psi.blocks, n: Matrix(ring, rows)})
+
+    with mock.patch.object(certify, "construct_null_homotopy", moved):
+        certify_homology_eigenvalue(convert_convention(chain, COCHAIN))
+
+
+def _witness_moved_over_z():
+    _certify_with_one_witness_entry_moved(ZZ, 1)
+
+
+def _witness_with_a_fraction_over_q():
+    _certify_with_one_witness_entry_moved(QQ, Fraction(1, 2))
+
+
+def _witness_moved_over_f3():
+    _certify_with_one_witness_entry_moved(GF(3), 1)
+
+
+def _float_into_q():
+    Matrix(QQ, [[1.5]])
+
+
+def _float_into_f3():
+    Matrix(GF(3), [[1.5]])
+
+
+def _half_into_f3():
+    Matrix(GF(3), [[Fraction(1, 2)]])
+
+
+def _float_into_z():
+    Matrix(ZZ, [[1.5]])
+
+
+def _chain_over_f2():
+    return ChainComplex(GF(2), "chain", {0: 1})
+
+
+def _brute_homology_of_a_chain_complex():
+    brute_homology_f2(_chain_over_f2())
+
+
+def _homotopy_oracle_on_a_chain_complex():
+    x = _chain_over_f2()
+    homotopy_system_solvable(x, zero_map(x, x), identity_map(x))
+
+
+def _homotopy_oracle_with_a_shifted_map():
+    x = circle_complex()
+    homotopy_system_solvable(x, GradedMap(x, x, 1, {}), identity_map(x))
+
+
+def _brute_homology_over_q():
+    brute_homology_f2(ChainComplex(QQ, COCHAIN, {0: 1}))
+
+
+def _brute_homology_past_its_budget():
+    brute_homology_f2(ChainComplex(GF(2), COCHAIN, {0: 13}))
+
+
+def _decomposition_of_a_chain_complex():
+    Decomposition(ChainComplex(ZZ, "chain", {0: 1}))
+
+
+def _decomposition_off_the_support():
+    Decomposition(circle_complex())[5]
+
+
 GUARDS = [
     (_psi_on_another_complex, ValidationError, "homotopy is attached to a different complex"),
     (_shifted_endomorphism, ValidationError, "verify_homotopy compares degree-0 endomorphisms"),
@@ -115,6 +210,21 @@ GUARDS = [
     (_solve_with_a_short_right_hand_side, ShapeMismatch, "rhs 2x1 against 3x3"),
     (_spans_compared_across_ambients, ShapeMismatch, "ambient dimensions differ"),
     (_spans_intersected_across_ambients, ShapeMismatch, "ambient dimensions differ"),
+    (_witness_moved_over_z, ValidationError, "witness failed verification: homotopy identity fails at degree -1"),
+    (_witness_with_a_fraction_over_q, ValidationError, "witness failed verification: homotopy identity fails at degree -1"),
+    (_witness_moved_over_f3, ValidationError, "witness failed verification: homotopy identity fails at degree -1"),
+    (_float_into_q, ParseError, "cannot coerce 1.5 into Q"),
+    (_float_into_f3, ParseError, "cannot coerce 1.5 into F_3"),
+    (_half_into_f3, ParseError, "cannot coerce non-integer 1/2 into F_3"),
+    (_float_into_z, ParseError, "cannot coerce 1.5 into Z"),
+    (_brute_homology_of_a_chain_complex, ConventionMismatch, "oracle expects the cochain presentation"),
+    (_homotopy_oracle_on_a_chain_complex, ConventionMismatch, "oracle expects the cochain presentation"),
+    (_homotopy_oracle_with_a_shifted_map, ValidationError, "oracle compares degree-0 endomorphisms"),
+    (_brute_homology_over_q, NotAField, "enumeration oracle works over F2 only"),
+    (_brute_homology_past_its_budget, TooLarge, "total dimension 13 exceeds the enumeration budget 12"),
+    (_decomposition_of_a_chain_complex, ConventionMismatch, "core operations expect the cochain presentation; convert first"),
+    # A KeyError's text is the repr of its argument.
+    (_decomposition_off_the_support, KeyError, "'no decomposition at degree 5'"),
 ]
 
 
