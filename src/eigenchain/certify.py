@@ -97,6 +97,17 @@ def _certificate(dec: Decomposition, verdict: str, **fields) -> EigenCertificate
     )
 
 
+def _witness_failure(z: ChainComplex, witness: Homotopy) -> Optional[int]:
+    """The first degree where ``witness`` is not a null-homotopy of ``z``, or ``None``.
+
+    Checked by the certificate checker's sparse integer identity, not by
+    the ``@`` that built the witness.
+    """
+    d, e = integral_rows({n: (m.data, m.cols) for n, m in z.diffs.items()})
+    psi, f = integral_rows({n: (m.data, m.cols) for n, m in witness.blocks.items()})
+    return homotopy_failure(z.ranks, d, psi, z.ring.p if z.ring.needs_reduction else 0, e * f)
+
+
 def _decide(alpha: GradedMap, dec: Decomposition, check: HypothesisCheck) -> EigenCertificate:
     base = dict(lambda_ranks=dict(alpha.source.ranks), alpha_injective=check.injective)
     # Hypotheses are stated relative to our complement choice; the verdict
@@ -107,11 +118,7 @@ def _decide(alpha: GradedMap, dec: Decomposition, check: HypothesisCheck) -> Eig
     cone = _assemble_cone(alpha, dec)
     z = cone.underlying
     witness = is_contractible(z)[1] if check.failures else construct_null_homotopy(cone, dec, check)
-    # The checker's sparse integer identity, not the `@` that built the witness.
-    d, e = integral_rows({n: (m.data, m.cols) for n, m in z.diffs.items()})
-    psi, f = integral_rows({n: (m.data, m.cols) for n, m in witness.blocks.items()})
-    p = z.ring.p if z.ring.needs_reduction else 0
-    n = homotopy_failure(z.ranks, d, psi, p, e * f)
+    n = _witness_failure(z, witness)
     if n is not None:
         raise ValidationError(f"witness failed verification: homotopy identity fails at degree {n}")
     return _certificate(dec, EIGENVALUE, witness=witness, cone=cone, **base)

@@ -17,7 +17,7 @@ import pytest
 
 from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, certify, identity_map, scalar_object, verify_homotopy, zero_map
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
-from eigenchain.check import MAX_RANK, certificate_failure, homotopy_failure, integral_rows
+from eigenchain.check import MAX_RANK, certificate_failure, integral_rows
 from eigenchain.complexes import CHAIN, COCHAIN, ChainComplex, Homotopy, convert_convention
 from eigenchain.errors import ParseError, ValidationError
 from eigenchain.formats import bundled_path, canonical_dumps, certificate_to_payload, load_complex, reverify_certificate
@@ -431,13 +431,6 @@ def _positive_certificates(ring, max_len, max_rank, count):
         yield from (cert for cert in certs if cert.is_eigenvalue())
 
 
-def _self_check(z, psi):
-    """``certify``'s own check of ``psi`` on the complex ``z``: the first failing degree, or ``None``."""
-    d, e = integral_rows({n: (m.data, m.cols) for n, m in z.diffs.items()})
-    rows, f = integral_rows({n: (m.data, m.cols) for n, m in psi.blocks.items()})
-    return homotopy_failure(z.ranks, d, rows, z.ring.p if z.ring.needs_reduction else 0, e * f)
-
-
 def _one_entry_plus_one(z, psi):
     """``psi`` with 1 added to its entry ``(i, 0)`` at degree ``n + 1``, where ``d_n`` is nonzero on basis vector ``i``.
 
@@ -456,14 +449,14 @@ def test_certifys_self_check_agrees_with_verify_homotopy_on_the_benchmark_corpor
     checked = fractions = 0
     for cert in _positive_certificates(*BENCHMARK_CORPORA[name]):
         z, psi = cert.cone.underlying, cert.witness
-        assert _self_check(z, psi) is None
+        assert certify._witness_failure(z, psi) is None
         assert verify_homotopy(z, zero_map(z, z), identity_map(z), psi).ok
         if not z.diffs:  # the zero complex: nothing to alter
             continue
         altered = _one_entry_plus_one(z, psi)
         report = verify_homotopy(z, zero_map(z, z), identity_map(z), altered)
         assert not report.ok
-        assert _self_check(z, altered) == report.degree
+        assert certify._witness_failure(z, altered) == report.degree
         checked += 1
         fractions += any(type(x) is Fraction for m in psi.blocks.values() for row in m.data for x in row)
     assert checked > 100
