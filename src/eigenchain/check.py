@@ -57,13 +57,31 @@ from .rings import ring_from_tag
 MAX_RANK = 4096
 
 
-def _sign(convention) -> int:
-    """A convention's differential step, which also turns a file degree into its internal (cochain) degree."""
+def convention_sign(convention) -> int:
+    """+1 for cochain, -1 for chain: the differential's step, which also turns a file degree into an internal one."""
     if convention == "cochain":
         return 1
     if convention == "chain":
         return -1
     raise ParseError(f"bad convention {convention!r}")
+
+
+def read_header(payload: dict, what: str, convention=None) -> tuple:
+    """``payload``'s ring, convention (``convention`` if absent) and sign; a bad ring or convention names ``what``."""
+    try:
+        ring = ring_from_tag(payload.get("ring"))
+        convention = payload.get("convention", convention)
+        return ring, convention, convention_sign(convention)
+    except ParseError as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def check_homotopy_shift(payload: dict, convention: str) -> None:
+    """Refuse a homotopy whose ``degree_shift`` is not its own, -1 internally; absent means its own."""
+    own = -convention_sign(convention)  # -1 internally is +1 in a chain file
+    shift = _int_field(payload, "degree_shift", "homotopy", default=own)
+    if shift != own:
+        raise ParseError(f"homotopy: 'degree_shift' must be {own} in {convention} convention, got {shift}")
 
 
 def _int_field(item, key: str, what: str, default=None) -> int:
@@ -76,10 +94,7 @@ def _int_field(item, key: str, what: str, default=None) -> int:
         if default is None:
             raise ParseError(f"{what}: missing {key!r}")
         return default
-    value = item[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what}: {key!r} must be a JSON integer, got {value!r}")
-    return value
+    raise ParseError(f"{what}: {key!r} must be a JSON integer, got {item[key]!r}")
 
 
 def _list_field(payload: dict, key: str, what: str):
@@ -263,23 +278,23 @@ def certificate_failure(payload) -> str | None:
             raise ParseError(f"certificate: {key!r} is missing")
 
     # 1. The header.
-    ring = ring_from_tag(payload["ring"])
-    convention = payload["convention"]
-    sign = _sign(convention)
+    ring, convention, sign = read_header(payload, "certificate")
     p = payload["ring"]["Fp"] if isinstance(payload["ring"], dict) else 0  # values reduce mod p; 0: no reduction
     alpha = _object_field(witness, "alpha", "certificate witness")
-    if ring_from_tag(alpha.get("ring")) != ring:
+    alpha_ring, alpha_convention, _ = read_header(alpha, "certificate witness alpha", convention)
+    if alpha_ring != ring:
         return "alpha's ring differs from the certificate's"
-    if alpha.get("convention", convention) != convention:
+    if alpha_convention != convention:
         return "alpha's convention differs from the certificate's"
     if _int_field(alpha, "degree_shift", "alpha", default=0) != 0:
         return "alpha's degree_shift is not 0"
 
     # 2. Shapes, and d∘d = 0 on the cone.
     cone = _object_field(witness, "cone", "certificate witness")
-    if ring_from_tag(cone.get("ring")) != ring:
+    cone_ring, _, cone_sign = read_header(cone, "certificate witness cone")
+    if cone_ring != ring:
         raise ValidationError("certificate witness: the cone's ring differs from the certificate's")
-    if _sign(cone.get("convention")) != sign:
+    if cone_sign != sign:
         raise ValidationError("certificate witness: the cone's convention differs from the certificate's")
 
     ranks = _ranks(cone, sign, 2 * MAX_RANK)
@@ -293,9 +308,7 @@ def certificate_failure(payload) -> str | None:
         if n + 1 in d and not _sum_is_zero([(d[n + 1], d[n])], len(d[n + 1]), ranks.get(n, 0), 0, p):
             raise ValidationError(f"not a complex: d∘d != 0 leaving degree {sign * n}")
     homotopy = _object_field(witness, "homotopy", "certificate witness")
-    shift = _int_field(homotopy, "degree_shift", "homotopy", default=-sign)
-    if shift != -sign:
-        raise ParseError(f"homotopy: 'degree_shift' must be {-sign} in {convention} convention, got {shift}")
+    check_homotopy_shift(homotopy, convention)
 
     def block(item, n, where):
         return _sparse(ring, item.get("entries"), ranks.get(n - 1, 0), ranks.get(n, 0), where, known)

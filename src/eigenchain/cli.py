@@ -229,8 +229,8 @@ def _cmd_proptest(args) -> int:
                 print(f"[trial {trial}] homology oracle disagreement: {main} vs {brute}")
         for tag, lam, alpha in alpha_variants(f, rng):
             _require_cone_input(alpha)  # checks alpha, once for the oracle and the verdict
-            cone = _assemble_cone(alpha, dec)  # laid out from the analysis of F held above
             cert = _decide(alpha, dec, check_hypotheses(alpha, dec))
+            cone = cert.cone or _assemble_cone(alpha, dec)  # a negative verdict builds none; laid out from F's analysis
             certified += 1
             # certify takes the canonical pair's check from its construction; decide re-derives it.
             if tag == "canonical" and _rendered(certify_homology_eigenvalue(f)) != _rendered(cert):

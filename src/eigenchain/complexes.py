@@ -21,22 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .check import MAX_RANK  # the readers' size cap, kept where the checker reads it
+from .check import MAX_RANK, convention_sign  # the readers' size cap and sign, kept where the checker reads them
 from .errors import ConventionMismatch, RingMismatch, ValidationError
 from .matrix import Matrix, hstack, vstack
 from .rings import Ring
 
 COCHAIN = "cochain"
 CHAIN = "chain"
-
-
-def convention_sign(convention: str) -> int:
-    """The differential's step in ``convention``: +1 for cochain, -1 for chain.
-
-    The same sign turns a degree written in ``convention`` into its
-    internal cochain degree and back.
-    """
-    return -1 if convention == CHAIN else 1
 
 
 def _nonzero_blocks(blocks: dict, source: ChainComplex, target: ChainComplex, shift: int, what: str) -> dict:
@@ -258,9 +249,7 @@ def scalar_object(ring: Ring, ranks: dict[int, int]) -> ChainComplex:
 
 
 def convert_convention(x: ChainComplex, to: str) -> ChainComplex:
-    """Convert between chain and cochain presentations by negating degrees."""
-    if to not in (COCHAIN, CHAIN):
-        raise ConventionMismatch(f"unknown convention {to!r}")
+    """Convert between chain and cochain presentations by negating degrees; :class:`ChainComplex` checks ``to``."""
     if x.convention == to:
         return x
     ranks = {-n: r for n, r in x.ranks.items()}

@@ -5,7 +5,8 @@ one; serialization is canonical (sorted keys, two-space indent, degree
 lists in ascending file degree), and every format round-trips losslessly.
 Files carry their own convention; chain-style data is converted to the
 internal cochain indexing by negating degrees on read and converted back
-on write, with the one sign :func:`~eigenchain.complexes.convention_sign`.
+on write, with the one sign :func:`~eigenchain.check.convention_sign`, which
+refuses any other convention in a writer as in a reader.
 Every degree-keyed list (``degrees``, ``diffs``, ``blocks``, and a
 certificate's ranks, homology, flags and layout) is written by
 :func:`_write_list`; those read back go through :func:`_read_list`,
@@ -22,17 +23,9 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .complexes import (
-    CHAIN,
-    COCHAIN,
-    ChainComplex,
-    GradedMap,
-    Homotopy,
-    convention_sign,
-    convert_convention,
-    validate_complex,
-)
-from .check import MAX_RANK, _entry_values, _int_field, _list_field, _ranks, _read_list, _sign, certificate_failure
+from .complexes import CHAIN, COCHAIN, ChainComplex, GradedMap, Homotopy, convert_convention, validate_complex
+from .check import MAX_RANK, _entry_values, _int_field, _list_field, _ranks, _read_list, certificate_failure
+from .check import check_homotopy_shift, convention_sign, read_header
 from .errors import ParseError, ValidationError
 from .matrix import Matrix
 from .rings import ZZ, Ring, ring_from_tag
@@ -163,21 +156,20 @@ def _entries(m: Matrix) -> dict:
     return {"entries": m.render_rows()}
 
 
-def _read_header(payload: dict, on: ComplexDoc, what: str, shift: int = 0) -> tuple[Ring, int, int]:
-    """Ring, sign and internal shift (``shift`` if absent) of a map or homotopy file read against ``on``'s complex."""
-    ring = ring_from_tag(payload.get("ring"))
+def _read_header(payload: dict, on: ComplexDoc, what: str) -> tuple[Ring, int]:
+    """Ring and sign of a map or homotopy file read against ``on``'s complex; an absent convention is ``on``'s."""
+    ring, convention, sign = read_header(payload, what, on.convention)
     if ring != on.complex.ring:
         raise ValidationError(f"{what} ring differs from the complex ring")
-    if payload.get("convention", on.convention) != on.convention:
+    if convention != on.convention:
         raise ValidationError(f"{what} convention differs from the complex convention")
-    sign = convention_sign(on.convention)
-    return ring, sign, sign * _int_field(payload, "degree_shift", what, default=sign * shift)
+    return ring, sign
 
 
 def complex_from_payload(payload: dict) -> ComplexDoc:
     ring = ring_from_tag(payload.get("ring"))
     convention = payload.get("convention")
-    sign = _sign(convention)
+    sign = convention_sign(convention)
     ranks = _ranks(payload, sign, MAX_RANK)  # ChainComplex drops the zeros
 
     def shape(n):  # internal cochain: the differential leaving n lands in n + 1
@@ -203,7 +195,8 @@ def complex_to_payload(doc: ComplexDoc) -> dict:
 
 
 def graded_map_from_payload(payload: dict, source: ComplexDoc, target: ComplexDoc) -> GradedMap:
-    ring, sign, shift = _read_header(payload, source, "graded map")
+    ring, sign = _read_header(payload, source, "graded map")
+    shift = sign * _int_field(payload, "degree_shift", "graded map", default=0)
 
     def shape(n):
         return target.complex.rank(n + shift), source.complex.rank(n)
@@ -223,10 +216,8 @@ def graded_map_to_payload(gm: GradedMap, convention: str) -> dict:
 
 
 def homotopy_from_payload(payload: dict, on: ComplexDoc) -> Homotopy:
-    # Absent means the homotopy's own shift: -1 internally, +1 in chain files.
-    ring, sign, shift = _read_header(payload, on, "homotopy", shift=-1)
-    if shift != -1:
-        raise ParseError(f"homotopy: 'degree_shift' must be {-sign} in {on.convention} convention, got {sign * shift}")
+    ring, sign = _read_header(payload, on, "homotopy")
+    check_homotopy_shift(payload, on.convention)
 
     def shape(n):
         return on.complex.rank(n - 1), on.complex.rank(n)

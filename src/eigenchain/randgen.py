@@ -69,10 +69,11 @@ def random_complex(
     return ChainComplex(ring, COCHAIN, ranks, diffs)
 
 
-def _random_cycle(f: ChainComplex, n: int, rng: random.Random) -> Matrix:
+def _random_cycles(f: ChainComplex, n: int, count: int, rng: random.Random) -> Matrix:
+    """``count`` random combinations of one kernel basis of ``f.diff(n)``, as columns, drawn column by column."""
     ker = kernel_basis(f.diff(n))
-    mix = Matrix(f.ring, [[_random_entry(f.ring, rng)] for _ in range(ker.dim)])
-    return ker.vectors @ mix
+    mix = Matrix(f.ring, [[_random_entry(f.ring, rng) for _ in range(ker.dim)] for _ in range(count)])
+    return ker.vectors @ mix.transpose()
 
 
 def alpha_variants(f: ChainComplex, rng: random.Random):
@@ -121,5 +122,5 @@ def alpha_variants(f: ChainComplex, rng: random.Random):
         yield perturbed("boundary_shifted", hstack([m.col(0) + boundary] + rest))
 
     # Random cycle-valued map with canonical ranks.
-    blocks = {n: hstack([_random_cycle(f, n, rng) for _ in range(lam.rank(n))]) for n in lam.degrees()}
+    blocks = {n: _random_cycles(f, n, lam.rank(n), rng) for n in lam.degrees()}
     yield "random_cycles", lam, GradedMap(lam, f, 0, blocks)

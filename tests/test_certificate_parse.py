@@ -66,3 +66,21 @@ def test_homotopy_that_is_a_list(payload):
 def test_payload_that_is_not_an_object(document):
     with pytest.raises(ParseError, match="^certificate: expected a JSON object$"):
         reverify_certificate(document)
+
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda p: p.update(ring="X"), "certificate: unknown ring tag 'X'"),
+        (lambda p: p.update(convention="Chain"), "certificate: bad convention 'Chain'"),
+        (lambda p: p["witness"]["alpha"].pop("ring"), "certificate witness alpha: unknown ring tag None"),
+        (lambda p: p["witness"]["cone"].pop("convention"), "certificate witness cone: bad convention None"),
+    ],
+    ids=["certificate-ring", "certificate-convention", "alpha-ring", "cone-convention"],
+)
+def test_a_missing_or_unknown_ring_or_convention_names_its_owner(payload, change, message):
+    change(payload)
+    with pytest.raises(ParseError) as caught:
+        reverify_certificate(payload)
+    assert str(caught.value) == message

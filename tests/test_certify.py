@@ -5,6 +5,8 @@ import random
 import weakref
 from collections import Counter
 
+import pytest
+
 from eigenchain import (
     GF,
     QQ,
@@ -27,6 +29,7 @@ from eigenchain import (
 )
 from eigenchain.cones import Homotopy
 from eigenchain.decompose import Decomposition, DegreeDecomposition
+from eigenchain.errors import LayoutMismatch
 from eigenchain.oracle import homotopy_system_solvable
 from eigenchain.randgen import alpha_variants, random_complex
 from test_elimination_count import skeleton
@@ -253,6 +256,12 @@ class TestBlockAnalysis:
         # Degree 0 of the cone carries the image block of the boundary.
         assert not analysis.by_degree[0].right_inverse_ok
         assert not analysis.all_equations_hold()
+
+    def test_a_homotopy_on_another_complex_is_refused(self, circle_with_pair):
+        f, lam, alpha = circle_with_pair
+        with pytest.raises(LayoutMismatch) as caught:
+            analyze_homotopy_blocks(mapping_cone(alpha), Homotopy(f, {}), decompose(f))
+        assert (caught.type, str(caught.value)) == (LayoutMismatch, "homotopy is not attached to this cone")
 
     def test_random_contraction_witnesses_satisfy_the_conclusions(self):
         rng = random.Random(808)

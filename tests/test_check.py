@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, certify, identity_map, scalar_object, verify_homotopy, zero_map
+from eigenchain import GF, QQ, ZZ, GradedMap, Matrix, certify, cli, identity_map, scalar_object, verify_homotopy, zero_map
 from eigenchain.certify import certify_homology_eigenvalue, decide_eigenvalue
 from eigenchain.check import MAX_RANK, certificate_failure, integral_rows
 from eigenchain.complexes import CHAIN, COCHAIN, ChainComplex, Homotopy, convert_convention
@@ -167,6 +167,54 @@ def test_each_claimed_field_is_bound(genuine, mutate, reason):
     mutate(ring, mutant)
     assert reason in certificate_failure(mutant)
     assert reverify_certificate(mutant) is False
+
+
+def _drop_last_alpha_row(cert):
+    block = next(b for b in cert["witness"]["alpha"]["blocks"] if b["degree"] == 0)
+    del block["entries"][-1]
+
+
+# Mutants of the bundled circle's chain certificate, one per checker
+# outcome that the mutants above never reach, with the exit code of
+# ``eigenchain reverify`` and the line it prints.
+CIRCLE_MUTANTS = [
+    (
+        lambda cert: cert["witness"]["alpha"].update(convention="cochain"),
+        1,
+        "rejected: alpha's convention differs from the certificate's",
+    ),
+    (
+        lambda cert: cert["witness"]["cone"].update(ring="Q"),
+        2,
+        "error: certificate witness: the cone's ring differs from the certificate's",
+    ),
+    (
+        lambda cert: cert["witness"]["cone"].update(convention="cochain"),
+        2,
+        "error: certificate witness: the cone's convention differs from the certificate's",
+    ),
+    (
+        lambda cert: cert["witness"]["homotopy"].update(degree_shift=-1),
+        2,
+        "error: homotopy: 'degree_shift' must be 1 in chain convention, got -1",
+    ),
+    (_drop_last_alpha_row, 1, "rejected: alpha at degree 0 differs from the cone's alpha block"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, code, message",
+    CIRCLE_MUTANTS,
+    ids=["alpha-convention", "cone-ring", "cone-convention", "homotopy-shift", "alpha-row-dropped"],
+)
+def test_reverify_exits_with_the_code_of_each_circle_mutant(tmp_path, capsys, mutate, code, message):
+    payload = _payload(certify_homology_eigenvalue(load_complex(bundled_path("s1_complex.json")).complex), CHAIN)
+    mutate(payload)
+    path = tmp_path / "mutant.cert.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["reverify", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 1 else err) == message + "\n"
 
 
 def test_an_f_block_entry_makes_the_cone_no_complex(genuine):

@@ -19,7 +19,7 @@ from eigenchain import (
     validate_chain_map,
     validate_complex,
 )
-from eigenchain.errors import ValidationError
+from eigenchain.errors import ConventionMismatch, ValidationError
 from eigenchain.randgen import random_complex
 
 
@@ -181,3 +181,18 @@ def test_a_broken_square_reports_where_it_fails(products):
     report = validate_chain_map(GradedMap(x, y, 0, {1: Matrix.identity(GF(3), 2)}))
     assert (report.ok, report.degree, report.entry) == (False, 0, (1, 0))
     assert report.message == "square at degree 0 fails at entry (1, 0)"
+
+
+def test_a_complex_refuses_an_unknown_convention_and_a_negative_rank(circle):
+    for build, error, message in (
+        (lambda: ChainComplex(ZZ, "Chain", {0: 1}), ConventionMismatch, "unknown convention 'Chain'"),
+        (lambda: convert_convention(circle, "Chain"), ConventionMismatch, "unknown convention 'Chain'"),
+        (lambda: ChainComplex(ZZ, "cochain", {0: -1}), ValidationError, "negative rank -1 at degree 0"),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert (caught.type, str(caught.value)) == (error, message)
+
+
+def test_converting_to_its_own_convention_returns_the_complex_itself(circle):
+    assert convert_convention(circle, circle.convention) is circle

@@ -21,9 +21,13 @@ from eigenchain import (
     solve_matrix,
     validate_chain_map,
 )
-from eigenchain.errors import NotSaturated, TorsionHomology
+from eigenchain.complexes import COCHAIN, convert_convention
+from eigenchain.decompose import Decomposition
+from eigenchain.errors import NotSaturated, TorsionHomology, ValidationError
 from eigenchain.oracle import brute_homology_f2
 from eigenchain.randgen import random_complex
+from eigenchain.simplicial import simplicial_to_chain
+from test_golden_analysis import RP2
 
 F2 = GF(2)
 
@@ -177,3 +181,36 @@ class TestCanonicalAlpha:
                     cycles = dec[n].cycles_in_ambient
                     basis = SubspaceBasis(f.rank(n), cycles)
                     assert solve_matrix(basis.vectors, alpha.block(n)) is not None
+
+
+def _rp2_over_z():
+    """RP² over Z and its torsion degree, that of H_1 = Z/2."""
+    chain, _ = simplicial_to_chain(6, RP2, ZZ)
+    dec = Decomposition(convert_convention(chain, COCHAIN))
+    return dec, next(n for n in dec if dec.torsion(n))
+
+
+def _refused(error, message, call):
+    with pytest.raises(error) as caught:
+        call()
+    assert (caught.type, str(caught.value)) == (error, message)
+
+
+def test_a_torsion_degree_has_no_split():
+    dec, n = _rp2_over_z()
+    _refused(NotSaturated, f"submodule not saturated at degree {n}: invariant factors [2]", lambda: dec.at(n))
+
+
+def test_homology_refuses_an_image_outside_the_kernel(monkeypatch):
+    # The whole module stands in for the image at the torsion degree, where the kernel is smaller.
+    dec, n = _rp2_over_z()
+    image, r = dec.image, dec.ranks[n]
+    monkeypatch.setattr(dec, "image", lambda m: SubspaceBasis(r, Matrix.identity(ZZ, r)) if m == n else image(m))
+    _refused(ValidationError, f"image at degree {n} is not contained in the kernel", dec.homology)
+
+
+def test_homology_refuses_a_representative_count_other_than_the_rank(monkeypatch, circle):
+    dec = Decomposition(circle)
+    betti = dec.betti
+    monkeypatch.setattr(dec, "betti", lambda n: betti(n) + 1)
+    _refused(ValidationError, "representative count 1 != rank 2 at degree -1", dec.homology)

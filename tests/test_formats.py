@@ -20,6 +20,7 @@ from eigenchain.formats import (
     certificate_to_payload,
     complex_from_payload,
     complex_to_payload,
+    cone_to_payload,
     graded_map_from_payload,
     graded_map_to_payload,
     homotopy_from_payload,
@@ -355,3 +356,36 @@ class TestDetection:
             p.write_text(canonical_dumps(payload))
             kind, _ = load_document(p)
             assert kind == expected
+
+
+def _bundled(name) -> dict:
+    return json.loads(bundled_path(name).read_text(encoding="utf-8"))
+
+
+def test_a_graded_map_file_without_a_ring_names_itself():
+    payload = _bundled("s1_alpha.json")
+    del payload["ring"]
+    lam, f = load_complex(bundled_path("s1_lambda.json")), load_complex(bundled_path("s1_complex.json"))
+    with pytest.raises(ParseError, match="^graded map: unknown ring tag None$"):
+        graded_map_from_payload(payload, lam, f)
+
+
+def test_a_homotopy_file_with_an_unknown_convention_names_itself():
+    payload = {**_bundled("s1_psi.json"), "convention": "Chain"}
+    with pytest.raises(ParseError, match="^homotopy: bad convention 'Chain'$"):
+        homotopy_from_payload(payload, load_complex(bundled_path("s1_complex.json")))
+
+
+def test_every_writer_refuses_a_convention_its_reader_refuses(circle_with_pair):
+    f, lam, alpha = circle_with_pair
+    cert = decide_eigenvalue(f, lam, alpha)
+    writers = [
+        lambda c: complex_to_payload(ComplexDoc(f, c)),
+        lambda c: graded_map_to_payload(alpha, c),
+        lambda c: homotopy_to_payload(cert.witness, c),
+        lambda c: cone_to_payload(cert.cone, c),
+        lambda c: certificate_to_payload(cert, c),
+    ]
+    for write in writers:
+        with pytest.raises(ParseError, match="^bad convention 'Chain'$"):
+            write("Chain")

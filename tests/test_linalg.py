@@ -26,7 +26,7 @@ from eigenchain import (
     solve_matrix,
     spans_equal,
 )
-from eigenchain.errors import NotAField, NotIntegerRing, NotInvertible, NotSaturated
+from eigenchain.errors import NotAField, NotIntegerRing, NotInvertible, NotSaturated, ShapeMismatch
 
 from conftest import triangle_boundary
 
@@ -290,3 +290,9 @@ class TestSpans:
         a = SubspaceBasis(1, Matrix(ZZ, [[1]]))
         b = SubspaceBasis(1, Matrix(ZZ, [[2]]))
         assert not spans_equal(a, b)
+
+
+def test_a_basis_of_another_ambient_dimension_is_refused():
+    with pytest.raises(ShapeMismatch) as caught:
+        SubspaceBasis(3, Matrix.zeros(ZZ, 2, 1))
+    assert (caught.type, str(caught.value)) == (ShapeMismatch, "basis vectors do not live in the ambient module")

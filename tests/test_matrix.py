@@ -168,3 +168,28 @@ def test_every_operation_returns_tuple_rows(ring, op):
     for m in TUPLE_ROW_OPS[op](a, b):
         m = m.vectors if isinstance(m, linalg.SubspaceBasis) else m
         assert _has_tuple_rows(m)
+
+
+def test_an_empty_row_list_is_the_zero_by_zero_matrix():
+    m = Matrix(ZZ, [])
+    assert (m.rows, m.cols, m.data) == (0, 0, ())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Matrix(ZZ, [[1, 2]], cols=3), "declared 3 columns, rows have 2"),
+        (lambda: Matrix(ZZ, [[1, 2]]).placed(3, [0, 2]), "1 rows placed at 2 positions"),
+    ],
+    ids=["declared-columns", "placed-positions"],
+)
+def test_a_shape_that_does_not_fit_is_refused(build, message):
+    with pytest.raises(ShapeMismatch) as caught:
+        build()
+    assert (caught.type, str(caught.value)) == (ShapeMismatch, message)
+
+
+def test_a_matrix_compares_unequal_to_a_number_and_shows_its_entries():
+    m = Matrix(QQ, [["1/2", 0]])
+    assert m.__eq__(3) is NotImplemented and m != 3
+    assert repr(m) == "Matrix(Q, 1x2, [['1/2', '0']])"
