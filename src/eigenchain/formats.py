@@ -59,50 +59,87 @@ def canonical_dumps(payload) -> str:
     return "".join(out)
 
 
+# The writer of each value written inline, by exact type: C functions, so a
+# matrix entry costs no Python call.  Subclasses reach _write_json's isinstance
+# branches, which write them as json does.
+_INLINE = {
+    str: _json_string,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _write_json(value, newline: str, out: list):
     """Append the indented JSON of ``value`` to ``out``; ``newline`` ends with the current indent."""
-    if isinstance(value, str):
+    inline = _INLINE.get(type(value))
+    if inline is not None:
+        out.append(inline(value))
+    elif isinstance(value, (list, tuple)):
+        _write_array(value, newline, out)
+    elif isinstance(value, dict):
+        _write_object(value, newline, out)
+    elif isinstance(value, str):
         out.append(_json_string(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            if type(item) is str:
-                out.append(_json_string(item))
-            else:
-                _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        bad = next((key for key in value if not isinstance(key, str)), None)
-        if bad is not None:
-            raise TypeError(f"canonical JSON keys must be str, got {bad!r}")
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep)
-            out.append(_json_string(key))
-            out.append(": ")
-            _write_json(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
     else:
         raise TypeError(f"canonical JSON cannot hold {type(value).__name__} {value!r}")
+
+
+def _write_array(value, newline: str, out: list):
+    """:func:`_write_json` of a list or tuple; a list of strings is one ``join``."""
+    if not value:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    if type(value[0]) is str:
+        try:
+            items = comma.join(map(_json_string, value))
+        except TypeError:
+            pass  # not strings only
+        else:
+            out.extend(("[" + inner, items, newline + "]"))
+            return
+    sep = "[" + inner
+    for item in value:
+        out.append(sep)
+        inline = _INLINE.get(type(item))
+        if inline is not None:
+            out.append(inline(item))
+        else:
+            _NESTED.get(type(item), _write_json)(item, inner, out)
+        sep = comma
+    out.append(newline + "]")
+
+
+def _write_object(value, newline: str, out: list):
+    """:func:`_write_json` of a dict, its keys sorted."""
+    if not value:
+        out.append("{}")
+        return
+    for key in value:
+        if not isinstance(key, str):
+            raise TypeError(f"canonical JSON keys must be str, got {key!r}")
+    inner = newline + "  "
+    sep = "{" + inner
+    for key in sorted(value):
+        out.append(sep)
+        out.append(_json_string(key))
+        out.append(": ")
+        item = value[key]
+        inline = _INLINE.get(type(item))
+        if inline is not None:
+            out.append(inline(item))
+        else:
+            _NESTED.get(type(item), _write_json)(item, inner, out)
+        sep = "," + inner
+    out.append(newline + "}")
+
+
+# The writer of each plain list, tuple or dict met as an item; anything else goes through _write_json.
+_NESTED = {list: _write_array, tuple: _write_array, dict: _write_object}
 
 
 def _load_json(path) -> dict:

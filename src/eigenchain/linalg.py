@@ -11,19 +11,26 @@ stays in ``int``s; inverses go through ``ring.inv``, never ``/``.
 
 There are three eliminations: ``rref`` over a field, ``smith_normal_form``
 over Z, and the fraction-free ``_fraction_free_rref`` over Z behind
-complement splits and ``det``.  ``rref`` and ``smith_normal_form`` update
-only their working matrix and log each elementary row operation they
-apply (swap, subtract a multiple, scale) in one vocabulary.  Their
-transforms (the rref's left transform; a Smith form's ``U``, ``U^-1`` and
-``V``) are built by the one :func:`_replay` of that log onto an identity
-the first time something reads them, so a rank or an invariant factor
-costs one elimination and no transform.  A transform whose log is empty
-is :meth:`~eigenchain.matrix.Matrix.identity`, and so are the answers
-known without one: the kernel of a rank-0 matrix, and the inverse
-:func:`complement_and_inverse` returns for a basis that is a marked
-identity (the whole module, with an empty complement), so the products
-downstream skip as well.  ``det`` reads the rref's log over a field and
-the fraction-free elimination's last pivot over Z.
+complement splits and ``det``.  ``rref`` returns at once with its input:
+its pivots come first, from :func:`_rank_profile`, one forward pass that
+builds no ``Fraction`` (Bareiss on the matrix with its denominators
+cleared over Q, mod p over F_p), and its reduction, :func:`_reduce`,
+runs the first time the reduced form, its log or its transform is read.
+So a rank over a field costs one forward pass and no reduced form.
+``_reduce`` and ``smith_normal_form`` update only their working matrix
+and log each elementary row operation they apply (swap, subtract a
+multiple, scale) in one vocabulary.  Their transforms (the rref's left
+transform; a Smith form's ``U``, ``U^-1`` and ``V``) are built by the one
+:func:`_replay` of that log onto an identity the first time something
+reads them, so a rank or an invariant factor builds no transform.  A
+transform whose log is empty is :meth:`~eigenchain.matrix.Matrix.identity`,
+and so are the answers known without one: the kernel of a rank-0 matrix,
+and the inverse :func:`complement_and_inverse` returns for a basis that
+is a marked identity (the whole module, with an empty complement), so the
+products downstream skip as well.  ``det`` reads the rref's log over a
+field and the fraction-free elimination's last pivot over Z; it, the
+inverse, complements, kernels and solves read the reduction before the
+pivots, so they run no rank pass.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
@@ -69,7 +76,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .matrix import Matrix, hstack, vstack
+from .matrix import Matrix, _numerators, hstack, vstack
 from .rings import Integers
 
 
@@ -77,22 +84,42 @@ from .rings import Integers
 class RrefResult:
     """``transform @ matrix == echelon`` with ``transform`` invertible.
 
-    The elimination keeps only ``echelon`` and ``pivots`` and logs its row
-    operations in ``ops`` (see :func:`_replay`): a swap only when the rows
-    differ, a scaling only for a pivot other than one.  ``transform``
-    replays that log onto the identity the first time it is read, and is
-    kept from then on.
+    Only ``matrix`` is held at first.  ``pivots`` (and so ``rank`` and
+    ``image()``) come from one fraction-free forward pass,
+    :func:`_rank_profile`, unless the reduction has already run.  The
+    reduction, :func:`_reduce`, runs the first time ``echelon`` or ``ops``
+    is read and keeps ``echelon``, ``pivots`` and the log of its row
+    operations (see :func:`_replay`): a swap only when the rows differ, a
+    scaling only for a pivot other than one.  ``transform`` replays that
+    log onto the identity the first time it is read.  Each is kept from
+    then on, so a caller that reads only ranks builds no reduced form and
+    no ``Fraction``.
     """
 
     matrix: Matrix
-    echelon: Matrix
-    pivots: tuple[int, ...]
-    ops: list = field(repr=False)
     torsion = ()  # a field has none
 
     @cached_property
+    def _reduced(self) -> tuple[Matrix, tuple[int, ...], list]:
+        return _reduce(self.matrix)
+
+    @property
+    def echelon(self) -> Matrix:
+        return self._reduced[0]
+
+    @property
+    def ops(self) -> list:
+        return self._reduced[2]
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        if "_reduced" in self.__dict__:
+            return self._reduced[1]
+        return _rank_profile(self.matrix)
+
+    @cached_property
     def transform(self) -> Matrix:
-        return _transform(self.ops, self.echelon.ring, self.echelon.rows)
+        return _transform(self.ops, self.matrix.ring, self.matrix.rows)
 
     @property
     def rank(self) -> int:
@@ -101,16 +128,17 @@ class RrefResult:
     def kernel(self) -> SubspaceBasis:
         """Basis of ``{x : matrix @ x = 0}``, each column's topmost nonzero entry one."""
         ring, n = self.matrix.ring, self.matrix.cols
-        if not self.rank:
+        echelon, pivots, _ = self._reduced
+        if not pivots:
             return SubspaceBasis(n, Matrix.identity(ring, n))
-        echelon = self.echelon.data
+        echelon = echelon.data
         cols = []
         for j in range(n):
-            if j in self.pivots:
+            if j in pivots:
                 continue
             vec = [ring.normalize(0)] * n
             vec[j] = ring.normalize(1)
-            for row, col in enumerate(self.pivots):
+            for row, col in enumerate(pivots):
                 vec[col] = ring.reduce(-echelon[row][j])
             cols.append(vec)
         basis = Matrix._raw(ring, n, len(cols), tuple(zip(*cols))) if cols else Matrix.zeros(ring, n, 0)
@@ -126,8 +154,8 @@ class RrefResult:
 
     def solve(self, b: Matrix):
         """One exact solution ``x`` of ``matrix @ x = b``, or ``None``."""
-        n, r = self.matrix.cols, self.rank
         c = self.transform @ b
+        n, r = self.matrix.cols, self.rank
         if any(map(any, c.data[r:])):
             return None
         # x[pivots] = c[:rank], zero elsewhere: I[:, pivots] @ c[:rank].
@@ -234,10 +262,15 @@ class SubspaceBasis:
 
 
 def rref(a: Matrix) -> RrefResult:
-    """Reduced row-echelon form over a field; its left transform is built on first read."""
+    """Reduced row-echelon form over a field; the pivots come first, the rest on first read (see :class:`RrefResult`)."""
+    if not a.ring.is_field:
+        raise NotAField(f"rref needs a field, got {a.ring}")
+    return RrefResult(a)
+
+
+def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], list]:
+    """The reduced row-echelon form of ``a`` over a field, its pivot columns and the log of its row operations."""
     ring = a.ring
-    if not ring.is_field:
-        raise NotAField(f"rref needs a field, got {ring}")
     m, n = a.rows, a.cols
     red, norm = ring.reduce, ring.normalize
     work = a.grid()
@@ -267,7 +300,61 @@ def rref(a: Matrix) -> RrefResult:
                 ops.append((i, r, f))
         pivots.append(c)
         r += 1
-    return RrefResult(a, Matrix._raw(ring, m, n, tuple(map(tuple, work))), tuple(pivots), ops)
+    return Matrix._raw(ring, m, n, tuple(map(tuple, work))), tuple(pivots), ops
+
+
+def _rank_profile(a: Matrix) -> tuple[int, ...]:
+    """The pivot columns of the rref of ``a`` over a field, from one forward elimination that builds no ``Fraction``.
+
+    They are the columns outside the span of the columns before them, so
+    any exact forward elimination that takes the first nonzero row at or
+    below the current one finds them, and scaling a row by a nonzero
+    constant keeps them.  Over F_p each pivot row is scaled to a pivot of
+    one and the rows below are cleared mod p.  Over Q the matrix is first
+    multiplied by the lcm of its denominators, as ``@`` does; the integer
+    rows are then eliminated fraction-free (Bareiss 1968), each division
+    exact, with the sign trick of :func:`_fraction_free_rref` for a pivot
+    equal to minus the previous one, so a step whose pivot equals the
+    previous one touches only the rows with a nonzero in the pivot column.
+    """
+    m, n = a.rows, a.cols
+    p = a.ring.p if a.ring.needs_reduction else None
+    work = a.grid() if p is not None else [list(row) for row in _numerators(a.data)[0]]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        piv = top[c]
+        if p is not None:
+            if piv != 1:
+                inv = pow(piv, -1, p)
+                top = [y * inv % p for y in top]
+        elif piv == -prev:
+            top = [-y for y in top]
+            piv = prev
+        nz = [(j, y) for j, y in enumerate(top) if y]
+        for i in range(r + 1, m):
+            row = work[i]
+            f = row[c]
+            if p is not None:
+                if f:
+                    for j, y in nz:
+                        row[j] = (row[j] - f * y) % p
+            elif piv != prev:
+                work[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)] if f else [piv * x // prev for x in row]
+            elif f:  # (prev x - f y) / prev = x - f y / prev
+                for j, y in nz:
+                    row[j] -= f * y // prev
+        pivots.append(c)
+        prev = piv
+    return tuple(pivots)
 
 
 def _replay(ops, rows: list[list], ring, inverse: bool = False) -> list[list]:
@@ -460,11 +547,11 @@ def det(a: Matrix):
     if not ring.is_field:
         pivots, minor, _ = _fraction_free_rref(a)
         return minor if len(pivots) == a.rows else 0
-    res = rref(a)
-    if len(res.pivots) < a.rows:
+    _, pivots, ops = rref(a)._reduced
+    if len(pivots) < a.rows:
         return ring.normalize(0)
     result = ring.normalize(1)
-    for op in res.ops:
+    for op in ops:
         if len(op) == 2:
             result = ring.reduce(-result)
         elif op[1] is None:
@@ -489,7 +576,7 @@ def inverse(a: Matrix) -> Matrix:
         raise ShapeMismatch("inverse of a non-square matrix")
     if a.ring.is_field:
         res = rref(a)
-        if len(res.pivots) != a.rows:
+        if len(res._reduced[1]) != a.rows:
             raise NotInvertible("singular matrix")
         return res.transform
     snf = smith_normal_form(a)
@@ -597,7 +684,7 @@ def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
     reversed_rows = sub.submatrix(range(m - 1, -1, -1), range(sub.cols)).transpose()
     if sub.ring.is_field:
         res = rref(reversed_rows)
-        pivots, transform = res.pivots, res.transform
+        pivots, transform = res._reduced[1], res.transform
     else:
         pivots, _, transform = _fraction_free_rref(reversed_rows)
     if len(pivots) != sub.cols:

@@ -1,5 +1,6 @@
 """JSON round-trips, the simplicial builder, and the bundled fixtures."""
 
+import enum
 import json
 import os
 import stat
@@ -335,6 +336,27 @@ class TestCanonicalDumps:
         }
         assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
         assert canonical_dumps(("a", 1)) == canonical_dumps(["a", 1])
+
+    def test_a_list_that_starts_with_a_string_may_hold_anything(self):
+        value = [["a", 1], ["a", ["b"]], ["a", {"k": None}], ["a", "b"], ["a", True]]
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_a_str_subclass_is_written_as_its_string(self):
+        class Tag(str):
+            pass
+
+        value = {"a": Tag("x"), "b": [Tag("y"), "z"], "c": [Tag("q")]}
+        assert canonical_dumps(Tag("top")) == json.dumps(Tag("top"), sort_keys=True, indent=2) + "\n"
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_an_int_subclass_is_written_as_its_integer(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = -(2**70)
+
+        value = {"a": Level.LOW, "b": [Level.HIGH, 3]}
+        assert canonical_dumps(Level.LOW) == "1\n"
+        assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": {2}}, b"bytes"], ids=repr)
     def test_other_types_are_refused(self, value):
