@@ -28,7 +28,7 @@ from .check import MAX_RANK, _entry_values, _int_field, _list_field, _ranks, _re
 from .check import check_homotopy_shift, convention_sign, read_header
 from .errors import ParseError, ValidationError
 from .matrix import Matrix
-from .rings import ZZ, Ring, ring_from_tag
+from .rings import ZZ, Ring
 from .simplicial import simplicial_to_chain
 
 
@@ -204,9 +204,7 @@ def _read_header(payload: dict, on: ComplexDoc, what: str) -> tuple[Ring, int]:
 
 
 def complex_from_payload(payload: dict) -> ComplexDoc:
-    ring = ring_from_tag(payload.get("ring"))
-    convention = payload.get("convention")
-    sign = convention_sign(convention)
+    ring, convention, sign = read_header(payload, "complex")
     ranks = _ranks(payload, sign, MAX_RANK)  # ChainComplex drops the zeros
 
     def shape(n):  # internal cochain: the differential leaving n lands in n + 1

@@ -9,14 +9,16 @@ and complement splits (which pivot fraction-free, after Bareiss) work on
 integral cost ``Fraction`` arithmetic, and an rref whose pivots are ±1
 stays in ``int``s; inverses go through ``ring.inv``, never ``/``.
 
-There are three eliminations: ``rref`` over a field, ``smith_normal_form``
-over Z, and the fraction-free ``_fraction_free_rref`` over Z behind
-complement splits and ``det``.  ``rref`` returns at once with its input:
-its pivots come first, from :func:`_rank_profile`, one forward pass that
-builds no ``Fraction`` (Bareiss on the matrix with its denominators
-cleared over Q, mod p over F_p), and its reduction, :func:`_reduce`,
-runs the first time the reduced form, its log or its transform is read.
-So a rank over a field costs one forward pass and no reduced form.
+There are three elimination loops: :func:`_reduce` over a field,
+``smith_normal_form`` over Z and the fraction-free :func:`_bareiss` on
+integer rows, run reduced on ``[a | I]`` by :func:`_fraction_free_rref`
+for complement splits and forward on ``a`` for ``det`` over Z.  ``rref``
+returns at once with its input.  Over Q its pivots come first, from
+:func:`_rank_profile`, a forward ``_bareiss`` on the matrix with its
+denominators cleared that builds no ``Fraction``; over F_p they are the
+reduction's.  ``_reduce`` runs the first time the reduced form, its log,
+its transform or an F_p pivot is read, so a rank over Q costs one forward
+pass and no reduced form.
 ``_reduce`` and ``smith_normal_form`` update only their working matrix
 and log each elementary row operation they apply (swap, subtract a
 multiple, scale) in one vocabulary.  Their transforms (the rref's left
@@ -27,10 +29,9 @@ transform whose log is empty is :meth:`~eigenchain.matrix.Matrix.identity`,
 and so are the answers known without one: the kernel of a rank-0 matrix,
 and the inverse :func:`complement_and_inverse` returns for a basis that
 is a marked identity (the whole module, with an empty complement), so the
-products downstream skip as well.  ``det`` reads the rref's log over a
-field and the fraction-free elimination's last pivot over Z; it, the
-inverse, complements, kernels and solves read the reduction before the
-pivots, so they run no rank pass.
+products downstream skip as well.  ``det`` over a field, the inverse,
+complements, kernels and solves read the reduction before the pivots, so
+they run no rank pass.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
@@ -84,16 +85,17 @@ from .rings import Integers
 class RrefResult:
     """``transform @ matrix == echelon`` with ``transform`` invertible.
 
-    Only ``matrix`` is held at first.  ``pivots`` (and so ``rank`` and
-    ``image()``) come from one fraction-free forward pass,
-    :func:`_rank_profile`, unless the reduction has already run.  The
-    reduction, :func:`_reduce`, runs the first time ``echelon`` or ``ops``
-    is read and keeps ``echelon``, ``pivots`` and the log of its row
+    Only ``matrix`` is held at first.  Over Q ``pivots`` (and so ``rank``
+    and ``image()``) come from one fraction-free forward pass,
+    :func:`_rank_profile`, unless the reduction has already run; over F_p
+    they are the reduction's.  The reduction, :func:`_reduce`, runs the
+    first time ``echelon``, ``ops`` or an F_p ``pivots`` is read and keeps
+    ``echelon``, ``pivots`` and the log of its row
     operations (see :func:`_replay`): a swap only when the rows differ, a
     scaling only for a pivot other than one.  ``transform`` replays that
     log onto the identity the first time it is read.  Each is kept from
-    then on, so a caller that reads only ranks builds no reduced form and
-    no ``Fraction``.
+    then on, so a caller that reads only ranks over Q builds no reduced
+    form and no ``Fraction``.
     """
 
     matrix: Matrix
@@ -113,7 +115,7 @@ class RrefResult:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        if "_reduced" in self.__dict__:
+        if "_reduced" in self.__dict__ or self.matrix.ring.needs_reduction:
             return self._reduced[1]
         return _rank_profile(self.matrix)
 
@@ -304,57 +306,15 @@ def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], list]:
 
 
 def _rank_profile(a: Matrix) -> tuple[int, ...]:
-    """The pivot columns of the rref of ``a`` over a field, from one forward elimination that builds no ``Fraction``.
+    """The pivot columns of the rref of ``a`` over Q, from a forward :func:`_bareiss` that builds no ``Fraction``.
 
     They are the columns outside the span of the columns before them, so
     any exact forward elimination that takes the first nonzero row at or
     below the current one finds them, and scaling a row by a nonzero
-    constant keeps them.  Over F_p each pivot row is scaled to a pivot of
-    one and the rows below are cleared mod p.  Over Q the matrix is first
-    multiplied by the lcm of its denominators, as ``@`` does; the integer
-    rows are then eliminated fraction-free (Bareiss 1968), each division
-    exact, with the sign trick of :func:`_fraction_free_rref` for a pivot
-    equal to minus the previous one, so a step whose pivot equals the
-    previous one touches only the rows with a nonzero in the pivot column.
+    constant keeps them: here the rows of ``a`` times the lcm of its
+    denominators, as ``@`` clears them.
     """
-    m, n = a.rows, a.cols
-    p = a.ring.p if a.ring.needs_reduction else None
-    work = a.grid() if p is not None else [list(row) for row in _numerators(a.data)[0]]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        piv = top[c]
-        if p is not None:
-            if piv != 1:
-                inv = pow(piv, -1, p)
-                top = [y * inv % p for y in top]
-        elif piv == -prev:
-            top = [-y for y in top]
-            piv = prev
-        nz = [(j, y) for j, y in enumerate(top) if y]
-        for i in range(r + 1, m):
-            row = work[i]
-            f = row[c]
-            if p is not None:
-                if f:
-                    for j, y in nz:
-                        row[j] = (row[j] - f * y) % p
-            elif piv != prev:
-                work[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)] if f else [piv * x // prev for x in row]
-            elif f:  # (prev x - f y) / prev = x - f y / prev
-                for j, y in nz:
-                    row[j] -= f * y // prev
-        pivots.append(c)
-        prev = piv
-    return tuple(pivots)
+    return _bareiss([list(row) for row in _numerators(a.data)[0]], a.cols, reduced=False)[0]
 
 
 def _replay(ops, rows: list[list], ring, inverse: bool = False) -> list[list]:
@@ -538,15 +498,15 @@ def det(a: Matrix):
     Over a field it reads :func:`rref`'s log: the echelon form of a
     nonsingular matrix is the identity, so each swap flips the sign and
     each scaling by ``c`` divides by ``c``.  Over Z it is the signed last
-    pivot of :func:`_fraction_free_rref`; no Smith form is run, so ``det``
+    pivot of a forward :func:`_bareiss`; no Smith form is run, so ``det``
     can check Smith transforms independently.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     ring = a.ring
     if not ring.is_field:
-        pivots, minor, _ = _fraction_free_rref(a)
-        return minor if len(pivots) == a.rows else 0
+        pivots, d, sign = _bareiss(a.grid(), a.cols, reduced=False)
+        return sign * d if len(pivots) == a.rows else 0
     _, pivots, ops = rref(a)._reduced
     if len(pivots) < a.rows:
         return ring.normalize(0)
@@ -613,26 +573,39 @@ def _sign_normalize(basis: Matrix) -> Matrix:
 def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matrix]]:
     """Pivot columns of integer ``a`` over Q, the signed pivot minor, and the rref transform if integral.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968) on ``[a | I]`` with the pivot
-    rule of :func:`rref`: each row stays the latest pivot times its rational
-    counterpart, so every division is exact and the pivots match.  The last
-    pivot ``d`` is the minor of ``a`` on the pivot rows and columns, up to
-    the parity of the row swaps; that signed minor is returned, and is the
-    determinant of a nonsingular square ``a``.  At full row rank the
-    transform is integral exactly when ``d`` is ±1, and is then ``d`` times
-    the augmented block; otherwise it is ``None``.
-
-    A step whose pivot is minus the previous one (a rational pivot of -1,
-    as at each sign change along a simplicial boundary) would negate every
-    row.  The pivot row is negated instead and the swap parity flipped, so
-    the step is one with an equal pivot and touches only the rows with a
-    nonzero in the pivot column.  Every row after it is the negative of
-    what it would have been, with the same zeros, and so is ``d`` from then
-    on; the pivots, the signed minor and ``d`` times the augmented block
-    are the same.
+    :func:`_bareiss` on ``[a | I]``, reduced above each pivot too.  At full
+    row rank the transform is integral exactly when the last pivot ``d`` is
+    ±1, and is then ``d`` times the augmented block; otherwise ``None``.
     """
     m, n = a.rows, a.cols
     work = [list(row) + e for row, e in zip(a.data, Matrix.identity(a.ring, m).grid())]
+    pivots, prev, sign = _bareiss(work, n, reduced=True)
+    if len(pivots) < m or abs(prev) != 1:
+        return pivots, sign * prev, None
+    return pivots, sign * prev, Matrix._raw(a.ring, m, m, tuple(tuple(prev * x for x in row[n:]) for row in work))
+
+
+def _bareiss(work: list[list[int]], n: int, reduced: bool) -> tuple[tuple[int, ...], int, int]:
+    """Eliminate the integer rows ``work`` in place over their first ``n`` columns; the pivot columns, the last pivot and the swap sign.
+
+    Fraction-free elimination (Bareiss 1968) with the pivot rule of
+    :func:`rref`: each row it updates stays the latest pivot times its
+    rational counterpart, so every division is exact and the pivots match.
+    The rows below each pivot are cleared, and with ``reduced`` the rows
+    above as well.  The last pivot ``d`` is the minor on the pivot rows and
+    columns, up to the sign of the row swaps, whichever ``reduced`` is:
+    rows above a pivot never feed a later one.  So ``sign * d`` is the
+    determinant of a nonsingular square.
+
+    A step whose pivot is minus the previous one (a rational pivot of -1,
+    as at each sign change along a simplicial boundary) would negate every
+    row.  The pivot row is negated instead and the sign flipped, so the
+    step is one with an equal pivot and touches only the rows with a
+    nonzero in the pivot column.  Every row after it is the negative of
+    what it would have been, with the same zeros, and so is ``d`` from then
+    on; the pivots, ``sign * d`` and ``d`` times each row are the same.
+    """
+    m = len(work)
     pivots: list[int] = []
     prev, sign = 1, 1
     for c in range(n):
@@ -653,7 +626,8 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matri
             top = work[r] = [-x for x in top]
             piv, sign = prev, -sign
         nz = [(j, y) for j, y in enumerate(top) if y]
-        for i, row in enumerate(work):
+        first = 0 if reduced else r + 1
+        for i, row in enumerate(work[first:], first):
             f = row[c]
             if i == r:
                 continue
@@ -664,9 +638,7 @@ def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matri
                     row[j] -= f * y // prev
         pivots.append(c)
         prev = piv
-    if len(pivots) < m or abs(prev) != 1:
-        return tuple(pivots), sign * prev, None
-    return tuple(pivots), sign * prev, Matrix._raw(a.ring, m, m, tuple(tuple(prev * x for x in row[n:]) for row in work))
+    return tuple(pivots), prev, sign
 
 
 def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:

@@ -1,0 +1,88 @@
+"""The one fraction-free elimination loop, :func:`eigenchain.linalg._bareiss`, both ways.
+
+Forward (rows below each pivot cleared: ranks over Q and ``det`` over Z)
+and reduced (rows above cleared too: ``_fraction_free_rref`` behind
+complement splits) must find the same pivot columns and the same signed
+minor, since rows above a pivot never feed a later one.  Both are
+checked against a ``Fraction`` rref on seeded integer matrices with
+non-unit pivots, pivots equal to minus the previous one, zero rows, and
+wide and tall shapes; ``det`` over Z is checked against the Leibniz sum.
+"""
+
+import random
+
+from eigenchain import ZZ, Matrix, det, linalg
+from eigenchain.linalg import _bareiss
+
+from test_bottom_pivots import _elimination_steps, reference_rref
+from test_linalg import leibniz
+
+SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (2, 6), (3, 7), (6, 2), (7, 3), (0, 3), (3, 0)]
+
+CHOSEN = [
+    [[1, 1], [1, 0]],  # the second pivot is minus the first
+    [[1, 1, 0], [1, 0, 1], [0, 1, 1]],  # -1 then 2: a sign-trick step, then a non-unit one
+    [[2, 4, 1], [3, 5, 7], [0, 0, 0], [1, 1, 1]],  # a non-unit first pivot and a zero row
+    [[0, 0, 0], [0, 0, 0]],
+    [[0, 3, 6], [0, 1, 2], [0, 0, 5]],  # an empty first column, a dependent row
+]
+
+
+def seeded_matrices(seed: int):
+    """Entries mostly in [-3, 3], with zero rows and rows that repeat a multiple of an earlier row."""
+    rng = random.Random(seed)
+    for rows, cols in SHAPES:
+        for _ in range(8):
+            grid = [[rng.choice((0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(cols)] for _ in range(rows)]
+            for i in range(1, rows):
+                roll = rng.random()
+                if roll < 0.15:
+                    grid[i] = [0] * cols
+                elif roll < 0.3:
+                    grid[i] = [rng.choice((2, -1)) * x for x in grid[rng.randrange(i)]]
+            yield Matrix(ZZ, grid, cols=cols)
+    for grid in CHOSEN:
+        yield Matrix(ZZ, grid, cols=len(grid[0]))
+
+
+def eliminate(a: Matrix, reduced: bool):
+    work = a.grid()
+    pivots, d, sign = _bareiss(work, a.cols, reduced)
+    return pivots, sign * d, work
+
+
+def test_forward_and_reduced_find_the_same_pivots_and_signed_minor():
+    sign_tricks = non_units = 0
+    for seed in range(3):
+        for a in seeded_matrices(seed):
+            (pivots, minor, _), _ = reference_rref(a)
+            expected = (tuple(pivots), minor)
+            for reduced in (False, True):
+                got_pivots, got_minor, work = eliminate(a, reduced)
+                assert (got_pivots, got_minor) == expected
+                # Each pivot column is cleared below its row, and above it when reduced.
+                for k, c in enumerate(got_pivots):
+                    assert work[k][c] != 0
+                    cleared = range(a.rows) if reduced else range(k + 1, a.rows)
+                    assert all(work[i][c] == 0 for i in cleared if i != k)
+            for c, prev, r, before, _ in _elimination_steps(a) if a.cols else ():
+                piv = next((entries[c] for _, entries in before[r:] if entries[c]), None)
+                sign_tricks += piv is not None and piv == -prev
+                non_units += piv is not None and abs(piv) > 1
+    assert sign_tricks > 20 and non_units > 20
+
+
+def test_det_over_z_is_the_leibniz_sum_and_runs_no_reduced_pass(monkeypatch):
+    calls = []
+    original = linalg._fraction_free_rref
+    monkeypatch.setattr(linalg, "_fraction_free_rref", lambda a: calls.append(a) or original(a))
+    nonsingular = 0
+    for seed in range(3):
+        for a in seeded_matrices(seed):
+            if a.rows != a.cols or not a.rows:
+                continue
+            expected = leibniz(ZZ, a.data)
+            assert det(a) == expected
+            nonsingular += expected not in (0, 1, -1)
+    assert nonsingular > 20
+    assert calls == []

@@ -20,7 +20,7 @@ import pytest
 
 from eigenchain import ZZ, Matrix, det
 from eigenchain.errors import ValidationError
-from eigenchain.linalg import _bottom_pivots, _fraction_free_rref
+from eigenchain.linalg import _bareiss, _bottom_pivots, _fraction_free_rref
 from eigenchain.simplicial import simplicial_to_chain
 
 from test_golden_simplicial import CORPUS as SIMPLICIAL
@@ -249,12 +249,12 @@ def test_signed_minor_of_square_unit_blocks_is_the_determinant():
 def _elimination_steps(a: Matrix):
     """Run ``_fraction_free_rref(a)``; per column ``(c, prev, pivots so far, rows before, rows after)``.
 
-    A line tracer on the function's frame reads its locals each time the
-    column changes and once at the end.  Rows are kept as ``(list object,
-    entries)`` pairs, so a row rewritten in place shows as changed entries
-    and a replaced row as a new object.
+    A line tracer on the frame of its elimination loop, :func:`_bareiss`,
+    reads its locals each time the column changes and once at the end.
+    Rows are kept as ``(list object, entries)`` pairs, so a row rewritten
+    in place shows as changed entries and a replaced row as a new object.
     """
-    code = _fraction_free_rref.__code__
+    code = _bareiss.__code__
     seen = []
 
     def snapshot(frame):

@@ -597,7 +597,7 @@ REFUSED_INPUTS = [
     pytest.param(
         _edits("s1_complex.json", _set(("convention",), "sideways")),
         COMPLEX_ARGV,
-        "bad convention 'sideways'",
+        "complex: bad convention 'sideways'",
         id="bad-convention",
     ),
     pytest.param(

@@ -384,6 +384,13 @@ def _bundled(name) -> dict:
     return json.loads(bundled_path(name).read_text(encoding="utf-8"))
 
 
+def test_a_complex_file_without_a_ring_names_itself():
+    payload = _bundled("s1_complex.json")
+    del payload["ring"]
+    with pytest.raises(ParseError, match="^complex: unknown ring tag None$"):
+        complex_from_payload(payload)
+
+
 def test_a_graded_map_file_without_a_ring_names_itself():
     payload = _bundled("s1_alpha.json")
     del payload["ring"]

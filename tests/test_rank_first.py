@@ -1,12 +1,13 @@
-"""Over a field, a rank costs one fraction-free forward pass and no reduced form.
+"""Over Q, a rank costs one fraction-free forward pass and no reduced form.
 
-``rref`` returns with its input alone.  Its ``pivots`` come from
+``rref`` returns with its input alone.  Over Q its ``pivots`` come from
 :func:`eigenchain.linalg._rank_profile` (denominators cleared, then a
-Bareiss elimination over Q; an elimination mod p over F_p) unless the
-reduction, :func:`eigenchain.linalg._reduce`, has already run; the
-reduced form, its log and its transform are built the first time
-something reads them.  The rank profile must find exactly the reduction's
-pivots.  A verdict that fails on ranks reduces nothing, a positive
+forward :func:`eigenchain.linalg._bareiss` elimination) unless the
+reduction, :func:`eigenchain.linalg._reduce`, has already run; over F_p
+they are the reduction's.  The reduced form, its log and its transform
+are built the first time something reads them.  The rank profile must
+find exactly the reduction's pivots.  A verdict over Q that fails on
+ranks reduces nothing, one over F_p runs no rank pass, a positive
 certificate reduces each differential once, and the callers that always
 need the reduced form (``det``, ``inverse``, complements, kernels and
 solves) run no rank pass before it.
@@ -54,6 +55,11 @@ def random_matrix(ring, rng, rows, cols):
     return Matrix(ring, grid, cols=cols)
 
 
+def pivots(a):
+    """The rank pass over Q; over F_p, the pivots ``rref`` reads."""
+    return linalg._rank_profile(a) if a.ring is QQ else rref(a).pivots
+
+
 @pytest.mark.parametrize("ring", FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(4))
 def test_rank_profile_finds_the_reductions_pivots(ring, seed):
@@ -61,7 +67,7 @@ def test_rank_profile_finds_the_reductions_pivots(ring, seed):
     for rows, cols in SHAPES:
         for _ in range(6):
             a = random_matrix(ring, rng, rows, cols)
-            assert linalg._rank_profile(a) == linalg._reduce(a)[1]
+            assert pivots(a) == linalg._reduce(a)[1]
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=str)
@@ -75,7 +81,7 @@ def test_rank_profile_on_chosen_matrices(ring):
     ]
     for grid in cases:
         a = Matrix(ring, grid, cols=len(grid[0]))
-        assert linalg._rank_profile(a) == linalg._reduce(a)[1]
+        assert pivots(a) == linalg._reduce(a)[1]
 
 
 @pytest.fixture
@@ -93,9 +99,9 @@ def counted(monkeypatch):
     return calls
 
 
-def skeleton():
-    """The 2-skeleton of the 5-simplex over Q, in cochain degrees -2, -1, 0 (Betti numbers 10, 0, 1)."""
-    chain, _ = simplicial_to_chain(6, [list(f) for f in combinations(range(6), 3)], QQ)
+def skeleton(ring=QQ):
+    """The 2-skeleton of the 5-simplex, over Q unless asked, in cochain degrees -2, -1, 0 (Betti numbers 10, 0, 1)."""
+    chain, _ = simplicial_to_chain(6, [list(f) for f in combinations(range(6), 3)], ring)
     return convert_convention(chain, COCHAIN)
 
 
@@ -106,6 +112,19 @@ def test_a_rank_mismatch_reduces_nothing(counted):
     assert [r.kind for r in cert.failure_reasons] == [RANK_MISMATCH] * 3
     assert counted["rank_profile"]
     assert counted["reduce"] == [] and counted["replay"] == []
+
+
+def test_a_rank_mismatch_over_f3_reads_the_reductions_pivots(counted):
+    f = skeleton(GF(3))
+    lam = scalar_object(GF(3), {-2: 11, -1: 1, 0: 2})
+    cert = decide_eigenvalue(f, lam, GradedMap(lam, f, 0, {}))
+    assert [r.kind for r in cert.failure_reasons] == [RANK_MISMATCH] * 3
+    assert counted["rank_profile"] == []
+    assert all(any(a == d for a in counted["reduce"]) for d in f.diffs.values())
+    for d in f.diffs.values():
+        assert rref(d).pivots == linalg._reduce(d)[1]
+    ranks = {n: len(linalg._reduce(d)[1]) for n, d in f.diffs.items()}
+    assert [f.rank(n) - ranks.get(n, 0) - ranks.get(n - 1, 0) for n in (-2, -1, 0)] == [10, 0, 1]
 
 
 def test_an_alpha_with_a_kernel_reduces_nothing(counted):
