@@ -12,26 +12,27 @@ stays in ``int``s; inverses go through ``ring.inv``, never ``/``.
 There are three elimination loops: :func:`_reduce` over a field,
 ``smith_normal_form`` over Z and the fraction-free :func:`_bareiss` on
 integer rows, run reduced on ``[a | I]`` by :func:`_fraction_free_rref`
-for complement splits and forward on ``a`` for ``det`` over Z.  ``rref``
-returns at once with its input.  Over Q its pivots come first, from
-:func:`_rank_profile`, a forward ``_bareiss`` on the matrix with its
-denominators cleared that builds no ``Fraction``; over F_p they are the
-reduction's.  ``_reduce`` runs the first time the reduced form, its log,
-its transform or an F_p pivot is read, so a rank over Q costs one forward
-pass and no reduced form.
-``_reduce`` and ``smith_normal_form`` update only their working matrix
-and log each elementary row operation they apply (swap, subtract a
-multiple, scale) in one vocabulary.  Their transforms (the rref's left
-transform; a Smith form's ``U``, ``U^-1`` and ``V``) are built by the one
-:func:`_replay` of that log onto an identity the first time something
-reads them, so a rank or an invariant factor builds no transform.  A
-transform whose log is empty is :meth:`~eigenchain.matrix.Matrix.identity`,
-and so are the answers known without one: the kernel of a rank-0 matrix,
-and the inverse :func:`complement_and_inverse` returns for a basis that
-is a marked identity (the whole module, with an empty complement), so the
-products downstream skip as well.  ``det`` over a field, the inverse,
-complements, kernels and solves read the reduction before the pivots, so
-they run no rank pass.
+for complement splits and forward, denominators cleared, for ``det``
+over every ring.  ``rref`` returns at once with its input.  Over Q its
+pivots come first, from :func:`_rank_profile`, a forward ``_bareiss`` on
+the matrix with its denominators cleared that builds no ``Fraction``;
+over F_p they are the reduction's.  ``_reduce`` eliminates ``[a | I]``,
+so its left transform comes out of the same pass as the reduced form; it
+runs the first time either or an F_p pivot is read, so a rank over Q
+costs one forward pass and no reduced form.
+Only ``smith_normal_form`` logs: it updates its working matrix alone and
+logs each swap, subtraction and negation, and :func:`_transform` replays
+that log onto an identity for ``U``, ``U^-1`` or ``V`` the first time
+something reads them, so a rank or an invariant factor builds no
+transform.  A transform that moved nothing (an rref that swapped, scaled
+and subtracted nothing, an empty Smith log) is
+:meth:`~eigenchain.matrix.Matrix.identity`, and so are the answers known
+without one: the kernel of a rank-0 matrix, and the inverse
+:func:`complement_and_inverse` returns for a basis that is a marked
+identity (the whole module, with an empty complement), so the products
+downstream skip as well.  The inverse, complements, kernels and solves
+over a field read the reduction before the pivots, so they run no rank
+pass.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
@@ -66,6 +67,7 @@ divisibility scan, since one divides everything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -89,29 +91,22 @@ class RrefResult:
     and ``image()``) come from one fraction-free forward pass,
     :func:`_rank_profile`, unless the reduction has already run; over F_p
     they are the reduction's.  The reduction, :func:`_reduce`, runs the
-    first time ``echelon``, ``ops`` or an F_p ``pivots`` is read and keeps
-    ``echelon``, ``pivots`` and the log of its row
-    operations (see :func:`_replay`): a swap only when the rows differ, a
-    scaling only for a pivot other than one.  ``transform`` replays that
-    log onto the identity the first time it is read.  Each is kept from
-    then on, so a caller that reads only ranks over Q builds no reduced
-    form and no ``Fraction``.
+    first time ``echelon``, ``transform`` or an F_p ``pivots`` is read and
+    builds all three in one pass; nothing is logged or replayed.  They are
+    kept from then on, so a caller that reads only ranks over Q builds no
+    reduced form and no ``Fraction``.
     """
 
     matrix: Matrix
     torsion = ()  # a field has none
 
     @cached_property
-    def _reduced(self) -> tuple[Matrix, tuple[int, ...], list]:
+    def _reduced(self) -> tuple[Matrix, tuple[int, ...], Matrix]:
         return _reduce(self.matrix)
 
     @property
     def echelon(self) -> Matrix:
         return self._reduced[0]
-
-    @property
-    def ops(self) -> list:
-        return self._reduced[2]
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -119,9 +114,9 @@ class RrefResult:
             return self._reduced[1]
         return _rank_profile(self.matrix)
 
-    @cached_property
+    @property
     def transform(self) -> Matrix:
-        return _transform(self.ops, self.matrix.ring, self.matrix.rows)
+        return self._reduced[2]
 
     @property
     def rank(self) -> int:
@@ -175,7 +170,7 @@ class SnfResult:
 
     The elimination updates ``s`` alone and logs its row operations in
     ``row_ops`` and its column operations in ``col_ops`` (see
-    :func:`_replay`).  ``u``, ``u_inv`` and ``v`` are each built by
+    :func:`_transform`).  ``u``, ``u_inv`` and ``v`` are each built by
     replaying the log onto an identity the first time they are read, and
     kept from then on, so a caller that reads only ranks or invariant
     factors never builds a transform.
@@ -270,14 +265,19 @@ def rref(a: Matrix) -> RrefResult:
     return RrefResult(a)
 
 
-def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], list]:
-    """The reduced row-echelon form of ``a`` over a field, its pivot columns and the log of its row operations."""
+def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], Matrix]:
+    """The reduced row-echelon form of ``a`` over a field, its pivot columns and its left transform.
+
+    The rows of ``[a | I]`` are eliminated together, so the transform is
+    the right block, built in the same pass.  A reduction that swaps,
+    scales and subtracts nothing returns the marked identity.
+    """
     ring = a.ring
     m, n = a.rows, a.cols
     red, norm = ring.reduce, ring.normalize
-    work = a.grid()
-    ops = []
+    work = [list(row) + e for row, e in zip(a.data, Matrix.identity(ring, m).grid())]
     pivots: list[int] = []
+    moved = False
     r = 0
     for c in range(n):
         if r == m:
@@ -287,11 +287,11 @@ def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], list]:
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            ops.append((r, pivot_row))
+            moved = True
         if work[r][c] != 1:
             inv = ring.inv(work[r][c])
             work[r] = [norm(v * inv) if v else v for v in work[r]]
-            ops.append((r, None, inv))
+            moved = True
         wnz = [(j, y) for j, y in enumerate(work[r]) if y]
         for i in range(m):
             f = work[i][c]
@@ -299,10 +299,12 @@ def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], list]:
                 wi = work[i]
                 for j, y in wnz:
                     wi[j] = red(wi[j] - f * y)
-                ops.append((i, r, f))
+                moved = True
         pivots.append(c)
         r += 1
-    return Matrix._raw(ring, m, n, tuple(map(tuple, work))), tuple(pivots), ops
+    echelon = Matrix._raw(ring, m, n, tuple(tuple(row[:n]) for row in work))
+    transform = Matrix._raw(ring, m, m, tuple(tuple(row[n:]) for row in work)) if moved else Matrix.identity(ring, m)
+    return echelon, tuple(pivots), transform
 
 
 def _rank_profile(a: Matrix) -> tuple[int, ...]:
@@ -317,24 +319,22 @@ def _rank_profile(a: Matrix) -> tuple[int, ...]:
     return _bareiss([list(row) for row in _numerators(a.data)[0]], a.cols, reduced=False)[0]
 
 
-def _replay(ops, rows: list[list], ring, inverse: bool = False) -> list[list]:
-    """``rows`` (updated in place) after the row operations ``ops``, in order.
+def _transform(ops, ring, m: int, inverse=False, transposed=False) -> Matrix:
+    """The ``m x m`` transform a Smith log ``ops`` builds on the identity, transposed if asked; I when ``ops`` is empty.
 
     ``(i, t)`` swaps rows ``i`` and ``t``, ``(i, t, q)`` subtracts ``q``
-    times row ``t`` from row ``i`` and ``(i, None, c)`` scales row ``i`` by
-    ``c``.  The arithmetic is ``ring``'s: over F_p (``needs_reduction``)
-    each updated entry is reduced, and over a field each scaled one goes
-    through ``ring.normalize``, which also turns an integral ``Fraction``
-    into an ``int`` over Q.  A column operation on a transform is the same
-    operation on the rows of its transpose, so :func:`smith_normal_form`
-    logs ``V``'s column operations in this form too.  With ``inverse``
-    each subtraction is undone on the other side, which builds the
-    transpose of the inverse: row ``t`` gains ``q`` times row ``i``.  Swaps
-    are their own inverse transposes, and so are the scalings by -1 that
-    are the only ones a Smith form logs.
+    times row ``t`` from row ``i`` and ``(i, None, -1)`` negates row ``i``;
+    every entry stays an ``int``, so no ring arithmetic is needed.  A
+    column operation on ``V`` is the same operation on the rows of its
+    transpose, so :func:`smith_normal_form` logs ``V``'s column operations
+    in this form too.  With ``inverse`` each subtraction is undone on the
+    other side, which builds the transpose of the inverse: row ``t`` gains
+    ``q`` times row ``i``.  Swaps and negations are their own inverse
+    transposes.
     """
-    red = ring.reduce if ring.needs_reduction else None
-    norm = ring.normalize if ring.is_field else None
+    if not ops:
+        return Matrix.identity(ring, m)
+    rows = Matrix.identity(ring, m).grid()
     for op in ops:
         if len(op) == 2:
             i, t = op
@@ -342,22 +342,14 @@ def _replay(ops, rows: list[list], ring, inverse: bool = False) -> list[list]:
             continue
         i, t, q = op
         if t is None:
-            rows[i] = [(q * v if norm is None else norm(q * v)) if v else v for v in rows[i]]
+            rows[i] = [-v for v in rows[i]]
             continue
         if inverse:
             i, t, q = t, i, -q
         dst = rows[i]
         for j, y in enumerate(rows[t]):
             if y:
-                dst[j] = dst[j] - q * y if red is None else red(dst[j] - q * y)
-    return rows
-
-
-def _transform(ops, ring, m: int, inverse=False, transposed=False) -> Matrix:
-    """The ``m x m`` transform :func:`_replay` builds from ``ops``, transposed if asked; I when ``ops`` is empty."""
-    if not ops:
-        return Matrix.identity(ring, m)
-    rows = _replay(ops, Matrix.identity(ring, m).grid(), ring, inverse)
+                dst[j] -= q * y
     return Matrix._raw(ring, m, m, tuple(zip(*rows)) if transposed else tuple(map(tuple, rows)))
 
 
@@ -493,30 +485,19 @@ def rank(a: Matrix) -> int:
 
 
 def det(a: Matrix):
-    """Exact determinant of a square matrix.
+    """Exact determinant of a square matrix, by one formula over every ring.
 
-    Over a field it reads :func:`rref`'s log: the echelon form of a
-    nonsingular matrix is the identity, so each swap flips the sign and
-    each scaling by ``c`` divides by ``c``.  Over Z it is the signed last
-    pivot of a forward :func:`_bareiss`; no Smith form is run, so ``det``
-    can check Smith transforms independently.
+    The signed last pivot of a forward :func:`_bareiss` on ``a`` with its
+    denominators cleared by their lcm ``den`` is ``den ** n`` times the
+    determinant; the quotient, normalized by the ring, is the answer (over
+    F_p the residues' integer determinant, reduced).  Neither an rref nor a
+    Smith form is run, so ``det`` can check their transforms independently.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    ring = a.ring
-    if not ring.is_field:
-        pivots, d, sign = _bareiss(a.grid(), a.cols, reduced=False)
-        return sign * d if len(pivots) == a.rows else 0
-    _, pivots, ops = rref(a)._reduced
-    if len(pivots) < a.rows:
-        return ring.normalize(0)
-    result = ring.normalize(1)
-    for op in ops:
-        if len(op) == 2:
-            result = ring.reduce(-result)
-        elif op[1] is None:
-            result = ring.reduce(result * ring.inv(op[2]))
-    return result
+    numerators, den = _numerators(a.data)
+    pivots, d, sign = _bareiss([list(row) for row in numerators], a.cols, reduced=False)
+    return a.ring.normalize(Fraction(sign * d if len(pivots) == a.rows else 0, den**a.rows))
 
 
 def solve_matrix(a: Matrix, b: Matrix):
@@ -535,10 +516,10 @@ def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
     if a.ring.is_field:
-        res = rref(a)
-        if len(res._reduced[1]) != a.rows:
+        _, pivots, transform = rref(a)._reduced
+        if len(pivots) != a.rows:
             raise NotInvertible("singular matrix")
-        return res.transform
+        return transform
     snf = smith_normal_form(a)
     if any(d != 1 for d in snf.invariant_factors):
         raise NotInvertible(f"not unimodular: invariant factors {list(snf.invariant_factors)}")
@@ -655,8 +636,7 @@ def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
     m = sub.rows
     reversed_rows = sub.submatrix(range(m - 1, -1, -1), range(sub.cols)).transpose()
     if sub.ring.is_field:
-        res = rref(reversed_rows)
-        pivots, transform = res._reduced[1], res.transform
+        _, pivots, transform = rref(reversed_rows)._reduced
     else:
         pivots, _, transform = _fraction_free_rref(reversed_rows)
     if len(pivots) != sub.cols:

@@ -6,12 +6,17 @@ complement splits) must find the same pivot columns and the same signed
 minor, since rows above a pivot never feed a later one.  Both are
 checked against a ``Fraction`` rref on seeded integer matrices with
 non-unit pivots, pivots equal to minus the previous one, zero rows, and
-wide and tall shapes; ``det`` over Z is checked against the Leibniz sum.
+wide and tall shapes.  ``det`` is the forward pass's signed last pivot
+over every ring, denominators cleared first; it is checked against the
+Leibniz sum over Z, Q and F_p, and runs no reduction of any kind.
 """
 
 import random
+from fractions import Fraction
 
-from eigenchain import ZZ, Matrix, det, linalg
+import pytest
+
+from eigenchain import GF, QQ, ZZ, Matrix, det, linalg
 from eigenchain.linalg import _bareiss
 
 from test_bottom_pivots import _elimination_steps, reference_rref
@@ -86,3 +91,44 @@ def test_det_over_z_is_the_leibniz_sum_and_runs_no_reduced_pass(monkeypatch):
             nonsingular += expected not in (0, 1, -1)
     assert nonsingular > 20
     assert calls == []
+
+
+def seeded_squares(ring, seed: int):
+    """Squares up to 5x5 over ``ring``, with fractions over Q and repeated and zero rows, then two with integral determinants."""
+    rng = random.Random(f"{ring}-{seed}")
+    for n in range(6):
+        for _ in range(12):
+            grid = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+            if ring is QQ:
+                grid = [[Fraction(x, rng.choice((1, 1, 2, 3, 6))) for x in row] for row in grid]
+            roll = rng.random()
+            if n > 1 and roll < 0.2:
+                grid[-1] = list(grid[0])
+            elif n and roll < 0.3:
+                grid[rng.randrange(n)] = [0] * n
+            yield Matrix(ring, grid, cols=n)
+    yield Matrix(ring, [[2, 1], [1, 3]])
+    if ring is QQ:
+        yield Matrix(ring, [[Fraction(1, 2), 1], [0, 4]])  # integral, from fractions
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_det_over_every_field_is_the_leibniz_sum_and_runs_no_reduction(monkeypatch, ring):
+    calls = []
+    for name in ("_reduce", "smith_normal_form", "_fraction_free_rref"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda a, _o=original, _n=name: calls.append(_n) or _o(a))
+    singular = nonsingular = integral = 0
+    for seed in range(3):
+        for a in seeded_squares(ring, seed):
+            expected = leibniz(ring, a.data)
+            got = det(a)
+            assert got == expected
+            # An integral Q value is an int, as Rationals stores it.
+            assert type(got) is type(ring.normalize(got))
+            integral += ring is QQ and type(got) is int and got not in (0, 1)
+            singular += expected == 0
+            nonsingular += expected != 0
+    assert calls == []
+    assert singular > 10 and nonsingular > 10
+    assert ring is not QQ or integral > 5

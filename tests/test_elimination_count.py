@@ -6,8 +6,9 @@ Every elimination (``rref``, ``smith_normal_form`` and the fraction-free
 The analysis of a complex factors each differential exactly once and
 derives the rest of its splits from a few more eliminations per degree;
 these tests keep duplicate analyses from creeping back in.  Over Z no
-``Fraction`` is built at all.  A transform is replayed from its
-elimination's log only when something reads it, and at most once.
+``Fraction`` is built at all.  A Smith transform is replayed from its
+log only when something reads it, and at most once; a field reduction
+builds its transform in the same pass, once per matrix.
 """
 
 import random
@@ -263,20 +264,30 @@ def test_the_witness_reads_the_eigenmap_inverse_off_the_check(eliminated, solved
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Each transform built from an elimination's log, as (log, inverse), in call order.
+    """Each transform built from a Smith form's log, as (log, inverse), in call order.
 
     Smith forms log row operations (replayed for U, and with ``inverse``
-    for U^-1) and column operations (for V); rref logs its row operations
-    (replayed for its transform).  Holding the logs keeps their ids distinct.
+    for U^-1) and column operations (for V); an rref logs nothing, since
+    its reduction builds its transform in the same pass.  Holding the
+    logs keeps their ids distinct.
     """
     calls = []
-    replay = linalg._replay
+    transform = linalg._transform
 
-    def counted(ops, rows, ring, inverse=False):
+    def counted(ops, ring, m, inverse=False, transposed=False):
         calls.append((ops, inverse))
-        return replay(ops, rows, ring, inverse)
+        return transform(ops, ring, m, inverse, transposed)
 
-    monkeypatch.setattr(linalg, "_replay", counted)
+    monkeypatch.setattr(linalg, "_transform", counted)
+    return calls
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The matrices handed to the field reduction ``_reduce``, in call order."""
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda a: calls.append(a) or reduce(a))
     return calls
 
 
@@ -290,9 +301,14 @@ def test_rank_mismatch_everywhere_replays_no_transform(replays, ring):
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
-def test_a_positive_certificate_replays_each_transform_at_most_once(replays, ring):
+def test_a_positive_certificate_replays_each_transform_at_most_once(replays, reductions, ring):
     cert = certify_homology_eigenvalue(skeleton(ring))
     assert cert.is_eigenvalue()
+    if ring.is_field:
+        # Each transform comes out of its reduction: one reduction per matrix, no replay.
+        assert reductions and replays == []
+        assert len({id(a) for a in reductions}) == len(reductions)
+        return
     assert replays
     built = [(id(log), inverse) for log, inverse in replays]
     assert len(built) == len(set(built))

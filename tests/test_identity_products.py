@@ -2,8 +2,9 @@
 
 ``Matrix.identity`` marks the matrix it returns, so ``I @ B`` and
 ``B @ I`` are ``B`` itself once the ring and the shapes have been
-checked; ``-I`` is built from one canonical ``-1``; and an elimination
-whose log is empty hands back an identity as its transform.  The mark
+checked; ``-I`` is built from one canonical ``-1``; and an rref that
+moves no row, or a Smith form whose log is empty, hands back an identity
+as its transform.  The mark
 survives where the answer is known to be the identity: the kernel of a
 zero map, the split of a basis that is the whole module, and a slice
 over the full row and column ranges.  A Smith image or solve whose
@@ -91,19 +92,18 @@ def test_minus_the_identity_is_the_entrywise_negation_in_canonical_form(ring, n)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_a_transform_with_an_empty_log_is_an_identity(ring, n):
-    # An identity is already reduced: no elimination step, so every log is empty.
+    # An identity is already reduced: rref swaps, scales and subtracts nothing,
+    # and a Smith form logs nothing.
     dense = dense_identity(ring, n)
     b = Matrix(ring, [[1, 2]] * n, cols=2)
     if ring.is_field:
-        res = rref(dense)
-        assert res.ops == []
-        transforms = [res.transform]
+        transforms = [rref(dense).transform]
     else:
         res = smith_normal_form(dense)
         assert res.row_ops == [] and res.col_ops == []
         transforms = [res.u, res.u_inv, res.v]
     for t in transforms:
-        assert t == dense
+        assert t == dense and t.marked_identity
         assert t @ b is b
 
 
