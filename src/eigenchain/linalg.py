@@ -2,37 +2,37 @@
 
 Matrices are stored dense; eliminations update only the entries where
 the pivot row (or column) is nonzero, so sparse inputs cost little more
-than their nonzeros.  Over Z nothing leaves the integers: Smith forms
-and complement splits (which pivot fraction-free, after Bareiss) work on
-``int``s.  Over Q an integral value is an ``int`` too (see
-:class:`~eigenchain.rings.Rationals`), so only entries that are not
-integral cost ``Fraction`` arithmetic, and an rref whose pivots are ±1
-stays in ``int``s; inverses go through ``ring.inv``, never ``/``.
+than their nonzeros.  Over Z nothing leaves the integers, and over Q no
+elimination loop does ``Fraction`` arithmetic: as ``@`` does, it clears
+denominators with one lcm, works on ``int``s and divides each nonzero
+entry once at the end, so an integral value comes out an ``int``, as
+:class:`~eigenchain.rings.Rationals` stores it.  Inverses go through
+``ring.inv``, never ``/``.
 
-There are three elimination loops: :func:`_reduce` over a field,
-``smith_normal_form`` over Z and the fraction-free :func:`_bareiss` on
-integer rows, run reduced on ``[a | I]`` by :func:`_fraction_free_rref`
-for complement splits and forward, denominators cleared, for ``det``
-over every ring.  ``rref`` returns at once with its input.  Over Q its
-pivots come first, from :func:`_rank_profile`, a forward ``_bareiss`` on
-the matrix with its denominators cleared that builds no ``Fraction``;
-over F_p they are the reduction's.  ``_reduce`` eliminates ``[a | I]``,
-so its left transform comes out of the same pass as the reduced form; it
-runs the first time either or an F_p pivot is read, so a rank over Q
-costs one forward pass and no reduced form.
+There are three elimination loops: the fraction-free :func:`_bareiss`,
+forward behind ranks over Q and ``det`` over every ring and reduced on
+``[a | I]`` behind :func:`_reduce` over Q and complement splits over Z;
+``_reduce``'s Gauss-Jordan on residues over F_p; and
+``smith_normal_form`` over Z.  ``rref`` returns at once with its input.
+Over Q its pivots come first, from the forward ``_bareiss``; over F_p
+they are the reduction's.  ``_reduce`` eliminates ``[a | I]``, so its
+left transform comes out of the same pass as the reduced form; it runs
+the first time either or an F_p pivot is read, so a rank over Q costs one
+forward pass and no reduced form.
 Only ``smith_normal_form`` logs: it updates its working matrix alone and
 logs each swap, subtraction and negation, and :func:`_transform` replays
 that log onto an identity for ``U``, ``U^-1`` or ``V`` the first time
 something reads them, so a rank or an invariant factor builds no
-transform.  A transform that moved nothing (an rref that swapped, scaled
-and subtracted nothing, an empty Smith log) is
+transform.  A transform known to be the identity (of an rref whose
+reduced form is its input, as only then is nothing swapped, scaled or
+subtracted, or of an empty Smith log) is
 :meth:`~eigenchain.matrix.Matrix.identity`, and so are the answers known
 without one: the kernel of a rank-0 matrix, and the inverse
 :func:`complement_and_inverse` returns for a basis that is a marked
 identity (the whole module, with an empty complement), so the products
-downstream skip as well.  The inverse, complements, kernels and solves
-over a field read the reduction before the pivots, so they run no rank
-pass.
+downstream skip as well.  The inverse, complements, kernels and
+solves over a field read the reduction before the pivots, so they run no
+rank pass.
 
 :func:`factor` is the rref over a field and the Smith form over Z; either
 result carries its input as ``matrix`` and answers ``rank``, ``torsion``,
@@ -69,7 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .errors import (
     NotAField,
@@ -88,13 +87,12 @@ class RrefResult:
     """``transform @ matrix == echelon`` with ``transform`` invertible.
 
     Only ``matrix`` is held at first.  Over Q ``pivots`` (and so ``rank``
-    and ``image()``) come from one fraction-free forward pass,
-    :func:`_rank_profile`, unless the reduction has already run; over F_p
-    they are the reduction's.  The reduction, :func:`_reduce`, runs the
-    first time ``echelon``, ``transform`` or an F_p ``pivots`` is read and
-    builds all three in one pass; nothing is logged or replayed.  They are
-    kept from then on, so a caller that reads only ranks over Q builds no
-    reduced form and no ``Fraction``.
+    and ``image()``) come from a forward :func:`_bareiss` unless the
+    reduction has already run; over F_p they are the reduction's.  The
+    reduction, :func:`_reduce`, runs the first time ``echelon``,
+    ``transform`` or an F_p ``pivots`` is read and builds all three in one
+    pass, kept from then on, so a caller that reads only ranks over Q
+    builds no reduced form.
     """
 
     matrix: Matrix
@@ -112,7 +110,7 @@ class RrefResult:
     def pivots(self) -> tuple[int, ...]:
         if "_reduced" in self.__dict__ or self.matrix.ring.needs_reduction:
             return self._reduced[1]
-        return _rank_profile(self.matrix)
+        return _bareiss(self.matrix, False)[0]
 
     @property
     def transform(self) -> Matrix:
@@ -269,54 +267,48 @@ def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], Matrix]:
     """The reduced row-echelon form of ``a`` over a field, its pivot columns and its left transform.
 
     The rows of ``[a | I]`` are eliminated together, so the transform is
-    the right block, built in the same pass.  A reduction that swaps,
-    scales and subtracts nothing returns the marked identity.
+    the right block, built in the same pass: over F_p by Gauss-Jordan on
+    residues, over Q by the reduced :func:`_bareiss`, whose rows are its
+    last pivot ``d`` times their rref rows, the transform's pivot rows
+    over ``den`` as well (clearing denominators scales only those).  An
+    echelon equal to its input (an input in reduced form, where nothing is
+    swapped, scaled or subtracted) comes with the marked identity.
     """
     ring = a.ring
     m, n = a.rows, a.cols
-    red, norm = ring.reduce, ring.normalize
-    work = [list(row) + e for row, e in zip(a.data, Matrix.identity(ring, m).grid())]
-    pivots: list[int] = []
-    moved = False
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            moved = True
-        if work[r][c] != 1:
-            inv = ring.inv(work[r][c])
-            work[r] = [norm(v * inv) if v else v for v in work[r]]
-            moved = True
-        wnz = [(j, y) for j, y in enumerate(work[r]) if y]
-        for i in range(m):
-            f = work[i][c]
-            if i != r and f != 0:
-                wi = work[i]
-                for j, y in wnz:
-                    wi[j] = red(wi[j] - f * y)
-                moved = True
-        pivots.append(c)
-        r += 1
-    echelon = Matrix._raw(ring, m, n, tuple(tuple(row[:n]) for row in work))
-    transform = Matrix._raw(ring, m, m, tuple(tuple(row[n:]) for row in work)) if moved else Matrix.identity(ring, m)
-    return echelon, tuple(pivots), transform
-
-
-def _rank_profile(a: Matrix) -> tuple[int, ...]:
-    """The pivot columns of the rref of ``a`` over Q, from a forward :func:`_bareiss` that builds no ``Fraction``.
-
-    They are the columns outside the span of the columns before them, so
-    any exact forward elimination that takes the first nonzero row at or
-    below the current one finds them, and scaling a row by a nonzero
-    constant keeps them: here the rows of ``a`` times the lcm of its
-    denominators, as ``@`` clears them.
-    """
-    return _bareiss([list(row) for row in _numerators(a.data)[0]], a.cols, reduced=False)[0]
+    if ring.needs_reduction:
+        p = ring.p
+        rows = [list(row) + e for row, e in zip(a.data, Matrix.identity(ring, m).grid())]
+        pivots: list[int] = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
+            if pivot_row is None:
+                continue
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            if rows[r][c] != 1:
+                inv = pow(rows[r][c], -1, p)
+                rows[r] = [v * inv % p if v else v for v in rows[r]]
+            nz = [(j, y) for j, y in enumerate(rows[r]) if y]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for j, y in nz:
+                        row[j] = (row[j] - f * y) % p
+            pivots.append(c)
+    else:
+        pivots, d, _, rows, den = _bareiss(a, True)
+        if den != 1:
+            for row in rows[: len(pivots)]:
+                row[n:] = [den * x for x in row[n:]]
+        if d != 1:
+            rows = [[(x // d if not x % d else Fraction(x, d)) if x else x for x in row] for row in rows]
+    echelon = Matrix._raw(ring, m, n, tuple(tuple(row[:n]) for row in rows))
+    if echelon.data == a.data:
+        return echelon, tuple(pivots), Matrix.identity(ring, m)
+    return echelon, tuple(pivots), Matrix._raw(ring, m, m, tuple(tuple(row[n:]) for row in rows))
 
 
 def _transform(ops, ring, m: int, inverse=False, transposed=False) -> Matrix:
@@ -495,8 +487,7 @@ def det(a: Matrix):
     """
     if a.rows != a.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    numerators, den = _numerators(a.data)
-    pivots, d, sign = _bareiss([list(row) for row in numerators], a.cols, reduced=False)
+    pivots, d, sign, _, den = _bareiss(a, False)
     return a.ring.normalize(Fraction(sign * d if len(pivots) == a.rows else 0, den**a.rows))
 
 
@@ -551,32 +542,20 @@ def _sign_normalize(basis: Matrix) -> Matrix:
     return Matrix._raw(ring, basis.rows, basis.cols, tuple(zip(*cols)) if cols else basis.data)
 
 
-def _fraction_free_rref(a: Matrix) -> tuple[tuple[int, ...], int, Optional[Matrix]]:
-    """Pivot columns of integer ``a`` over Q, the signed pivot minor, and the rref transform if integral.
+def _bareiss(a: Matrix, reduced: bool) -> tuple[tuple[int, ...], int, int, list[list[int]], int]:
+    """Eliminate ``a`` fraction-free; the pivot columns, the last pivot, the swap sign, the rows and ``den``.
 
-    :func:`_bareiss` on ``[a | I]``, reduced above each pivot too.  At full
-    row rank the transform is integral exactly when the last pivot ``d`` is
-    ±1, and is then ``d`` times the augmented block; otherwise ``None``.
-    """
-    m, n = a.rows, a.cols
-    work = [list(row) + e for row, e in zip(a.data, Matrix.identity(a.ring, m).grid())]
-    pivots, prev, sign = _bareiss(work, n, reduced=True)
-    if len(pivots) < m or abs(prev) != 1:
-        return pivots, sign * prev, None
-    return pivots, sign * prev, Matrix._raw(a.ring, m, m, tuple(tuple(prev * x for x in row[n:]) for row in work))
-
-
-def _bareiss(work: list[list[int]], n: int, reduced: bool) -> tuple[tuple[int, ...], int, int]:
-    """Eliminate the integer rows ``work`` in place over their first ``n`` columns; the pivot columns, the last pivot and the swap sign.
-
-    Fraction-free elimination (Bareiss 1968) with the pivot rule of
-    :func:`rref`: each row it updates stays the latest pivot times its
+    The rows are ``a``'s times the lcm ``den`` of its denominators, as
+    ``@`` clears them, and ``[den * a | I]`` with ``reduced``.  Elimination
+    (Bareiss 1968) over ``a``'s columns, with the pivot rule of
+    :func:`rref`, keeps each row it updates the latest pivot times its
     rational counterpart, so every division is exact and the pivots match.
-    The rows below each pivot are cleared, and with ``reduced`` the rows
-    above as well.  The last pivot ``d`` is the minor on the pivot rows and
-    columns, up to the sign of the row swaps, whichever ``reduced`` is:
-    rows above a pivot never feed a later one.  So ``sign * d`` is the
-    determinant of a nonsingular square.
+    The rows below each pivot are cleared, and with ``reduced`` those above
+    too, which leaves each row the last pivot ``d`` times its rref row.
+    ``d`` is the minor on the pivot rows and columns, up to the sign of the
+    row swaps, either way: rows above a pivot never feed a later one.  So
+    ``sign * d`` is ``den ** n`` times the determinant of an ``n x n``
+    nonsingular square.
 
     A step whose pivot is minus the previous one (a rational pivot of -1,
     as at each sign change along a simplicial boundary) would negate every
@@ -584,9 +563,12 @@ def _bareiss(work: list[list[int]], n: int, reduced: bool) -> tuple[tuple[int, .
     step is one with an equal pivot and touches only the rows with a
     nonzero in the pivot column.  Every row after it is the negative of
     what it would have been, with the same zeros, and so is ``d`` from then
-    on; the pivots, ``sign * d`` and ``d`` times each row are the same.
+    on; the pivots, ``sign * d`` and each row over ``d`` are the same.
     """
-    m = len(work)
+    numerators, den = _numerators(a.data)
+    m, n = a.rows, a.cols
+    eye = Matrix.identity(a.ring, m).grid() if reduced else [[]] * m
+    work = [list(row) + e for row, e in zip(numerators, eye)]
     pivots: list[int] = []
     prev, sign = 1, 1
     for c in range(n):
@@ -619,10 +601,10 @@ def _bareiss(work: list[list[int]], n: int, reduced: bool) -> tuple[tuple[int, .
                     row[j] -= f * y // prev
         pivots.append(c)
         prev = piv
-    return tuple(pivots), prev, sign
+    return tuple(pivots), prev, sign, work, den
 
 
-def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
+def _bottom_pivots(sub: Matrix) -> tuple[list[int], Matrix | None]:
     """Rows carrying the bottommost pivots of the column span of ``sub``.
 
     Computed as echelon pivots after reversing the coordinate order, so a
@@ -630,16 +612,18 @@ def _bottom_pivots(sub: Matrix) -> tuple[list[int], Optional[Matrix]]:
     complements prefer *early* standard vectors.  Returns the rows bottom
     up together with the inverse of ``sub`` restricted to them, in that
     order: the echelon transform of the reversed transpose is that
-    inverse, transposed.  Over Z the elimination is fraction-free and the
-    inverse is ``None`` when it is not integral.
+    inverse, transposed.  Over Z the elimination is fraction-free: that
+    transform is the right block over the last pivot ``d``, and the inverse
+    is ``None`` unless ``d`` is ±1, when it is integral.
     """
-    m = sub.rows
-    reversed_rows = sub.submatrix(range(m - 1, -1, -1), range(sub.cols)).transpose()
+    m, k = sub.rows, sub.cols
+    reversed_rows = sub.submatrix(range(m - 1, -1, -1), range(k)).transpose()
     if sub.ring.is_field:
         _, pivots, transform = rref(reversed_rows)._reduced
     else:
-        pivots, _, transform = _fraction_free_rref(reversed_rows)
-    if len(pivots) != sub.cols:
+        pivots, d, _, rows, _ = _bareiss(reversed_rows, True)
+        transform = Matrix._raw(sub.ring, k, k, tuple(tuple(d * x for x in row[m:]) for row in rows)) if abs(d) == 1 else None
+    if len(pivots) != k:
         raise ValidationError("basis columns are not independent")
     return [m - 1 - p for p in pivots], None if transform is None else transform.transpose()
 

@@ -80,8 +80,9 @@ class Rationals(_UnreducedRing):
     same matrix code runs integer arithmetic wherever the data are
     integral.  A matrix product clears each operand's denominators with
     one lcm, multiplies ``int``s and divides each entry once, so it
-    returns an ``int`` for every integral entry; sums and eliminations
-    may still leave an integral ``Fraction``.  It is a valid value, and
+    returns an ``int`` for every integral entry, and so do eliminations,
+    which clear denominators the same way; sums may still leave an
+    integral ``Fraction``.  It is a valid value, and
     ``normalize`` turns it into an ``int``.  Never apply ``/`` to two
     values (two ``int``s give a ``float``): invert through :meth:`inv`.
     """

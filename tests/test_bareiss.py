@@ -1,9 +1,9 @@
 """The one fraction-free elimination loop, :func:`eigenchain.linalg._bareiss`, both ways.
 
-Forward (rows below each pivot cleared: ranks over Q and ``det`` over Z)
-and reduced (rows above cleared too: ``_fraction_free_rref`` behind
-complement splits) must find the same pivot columns and the same signed
-minor, since rows above a pivot never feed a later one.  Both are
+Forward (rows below each pivot cleared: ranks over Q and ``det``) and
+reduced (rows above cleared too, on ``[a | I]``: reductions over Q and
+complement splits over Z) must find the same pivot columns and the same
+signed minor, since rows above a pivot never feed a later one.  Both are
 checked against a ``Fraction`` rref on seeded integer matrices with
 non-unit pivots, pivots equal to minus the previous one, zero rows, and
 wide and tall shapes.  ``det`` is the forward pass's signed last pivot
@@ -51,9 +51,20 @@ def seeded_matrices(seed: int):
 
 
 def eliminate(a: Matrix, reduced: bool):
-    work = a.grid()
-    pivots, d, sign = _bareiss(work, a.cols, reduced)
+    pivots, d, sign, work, _ = _bareiss(a, reduced)
     return pivots, sign * d, work
+
+
+def count_reduced_bareiss(monkeypatch, calls):
+    """Append to ``calls`` on each reduced ``_bareiss``: a reduction over Q or a complement split over Z."""
+    original = linalg._bareiss
+
+    def counted(a, reduced):
+        if reduced:
+            calls.append("reduced _bareiss")
+        return original(a, reduced)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
 
 
 def test_forward_and_reduced_find_the_same_pivots_and_signed_minor():
@@ -79,8 +90,7 @@ def test_forward_and_reduced_find_the_same_pivots_and_signed_minor():
 
 def test_det_over_z_is_the_leibniz_sum_and_runs_no_reduced_pass(monkeypatch):
     calls = []
-    original = linalg._fraction_free_rref
-    monkeypatch.setattr(linalg, "_fraction_free_rref", lambda a: calls.append(a) or original(a))
+    count_reduced_bareiss(monkeypatch, calls)
     nonsingular = 0
     for seed in range(3):
         for a in seeded_matrices(seed):
@@ -115,9 +125,10 @@ def seeded_squares(ring, seed: int):
 @pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)], ids=str)
 def test_det_over_every_field_is_the_leibniz_sum_and_runs_no_reduction(monkeypatch, ring):
     calls = []
-    for name in ("_reduce", "smith_normal_form", "_fraction_free_rref"):
+    for name in ("_reduce", "smith_normal_form"):
         original = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda a, _o=original, _n=name: calls.append(_n) or _o(a))
+    count_reduced_bareiss(monkeypatch, calls)
     singular = nonsingular = integral = 0
     for seed in range(3):
         for a in seeded_squares(ring, seed):

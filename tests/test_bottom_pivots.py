@@ -7,7 +7,7 @@ transpose over Q, pivots read back bottom up, the transform transposed,
 kept only when every entry is an integer.
 
 Simplicial boundaries pivot on ±1 with alternating signs; the last tests
-check :func:`eigenchain.linalg._fraction_free_rref` on them against a
+check a reduced :func:`eigenchain.linalg._bareiss` on them against a
 ``Fraction`` rref and check that a -1 pivot leaves the rows with a zero in
 its column untouched.
 """
@@ -20,15 +20,29 @@ import pytest
 
 from eigenchain import ZZ, Matrix, det
 from eigenchain.errors import ValidationError
-from eigenchain.linalg import _bareiss, _bottom_pivots, _fraction_free_rref
+from eigenchain.linalg import _bareiss, _bottom_pivots
 from eigenchain.simplicial import simplicial_to_chain
 
 from test_golden_simplicial import CORPUS as SIMPLICIAL
 from test_linalg import leibniz
 
 
+def reduced_bareiss(a: Matrix):
+    """Pivot columns of integer ``a``, the signed pivot minor, and the rref transform if integral, from a reduced ``_bareiss``.
+
+    At full row rank the transform is the right block of ``[a | I]`` over
+    the last pivot ``d``, as ``_bottom_pivots`` reads it, kept when ``d`` is
+    ±1; otherwise ``None``.
+    """
+    pivots, d, sign, rows, _ = _bareiss(a, True)
+    transform = None
+    if len(pivots) == a.rows and abs(d) == 1:
+        transform = Matrix(ZZ, [[d * x for x in row[a.cols:]] for row in rows], cols=a.rows)
+    return pivots, sign * d, transform
+
+
 def reference_rref(a: Matrix):
-    """``_fraction_free_rref(a)`` by a ``Fraction`` rref, and the pivot values it divided by.
+    """``reduced_bareiss(a)`` by a ``Fraction`` rref, and the pivot values it divided by.
 
     The signed minor is the product of the pivot values times the parity
     of the row swaps; the transform is kept at full row rank when every
@@ -214,7 +228,7 @@ def test_fraction_free_rref_on_unit_pivots_matches_a_fraction_rref():
     negative = integral = 0
     for a in unit_pivot_inputs():
         expected, values = reference_rref(a)
-        got = _fraction_free_rref(a)
+        got = reduced_bareiss(a)
         assert got == expected
         assert type(got[1]) is int
         negative += values.count(-1)
@@ -237,7 +251,7 @@ def test_signed_minor_of_square_unit_blocks_is_the_determinant():
             rows = list(rows)
             rng.shuffle(rows)  # row swaps in the elimination
             square = sub.submatrix(rows, range(k))
-            pivots, minor, _ = _fraction_free_rref(square)
+            pivots, minor, _ = reduced_bareiss(square)
             expected = leibniz(ZZ, square.data)
             assert det(square) == expected
             if len(pivots) == k:
@@ -247,10 +261,10 @@ def test_signed_minor_of_square_unit_blocks_is_the_determinant():
 
 
 def _elimination_steps(a: Matrix):
-    """Run ``_fraction_free_rref(a)``; per column ``(c, prev, pivots so far, rows before, rows after)``.
+    """Run a reduced ``_bareiss`` on ``a``; per column ``(c, prev, pivots so far, rows before, rows after)``.
 
-    A line tracer on the frame of its elimination loop, :func:`_bareiss`,
-    reads its locals each time the column changes and once at the end.
+    A line tracer on the frame of :func:`_bareiss` reads its locals each
+    time the column changes and once at the end.
     Rows are kept as ``(list object, entries)`` pairs, so a row rewritten
     in place shows as changed entries and a replaced row as a new object.
     """
@@ -274,7 +288,7 @@ def _elimination_steps(a: Matrix):
     previous = sys.gettrace()
     sys.settrace(calls)
     try:
-        _fraction_free_rref(a)
+        _bareiss(a, True)
     finally:
         sys.settrace(previous)
     return [(*step[:4], seen[k + 1][3]) for k, step in enumerate(seen[:-1])]

@@ -3,15 +3,18 @@
 ``@``, ``rref`` and ``smith_normal_form`` skip zero entries.  The dense
 loops below are the definitions they must reproduce exactly: the same
 entries, pivots and transforms, with every entry canonical for its ring.
-The transforms are replayed from the elimination's log when first read,
-so they must match whichever of them is read first.  Over Q, ``@`` also
-multiplies non-integral rationals, on integer numerators, and must
+The Smith transforms are replayed from the elimination's log when first
+read, so they must match whichever of them is read first, and an rref's
+transform must match when read before its reduced form.  Over Q, ``@``
+also multiplies non-integral rationals, on integer numerators, and must
 return an ``int`` for every integral entry, also when an operand's only
-``Fraction``s are integral.  ``submatrix`` and ``cols_at`` take tuple
-slices and ``itemgetter`` picks, and must pick what per-entry indexing
-picks; ``placed`` must give what its identity-slice product gives; and
-Smith images, image coordinates and solves, which skip the rows of
-invariant factors equal to one, must match dense references.
+``Fraction``s are integral; ``rref`` eliminates the same operands on
+integer numerators and must match the dense ``Fraction`` elimination.
+``submatrix`` and ``cols_at`` take tuple slices and ``itemgetter`` picks,
+and must pick what per-entry indexing picks; ``placed`` must give what
+its identity-slice product gives; and Smith images, image coordinates and
+solves, which skip the rows of invariant factors equal to one, must match
+dense references.
 """
 
 import random
@@ -277,9 +280,10 @@ def _assert_rref_matches(a: Matrix):
 @pytest.mark.parametrize("seed", range(4))
 def test_rref_matches_dense_elimination(ring, seed):
     rng = random.Random(seed)
+    generators = (sparse_matrix, dense_matrix) + ((rational_matrix, edge_matrix) if ring == QQ else ())
     for m, n, _ in _shapes(rng):
-        _assert_rref_matches(sparse_matrix(ring, rng, m, n))
-        _assert_rref_matches(dense_matrix(ring, rng, m, n))
+        for generate in generators:
+            _assert_rref_matches(generate(ring, rng, m, n))
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=str)
@@ -361,9 +365,10 @@ def test_smith_transforms_read_in_any_order_match_dense_reduction(order, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_rref_transform_read_first_matches_dense_elimination(ring, seed):
     rng = random.Random(200 + seed)
+    generators = (sparse_matrix, dense_matrix) + ((rational_matrix, edge_matrix) if ring == QQ else ())
     inputs = [Matrix.zeros(ring, m, n) for m, n in EMPTY_SHAPES]
     for m, n, _ in _shapes(rng):
-        inputs += [sparse_matrix(ring, rng, m, n), dense_matrix(ring, rng, m, n)]
+        inputs += [generate(ring, rng, m, n) for generate in generators]
     for a in inputs:
         res = rref(a)
         work, trans, pivots = dense_rref(a)

@@ -140,7 +140,7 @@ def _eliminations(a):
         return [res.echelon, res.transform]
     res = linalg.smith_normal_form(a)
     unimodular = Matrix(a.ring, [[0, 1], [1, 1]])
-    return [res.s, res.u, res.v, res.u_inv, linalg._fraction_free_rref(unimodular)[2]]
+    return [res.s, res.u, res.v, res.u_inv, linalg._bottom_pivots(unimodular)[1]]
 
 
 TUPLE_ROW_OPS = {

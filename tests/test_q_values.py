@@ -16,6 +16,8 @@ from eigenchain import GF, QQ, ZZ, Matrix, SubspaceBasis, det, inverse, kernel_b
 from eigenchain.errors import NotInvertible, ParseError
 from eigenchain.linalg import complement_and_inverse
 
+from test_kernel_equivalence import rational_matrix
+
 
 @pytest.mark.parametrize("value", [2, "2/1", " 4/2 ", Fraction(6, 3), "-3", Fraction(-4, 2), 0, "0/5"])
 def test_integral_values_come_back_as_int(value):
@@ -133,3 +135,19 @@ def test_integral_data_stays_integral_through_unit_pivots():
     assert det(a) == 1
     for m in (res.echelon, res.transform, inverse(a)):
         assert all(type(v) is int for row in m.data for v in row)
+
+
+def test_rref_of_rational_entries_holds_an_int_for_every_integral_entry():
+    # Inputs with integral and non-integral Fractions: the reduced form and
+    # the transform come back with every integral entry an int.
+    rng = random.Random(37)
+    integral = fractions = 0
+    for _ in range(60):
+        a = rational_matrix(QQ, rng, rng.randint(1, 8), rng.randint(1, 8))
+        res = rref(a)
+        for m in (res.echelon, res.transform):
+            entries = [v for row in m.data for v in row]
+            assert not any(type(v) is Fraction and v.denominator == 1 for v in entries)
+            integral += sum(1 for v in entries if type(v) is int and v not in (0, 1))
+            fractions += sum(1 for v in entries if type(v) is Fraction)
+    assert integral > 40 and fractions > 100

@@ -1,12 +1,12 @@
 """Over Q, a rank costs one fraction-free forward pass and no reduced form.
 
 ``rref`` returns with its input alone.  Over Q its ``pivots`` come from
-:func:`eigenchain.linalg._rank_profile` (denominators cleared, then a
-forward :func:`eigenchain.linalg._bareiss` elimination) unless the
-reduction, :func:`eigenchain.linalg._reduce`, has already run; over F_p
-they are the reduction's.  The reduced form and its transform are built
-together the first time something reads either.  The rank profile must
-find exactly the reduction's pivots, and over F_p the reduction's pivots
+a forward :func:`eigenchain.linalg._bareiss` (denominators cleared, rows
+below each pivot cleared) unless the reduction,
+:func:`eigenchain.linalg._reduce`, has already run; over F_p they are the
+reduction's.  The reduced form and its transform are built together the
+first time something reads either.  The forward pass must find exactly
+the reduction's pivots, and over F_p the reduction's pivots
 must be those of a mod-p elimination written here.  A verdict over Q
 that fails on ranks reduces nothing, one over F_p runs no rank pass, a
 positive certificate reduces each differential once, the callers that
@@ -15,6 +15,7 @@ solves) run no rank pass before it, and ``det`` runs neither.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,7 +59,7 @@ def random_matrix(ring, rng, rows, cols):
 
 def pivots(a):
     """The rank pass over Q; over F_p, the pivots ``rref`` reads."""
-    return linalg._rank_profile(a) if a.ring is QQ else rref(a).pivots
+    return linalg._bareiss(a, False)[0] if a.ring is QQ else rref(a).pivots
 
 
 def mod_p_pivots(a):
@@ -111,13 +112,19 @@ def test_rank_profile_on_chosen_matrices(ring):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of ``_reduce`` (by matrix), ``_rank_profile`` (by matrix) and ``_transform`` (by log), in order."""
+    """Calls of ``_reduce`` (by matrix), the rank pass (by matrix) and ``_transform`` (by log), in order.
+
+    The rank pass is the forward ``_bareiss`` that ``RrefResult.pivots``
+    runs; ``det`` runs one of its own, which is no rank pass.
+    """
     calls = {"reduce": [], "rank_profile": [], "transform": []}
-    for name, key in (("_reduce", "reduce"), ("_rank_profile", "rank_profile"), ("_transform", "transform")):
+    rank_pass = linalg.RrefResult.pivots.func.__code__
+    for name, key in (("_reduce", "reduce"), ("_bareiss", "rank_profile"), ("_transform", "transform")):
         original = getattr(linalg, name)
 
         def wrapper(first, *rest, _original=original, _key=key):
-            calls[_key].append(first)
+            if _key != "rank_profile" or sys._getframe(1).f_code is rank_pass:
+                calls[_key].append(first)
             return _original(first, *rest)
 
         monkeypatch.setattr(linalg, name, wrapper)
