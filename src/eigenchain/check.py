@@ -159,7 +159,10 @@ def _entry_values(ring, entries, rows: int, cols: int, what: str, known: dict | 
     if len(entries) != rows or any(map(cols.__ne__, map(len, entries))):
         raise ValidationError(f"{what}: expected a {rows}x{cols} matrix")
     flat = list(chain.from_iterable(entries))
-    distinct = dict.fromkeys(flat)
+    try:
+        distinct = dict.fromkeys(flat)
+    except TypeError:  # a JSON object or list has no key: every entry is typed
+        distinct = flat
     # A bool or float equal to an int entry hides under the int's key, never
     # under a string's: distinct strings alone mean every entry is a string.
     if not _TEXT.issuperset(map(type, distinct)) and not _ENTRY_TYPES.issuperset(map(type, flat)):

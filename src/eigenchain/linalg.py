@@ -9,16 +9,15 @@ entry once at the end, so an integral value comes out an ``int``, as
 :class:`~eigenchain.rings.Rationals` stores it.  Inverses go through
 ``ring.inv``, never ``/``.
 
-There are three elimination loops: the fraction-free :func:`_bareiss`,
-forward behind ranks over Q and ``det`` over every ring and reduced on
-``[a | I]`` behind :func:`_reduce` over Q and complement splits over Z;
-``_reduce``'s Gauss-Jordan on residues over F_p; and
-``smith_normal_form`` over Z.  ``rref`` returns at once with its input.
-Over Q its pivots come first, from the forward ``_bareiss``; over F_p
-they are the reduction's.  ``_reduce`` eliminates ``[a | I]``, so its
-left transform comes out of the same pass as the reduced form; it runs
-the first time either or an F_p pivot is read, so a rank over Q costs one
-forward pass and no reduced form.
+There are two elimination loops.  :func:`_bareiss`, fraction-free over
+Q and Z and Gauss-Jordan on residues over F_p, runs forward behind ranks
+over a field and ``det`` over every ring, and reduced on ``[a | I]``
+behind :func:`_reduce` over a field and complement splits over Z;
+``smith_normal_form`` runs over Z.  ``rref`` returns at once with its input.
+Its pivots come first, from the forward ``_bareiss``.  ``_reduce``
+eliminates ``[a | I]``, so its left transform comes out of the same pass
+as the reduced form; it runs the first time either is read, so a rank
+costs one forward pass and no reduced form.
 Only ``smith_normal_form`` logs: it updates its working matrix alone and
 logs each swap, subtraction and negation, and :func:`_transform` replays
 that log onto an identity for ``U``, ``U^-1`` or ``V`` the first time
@@ -86,13 +85,12 @@ from .rings import Integers
 class RrefResult:
     """``transform @ matrix == echelon`` with ``transform`` invertible.
 
-    Only ``matrix`` is held at first.  Over Q ``pivots`` (and so ``rank``
-    and ``image()``) come from a forward :func:`_bareiss` unless the
-    reduction has already run; over F_p they are the reduction's.  The
-    reduction, :func:`_reduce`, runs the first time ``echelon``,
-    ``transform`` or an F_p ``pivots`` is read and builds all three in one
-    pass, kept from then on, so a caller that reads only ranks over Q
-    builds no reduced form.
+    Only ``matrix`` is held at first.  ``pivots`` (and so ``rank`` and
+    ``image()``) come from a forward :func:`_bareiss` unless the reduction
+    has already run.  The reduction, :func:`_reduce`, runs the first time
+    ``echelon`` or ``transform`` is read and builds all three in one pass,
+    kept from then on, so a caller that reads only ranks builds no reduced
+    form.
     """
 
     matrix: Matrix
@@ -108,7 +106,7 @@ class RrefResult:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        if "_reduced" in self.__dict__ or self.matrix.ring.needs_reduction:
+        if "_reduced" in self.__dict__:
             return self._reduced[1]
         return _bareiss(self.matrix, False)[0]
 
@@ -266,49 +264,25 @@ def rref(a: Matrix) -> RrefResult:
 def _reduce(a: Matrix) -> tuple[Matrix, tuple[int, ...], Matrix]:
     """The reduced row-echelon form of ``a`` over a field, its pivot columns and its left transform.
 
-    The rows of ``[a | I]`` are eliminated together, so the transform is
-    the right block, built in the same pass: over F_p by Gauss-Jordan on
-    residues, over Q by the reduced :func:`_bareiss`, whose rows are its
-    last pivot ``d`` times their rref rows, the transform's pivot rows
-    over ``den`` as well (clearing denominators scales only those).  An
-    echelon equal to its input (an input in reduced form, where nothing is
+    The reduced :func:`_bareiss` eliminates the rows of ``[a | I]``
+    together, so the transform is the right block, built in the same pass.
+    Each row is the last pivot ``d`` times its rref row, the transform's
+    pivot rows over ``den`` as well (clearing denominators scales only
+    those); over F_p both are one, and nothing is divided.  An echelon
+    equal to its input (an input in reduced form, where nothing is
     swapped, scaled or subtracted) comes with the marked identity.
     """
-    ring = a.ring
     m, n = a.rows, a.cols
-    if ring.needs_reduction:
-        p = ring.p
-        rows = [list(row) + e for row, e in zip(a.data, Matrix.identity(ring, m).grid())]
-        pivots: list[int] = []
-        for c in range(n):
-            r = len(pivots)
-            if r == m:
-                break
-            pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            if rows[r][c] != 1:
-                inv = pow(rows[r][c], -1, p)
-                rows[r] = [v * inv % p if v else v for v in rows[r]]
-            nz = [(j, y) for j, y in enumerate(rows[r]) if y]
-            for i, row in enumerate(rows):
-                f = row[c]
-                if f and i != r:
-                    for j, y in nz:
-                        row[j] = (row[j] - f * y) % p
-            pivots.append(c)
-    else:
-        pivots, d, _, rows, den = _bareiss(a, True)
-        if den != 1:
-            for row in rows[: len(pivots)]:
-                row[n:] = [den * x for x in row[n:]]
-        if d != 1:
-            rows = [[(x // d if not x % d else Fraction(x, d)) if x else x for x in row] for row in rows]
-    echelon = Matrix._raw(ring, m, n, tuple(tuple(row[:n]) for row in rows))
+    pivots, d, _, rows, den = _bareiss(a, True)
+    if den != 1:
+        for row in rows[: len(pivots)]:
+            row[n:] = [den * x for x in row[n:]]
+    if d != 1:
+        rows = [[(x // d if not x % d else Fraction(x, d)) if x else x for x in row] for row in rows]
+    echelon = Matrix._raw(a.ring, m, n, tuple(tuple(row[:n]) for row in rows))
     if echelon.data == a.data:
-        return echelon, tuple(pivots), Matrix.identity(ring, m)
-    return echelon, tuple(pivots), Matrix._raw(ring, m, m, tuple(tuple(row[n:]) for row in rows))
+        return echelon, pivots, Matrix.identity(a.ring, m)
+    return echelon, pivots, Matrix._raw(a.ring, m, m, tuple(tuple(row[n:]) for row in rows))
 
 
 def _transform(ops, ring, m: int, inverse=False, transposed=False) -> Matrix:
@@ -482,7 +456,8 @@ def det(a: Matrix):
     The signed last pivot of a forward :func:`_bareiss` on ``a`` with its
     denominators cleared by their lcm ``den`` is ``den ** n`` times the
     determinant; the quotient, normalized by the ring, is the answer (over
-    F_p the residues' integer determinant, reduced).  Neither an rref nor a
+    F_p, ``d = den = 1`` and ``sign`` is the product of the units divided
+    out, with the swaps' sign).  Neither an rref nor a
     Smith form is run, so ``det`` can check their transforms independently.
     """
     if a.rows != a.cols:
@@ -543,7 +518,7 @@ def _sign_normalize(basis: Matrix) -> Matrix:
 
 
 def _bareiss(a: Matrix, reduced: bool) -> tuple[tuple[int, ...], int, int, list[list[int]], int]:
-    """Eliminate ``a`` fraction-free; the pivot columns, the last pivot, the swap sign, the rows and ``den``.
+    """Eliminate ``a`` fraction-free; the pivot columns, the last pivot, the unit sign, the rows and ``den``.
 
     The rows are ``a``'s times the lcm ``den`` of its denominators, as
     ``@`` clears them, and ``[den * a | I]`` with ``reduced``.  Elimination
@@ -564,8 +539,11 @@ def _bareiss(a: Matrix, reduced: bool) -> tuple[tuple[int, ...], int, int, list[
     nonzero in the pivot column.  Every row after it is the negative of
     what it would have been, with the same zeros, and so is ``d`` from then
     on; the pivots, ``sign * d`` and each row over ``d`` are the same.
+    Over F_p each nonzero pivot is a unit, divided out of its row and into
+    ``sign`` mod p, so ``d`` stays one: each step is ``x - f y`` mod p.
     """
     numerators, den = _numerators(a.data)
+    p = a.ring.p if a.ring.needs_reduction else 0
     m, n = a.rows, a.cols
     eye = Matrix.identity(a.ring, m).grid() if reduced else [[]] * m
     work = [list(row) + e for row, e in zip(numerators, eye)]
@@ -583,7 +561,11 @@ def _bareiss(a: Matrix, reduced: bool) -> tuple[tuple[int, ...], int, int, list[
             sign = -sign
         top = work[r]
         piv = top[c]
-        if piv == -prev:
+        if p and piv != 1:
+            inv = pow(piv, -1, p)
+            top = work[r] = [x * inv % p if x else x for x in top]
+            piv, sign = 1, sign * piv % p
+        elif piv == -prev:
             # Negated, the pivot row makes this a piv == prev step, which
             # leaves the rows with a zero in column c alone.
             top = work[r] = [-x for x in top]
@@ -592,11 +574,14 @@ def _bareiss(a: Matrix, reduced: bool) -> tuple[tuple[int, ...], int, int, list[
         first = 0 if reduced else r + 1
         for i, row in enumerate(work[first:], first):
             f = row[c]
-            if i == r:
+            if not f and piv == prev or i == r:
                 continue
             if piv != prev:
                 work[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)] if f else [piv * x // prev for x in row]
-            elif f:  # (prev x - f y) / prev = x - f y / prev
+            elif p:
+                for j, y in nz:
+                    row[j] = (row[j] - f * y) % p
+            else:  # (prev x - f y) / prev = x - f y / prev
                 for j, y in nz:
                     row[j] -= f * y // prev
         pivots.append(c)

@@ -122,7 +122,7 @@ def seeded_squares(ring, seed: int):
         yield Matrix(ring, [[Fraction(1, 2), 1], [0, 4]])  # integral, from fractions
 
 
-@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5), GF(2**61 - 1)], ids=str)
 def test_det_over_every_field_is_the_leibniz_sum_and_runs_no_reduction(monkeypatch, ring):
     calls = []
     for name in ("_reduce", "smith_normal_form"):

@@ -498,6 +498,20 @@ def test_float_entries_are_rejected_over_q(workdir, capsys):
     assert "'entries'" in err and "1.5" in err
 
 
+@pytest.mark.parametrize("bad", [{}, [1]], ids=["object", "list"])
+def test_an_unhashable_entry_exits_2_in_homology_and_reverify(workdir, capsys, bad):
+    expected = f"'entries' must hold strings or JSON integers, got {bad!r}"
+    cert = workdir / "s1.cert.json"
+    assert run(capsys, "certify", workdir / "s1_complex.json", "-o", cert)[0] == 0
+    _edit(workdir, "s1.cert.json", _set(("witness", "homotopy", "blocks", -1, "entries", 0, -1), bad))
+    _edit(workdir, "s1_complex.json", _set(("diffs", 0, "entries", 1, 0), bad))
+    for argv in (["homology", workdir / "s1_complex.json"], ["reverify", cert]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert expected in err
+
+
 @pytest.mark.parametrize(
     "ring, bad",
     [("Q", "1/0"), ("Q", "1e9999999"), ("Z", "1.5"), ({"Fp": 5}, "x")],

@@ -68,9 +68,11 @@ def test_bad_entry_names_the_degree_and_first_bad_entry(ring_tag, entries, expec
 
 
 def test_entry_of_another_json_type_is_named():
-    with pytest.raises(ParseError) as info:
-        complex_from_payload(two_by_two("Z", [[0, 1.5], [True, 0]]))
-    assert str(info.value) == WHERE + "'entries' must hold strings or JSON integers, got 1.5"
+    # An object or a list is unhashable: it is refused as a float is, before any lookup.
+    for entries, bad in (([[0, 1.5], [True, 0]], "1.5"), ([["0", {}], ["1", "0"]], "{}"), ([[0, 1], [[1], 0]], "[1]")):
+        with pytest.raises(ParseError) as info:
+            complex_from_payload(two_by_two("Z", entries))
+        assert str(info.value) == WHERE + "'entries' must hold strings or JSON integers, got " + bad
 
 
 def test_mixed_ints_strings_and_spaces_parse_to_the_same_values():
